@@ -154,9 +154,7 @@ def cmd_scan(args) -> int:
     if len(lo) != 4:
         raise DomainError(f"--window needs smin,smax,taumin,taumax, got {args.window!r}")
     s_min, s_max, t_min, t_max = (float(v) for v in lo)
-    result = scan_region(
-        s_min, s_max, t_min, t_max, args.grid, args.g, args.sign, n_workers=args.workers
-    )
+    result = scan_region(s_min, s_max, t_min, t_max, args.grid, args.g, args.sign)
     out = pathlib.Path(args.out)
     write_scan_csv(result, out)
     scripts = _write_plot_scripts(out)
@@ -240,34 +238,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-# --- csv round-trip helper ---------------------------------------------------
-
-def reemit_csv(path) -> str:
-    """Parse one of our CSVs and re-serialize it cell by cell.
-
-    Numeric cells were written with repr(), so float() -> repr() must
-    reproduce them byte for byte; integer and boolean cells pass through
-    int() and literal matching.  Used to demonstrate round-trip fidelity.
-    """
-    text = pathlib.Path(path).read_text()
-    out_lines = []
-    for idx, line in enumerate(text.splitlines()):
-        if idx == 0:
-            out_lines.append(line)
-            continue
-        cells = []
-        for cell in line.split(","):
-            if cell in ("true", "false"):
-                cells.append(cell)
-            else:
-                try:
-                    cells.append(str(int(cell)))
-                except ValueError:
-                    cells.append(repr(float(cell)))
-        out_lines.append(",".join(cells))
-    return "\n".join(out_lines) + "\n"
-
-
 # --- dispatcher ---------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--grid", type=int, default=50)
     s.add_argument("--g", type=float, default=9.81)
     s.add_argument("--sign", type=int, choices=(-1, 1), default=-1)
-    s.add_argument("--workers", type=int, default=1)
     s.add_argument("--out", default="scan.csv")
     s.set_defaults(func=cmd_scan)
 

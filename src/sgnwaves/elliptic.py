@@ -1,12 +1,15 @@
 """Complete elliptic integrals and their closed-form derivatives.
 
-Evaluation goes through the Carlson symmetric forms R_F, R_D, R_J
+Evaluation goes through the Carlson symmetric forms R_F, R_G, R_J
 (scipy.special), which converge for every modulus in [0, 1) at full
-double precision:
+double precision (R_G also at k = 1, where E(1) = 1):
 
     K(k)      = R_F(0, 1-k^2, 1)
-    E(k)      = R_F(0, 1-k^2, 1) - (k^2/3) R_D(0, 1-k^2, 1)
+    E(k)      = 2 R_G(0, 1-k^2, 1)
     Pi(n, k)  = R_F(0, 1-k^2, 1) + (n/3) R_J(0, 1-k^2, 1, 1-n)
+
+K, E and Pi work elementwise: a float returns a float, an array an array
+of the same shape, bit for bit the values of the scalar calls.
 
 Convention warning: everything here is parameterized by the elliptic
 MODULUS k, not by the parameter m = k^2 that Abramowitz & Stegun (and
@@ -17,64 +20,62 @@ cross-checking values.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import elliprd, elliprf, elliprj
+from scipy.special import elliprf, elliprg, elliprj
 
 from .errors import DomainError, SingularConfigurationError
 
 __all__ = ["ellip_K", "ellip_E", "ellip_Pi", "ellip_derivatives"]
 
 
-def ellip_K(k: float) -> float:
-    """Complete elliptic integral of the first kind.
+def _require(ok, rule: str, name: str, value) -> None:
+    """Raise DomainError unless `ok` holds for every element (a scalar skips the reduction)."""
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        raise DomainError(f"{rule}, got {name}={np.extract(np.logical_not(ok), value)[0]}")
+
+
+def ellip_K(k):
+    """Complete elliptic integral of the first kind, elementwise.
 
     K(k) = integral of dtheta / sqrt(1 - k^2 sin^2 theta) over [0, pi/2].
 
     Parameters
     ----------
-    k : modulus, 0 <= k < 1.  K diverges logarithmically as k -> 1,
-        so k = 1 is rejected.
+    k : modulus (float or array), 0 <= k < 1.  K diverges logarithmically
+        as k -> 1, so k = 1 is rejected.
     """
-    k = float(k)
-    if not 0.0 <= k < 1.0:
-        raise DomainError(f"ellip_K requires 0 <= k < 1, got k={k}")
-    return float(elliprf(0.0, 1.0 - k * k, 1.0))
+    _require((0.0 <= k) & (k < 1.0), "ellip_K requires 0 <= k < 1", "k", k)
+    out = elliprf(0.0, 1.0 - k * k, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
-def ellip_E(k: float) -> float:
-    """Complete elliptic integral of the second kind.
+def ellip_E(k):
+    """Complete elliptic integral of the second kind, elementwise.
 
     E(k) = integral of sqrt(1 - k^2 sin^2 theta) dtheta over [0, pi/2].
     Defined on the closed interval: E(1) = 1.
     """
-    k = float(k)
-    if not 0.0 <= k <= 1.0:
-        raise DomainError(f"ellip_E requires 0 <= k <= 1, got k={k}")
-    if k == 1.0:
-        return 1.0  # Carlson form is 0*inf here; the limit is exact
-    ksq = k * k
-    return float(elliprf(0.0, 1.0 - ksq, 1.0) - (ksq / 3.0) * elliprd(0.0, 1.0 - ksq, 1.0))
+    _require((0.0 <= k) & (k <= 1.0), "ellip_E requires 0 <= k <= 1", "k", k)
+    out = 2.0 * elliprg(0.0, 1.0 - k * k, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
-def ellip_Pi(n: float, k: float) -> float:
-    """Complete elliptic integral of the third kind.
+def ellip_Pi(n, k):
+    """Complete elliptic integral of the third kind, elementwise.
 
     Pi(n, k) = integral of dtheta / ((1 - n sin^2 theta) sqrt(1 - k^2 sin^2 theta)).
+    At n = 0 the R_J term is multiplied by exactly zero, so Pi(0, k) = K(k)
+    bit for bit.
 
     Parameters
     ----------
-    n : characteristic, 0 <= n < 1
-    k : modulus, 0 <= k < 1
+    n : characteristic (float or array), 0 <= n < 1
+    k : modulus (float or array), 0 <= k < 1
     """
-    n = float(n)
-    k = float(k)
-    if not 0.0 <= k < 1.0:
-        raise DomainError(f"ellip_Pi requires 0 <= k < 1, got k={k}")
-    if not 0.0 <= n < 1.0:
-        raise DomainError(f"ellip_Pi requires 0 <= n < 1, got n={n}")
+    _require((0.0 <= k) & (k < 1.0), "ellip_Pi requires 0 <= k < 1", "k", k)
+    _require((0.0 <= n) & (n < 1.0), "ellip_Pi requires 0 <= n < 1", "n", n)
     ksq = k * k
-    if n == 0.0:
-        return float(elliprf(0.0, 1.0 - ksq, 1.0))  # Pi(0,k) = K(k) identically
-    return float(elliprf(0.0, 1.0 - ksq, 1.0) + (n / 3.0) * elliprj(0.0, 1.0 - ksq, 1.0, 1.0 - n))
+    out = elliprf(0.0, 1.0 - ksq, 1.0) + (n / 3.0) * elliprj(0.0, 1.0 - ksq, 1.0, 1.0 - n)
+    return float(out) if out.ndim == 0 else out
 
 
 def ellip_derivatives(
@@ -101,10 +102,8 @@ def ellip_derivatives(
     """
     n = float(n)
     k = float(k)
-    if not 0.0 < k < 1.0:
-        raise DomainError(f"ellip_derivatives requires 0 < k < 1, got k={k}")
-    if not 0.0 < n < 1.0:
-        raise DomainError(f"ellip_derivatives requires 0 < n < 1, got n={n}")
+    _require(0.0 < k < 1.0, "ellip_derivatives requires 0 < k < 1", "k", k)
+    _require(0.0 < n < 1.0, "ellip_derivatives requires 0 < n < 1", "n", n)
     ksq = k * k
     if abs(n - ksq) <= singular_tol * max(n, ksq):
         raise SingularConfigurationError(

@@ -21,19 +21,22 @@ give them; the first row is the L-form (L_T - L D_X + D L_X = 0), which
 differs from the conservative 1/L-form by the row factor -1/L^2.  Row
 scaling leaves the eigenvalues untouched; the Jacobian tests account
 for the factor explicitly.
+
+One code path serves one state and many: fed a state of floats it
+returns (4, 4) matrices and Python scalars, fed (N,) arrays it returns
+(N, 4, 4) stacks and per-state arrays, bit for bit the same values.
+scan_region is that batched case, run in chunks of SCAN_CHUNK points.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .elliptic import ellip_K, ellip_E, ellip_Pi
 from .errors import DegeneratePencilError
-from .waves import RootTriple, averaged_h, averaged_hinv, constants_from_roots, wavelength
+from .waves import RootTriple, averaged_h, averaged_hinv, constants_from_roots, valid_roots, wavelength
 
 __all__ = [
     "ModulationState",
@@ -54,11 +57,17 @@ __all__ = [
 REAL_TOL = 1e-9       # |Im| <= REAL_TOL * max(1, |Re|) counts as real
 DISTINCT_TOL = 1e-8   # min root gap must exceed DISTINCT_TOL * max|root|
 PENCIL_TOL = 1e-12    # |c4| <= PENCIL_TOL * max|c| means a degenerate pencil
+SCAN_MARGIN = 1e-3    # scan grids stay this far inside the degenerate s = 1, tau = 0 edges
+SCAN_CHUNK = 1024     # scan points per kernel call; bounds the (chunk, 16, 4, 4) stack
+
+# Why a scan point was not classified; ScanResult.reason indexes this tuple.
+SCAN_REASONS = (None, "invalid_roots", "degenerate_pencil")
+_INVALID_ROOTS, _DEGENERATE_PENCIL = 1, 2
 
 
 @dataclass(frozen=True)
 class ModulationState:
-    """One point of the modulation system: phase speed plus root triple."""
+    """Phase speed plus root triple: floats for one state, equal-shape arrays for a batch."""
 
     D: float
     h0: float
@@ -103,14 +112,16 @@ class DifferentialCoefficients:
 class QuasilinearSystem:
     """Matrices of A U_T + B U_X = 0 and the pencil polynomial det(B - lam A)."""
 
-    A: np.ndarray
-    B: np.ndarray
-    charpoly: np.ndarray  # c0..c4, ascending powers
+    A: np.ndarray         # (..., 4, 4); a batch of states adds its shape in front
+    B: np.ndarray         # (..., 4, 4)
+    charpoly: np.ndarray  # (..., 5): c0..c4, ascending powers
 
 
 @dataclass(frozen=True)
 class EigenClassification:
-    roots: np.ndarray  # 4 complex numbers, sorted by real part
+    """Characteristic roots and their classification; arrays (masks) for a batch."""
+
+    roots: np.ndarray  # (..., 4) complex, sorted by real part
     all_real: bool
     distinct: bool
     n_positive: int
@@ -151,59 +162,54 @@ def differential_coefficients(roots: RootTriple) -> DifferentialCoefficients:
     """Closed-form gradients Phi^i, Psi^i, Lambda^i of h_bar, hinv_bar, L.
 
     Built from the ratios E/K and Pi/K; each matches central finite
-    differences of the corresponding closed-form average.
+    differences of the corresponding closed-form average.  Squares are
+    products: a scalar and an array `x ** 2` may round apart.
     """
     h0, h1, h2 = roots.h0, roots.h1, roots.h2
-    k = roots.modulus
-    n = roots.characteristic
-    K = ellip_K(k)
-    E = ellip_E(k)
-    Pi = ellip_Pi(n, k)
+    K, E, Pi = roots.integrals
     EK = E / K
     PK = Pi / K
     d20 = h2 - h0
     d21 = h2 - h1
     d10 = h1 - h0
+    EK2 = EK * EK
     Phi = (
-        0.5 - d20 / (2 * d10) * EK ** 2,
-        d20 / (2 * d21) - d20 / d21 * EK + d20 ** 2 / (2 * d21 * d10) * EK ** 2,
-        -d10 / (2 * d21) + d20 / d21 * EK - d20 / (2 * d21) * EK ** 2,
+        0.5 - d20 / (2 * d10) * EK2,
+        d20 / (2 * d21) - d20 / d21 * EK + d20 * d20 / (2 * d21 * d10) * EK2,
+        -d10 / (2 * d21) + d20 / d21 * EK - d20 / (2 * d21) * EK2,
     )
     Psi = (
         EK / (2 * h0 * d10) - PK / (2 * h0 * h2) - PK * EK / (2 * h2 * d10),
         1 / (2 * h1 * d21) - d20 / (2 * h1 * d21 * d10) * EK
         - PK / (2 * h1 * d21) + d20 / (2 * h2 * d21 * d10) * PK * EK,
         -1 / (2 * h2 * d21) + EK / (2 * h2 * d21)
-        + h1 * PK / (2 * h2 ** 2 * d21) - PK * EK / (2 * h2 * d21),
+        + h1 * PK / (2 * h2 * h2 * d21) - PK * EK / (2 * h2 * d21),
     )
-    I3 = h0 * h1 * h2
-    sI3 = np.sqrt(I3)
+    sI3 = np.sqrt(roots.vieta[2])
     s20 = np.sqrt(d20)
     pre = 2.0 / np.sqrt(3.0)
     Lambda = (
         pre * (sI3 / (d10 * s20) * E + h1 * h2 / (s20 * sI3) * K),
-        pre * (-s20 * sI3 / (d21 * d10) * E + h0 * h2 ** 2 / (d21 * s20 * sI3) * K),
-        pre * (sI3 / (d21 * s20) * E - h0 * h1 ** 2 / (d21 * s20 * sI3) * K),
+        pre * (-s20 * sI3 / (d21 * d10) * E + h0 * h2 * h2 / (d21 * s20 * sI3) * K),
+        pre * (sI3 / (d21 * s20) * E - h0 * h1 * h1 / (d21 * s20 * sI3) * K),
     )
     return DifferentialCoefficients(Phi=Phi, Psi=Psi, Lambda=Lambda)
 
 
 # Column subsets for det(B - lam A): picking S columns from -A and the rest
 # from B contributes det * lam^|S|; summing over all 16 subsets gives the
-# exact polynomial coefficients.
-_SUBSETS = [np.array(s, dtype=bool) for s in itertools.product((False, True), repeat=4)]
-_SUBSET_SIZES = np.array([s.sum() for s in _SUBSETS])
+# exact polynomial coefficients.  _PICK broadcasts each subset over the rows.
+_SUBSETS = list(itertools.product((False, True), repeat=4))
+_PICK = np.array(_SUBSETS)[:, None, :]
+_SUBSET_SIZES = [sum(s) for s in _SUBSETS]
 
 
 def _pencil_charpoly(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    stack = np.empty((16, 4, 4))
-    for idx, pick in enumerate(_SUBSETS):
-        M = B.copy()
-        M[:, pick] = -A[:, pick]
-        stack[idx] = M
-    dets = np.linalg.det(stack)
-    c = np.zeros(5)
-    np.add.at(c, _SUBSET_SIZES, dets)
+    dets = np.linalg.det(np.where(_PICK, -A[..., None, :, :], B[..., None, :, :]))
+    c = np.zeros(dets.shape[:-1] + (5,))
+    # a fixed summation order keeps one state bitwise equal to its batch
+    for idx, size in enumerate(_SUBSET_SIZES):
+        c[..., size] += dets[..., idx]
     return c
 
 
@@ -213,91 +219,105 @@ def assemble_AB(state: ModulationState) -> QuasilinearSystem:
     Row order: wavelength, mass, momentum, energy.  Rows mass..energy are
     the exact Jacobians of the conservative densities/fluxes; the
     wavelength row carries the extra -L^2 factor (see module docstring).
+    A batched state runs the same arithmetic, entry for entry.
     """
     r = state.roots
     c = constants_from_roots(r, state.g, state.sign_m)
     D, g, m = state.D, state.g, c.m
-    hs = np.array([r.h0, r.h1, r.h2])
+    hs = (r.h0, r.h1, r.h2)
     hb = averaged_h(r)
     hi = averaged_hinv(r)
     L = wavelength(r)
     dc = differential_coefficients(r)
-    Phi = np.array(dc.Phi)
-    Psi = np.array(dc.Psi)
-    Lam = np.array(dc.Lambda)
     # for root index i, the product and sum of the other two roots
-    prod_other = np.array([hs[1] * hs[2], hs[0] * hs[2], hs[0] * hs[1]])
-    sum_other = np.array([hs[1] + hs[2], hs[0] + hs[2], hs[0] + hs[1]])
+    prod_other = (hs[1] * hs[2], hs[0] * hs[2], hs[0] * hs[1])
+    sum_other = (hs[1] + hs[2], hs[0] + hs[2], hs[0] + hs[1])
 
-    A = np.zeros((4, 4))
-    B = np.zeros((4, 4))
-    A[0, 1:] = Lam
-    A[1, 1:] = Phi
-    A[2, 0] = hb
-    A[2, 1:] = D * Phi + m / (2.0 * hs)
-    A[3, 0] = hb * D + m
-    A[3, 1:] = (
-        0.5 * (D * D + g * c.I1) * Phi + m * m * Psi
-        + 0.5 * g * (hb - sum_other) + g * prod_other * hi
-        + m / (2.0 * hs) * D
-    )
-    B[0, 0] = -L
-    B[0, 1:] = D * Lam
-    B[1, 0] = hb
-    B[1, 1:] = D * Phi + m / (2.0 * hs)
-    B[2, 0] = 2.0 * hb * D + 2.0 * m
-    B[2, 1:] = D * D * Phi + 0.5 * g * sum_other + m / hs * D
-    B[3, 0] = 1.5 * hb * D * D + 0.5 * g * c.I1 * hb + m * m * hi + 3.0 * m * D
-    B[3, 1:] = (
-        0.5 * (D * D + g * c.I1) * D * Phi + m * m * D * Psi
-        + 0.5 * g * hb * D + g * prod_other * hi * D
-        + 0.75 * m / hs * D * D + 0.25 * g * m * c.I1 / hs + 0.5 * g * m
-    )
+    A = np.zeros(np.shape(hb) + (4, 4))
+    B = np.zeros_like(A)
+    A[..., 2, 0] = hb
+    A[..., 3, 0] = hb * D + m
+    B[..., 0, 0] = -L
+    B[..., 2, 0] = 2.0 * hb * D + 2.0 * m
+    B[..., 3, 0] = 1.5 * hb * D * D + 0.5 * g * c.I1 * hb + m * m * hi + 3.0 * m * D
+    columns = zip(hs, dc.Phi, dc.Psi, dc.Lambda, prod_other, sum_other)
+    for j, (h, Phi, Psi, Lam, po, so) in enumerate(columns, start=1):
+        A[..., 0, j] = Lam
+        A[..., 1, j] = Phi
+        A[..., 2, j] = D * Phi + m / (2.0 * h)
+        A[..., 3, j] = (
+            0.5 * (D * D + g * c.I1) * Phi + m * m * Psi
+            + 0.5 * g * (hb - so) + g * po * hi
+            + m / (2.0 * h) * D
+        )
+        B[..., 0, j] = D * Lam
+        B[..., 2, j] = D * D * Phi + 0.5 * g * so + m / h * D
+        B[..., 3, j] = (
+            0.5 * (D * D + g * c.I1) * D * Phi + m * m * D * Psi
+            + 0.5 * g * hb * D + g * po * hi * D
+            + 0.75 * m / h * D * D + 0.25 * g * m * c.I1 / h + 0.5 * g * m
+        )
+    B[..., 1, :] = A[..., 2, :]  # the mass flux is the momentum density
     return QuasilinearSystem(A=A, B=B, charpoly=_pencil_charpoly(A, B))
 
 
-def resultant_quartic(charpoly) -> float:
+def resultant_quartic(charpoly):
     """Res(p, p') of a quartic via the 7x7 Sylvester determinant.
 
     The polynomial is normalized to monic first so magnitudes stay
     comparable across parameter scans; zero iff p has a multiple root.
 
-    charpoly: coefficients c0..c4, ascending powers, c4 != 0.
+    charpoly: coefficients c0..c4, ascending powers, c4 != 0; shape (5,)
+    gives a float, shape (..., 5) an array of resultants.
     """
     c = np.asarray(charpoly, dtype=float)
-    if c.shape != (5,) or c[4] == 0.0:
+    if c.shape[-1:] != (5,) or (c[..., 4] == 0.0).any():
         raise DegeneratePencilError("resultant_quartic needs a degree-4 polynomial")
-    c = c / c[4]
-    p = c[::-1]                      # monic, descending: 1, c3, c2, c1, c0
-    dp = np.array([4.0, 3.0 * c[3], 2.0 * c[2], c[1]])
-    S = np.zeros((7, 7))
+    c = c / c[..., 4:]
+    p = c[..., ::-1]                                 # monic, descending: 1, c3, c2, c1, c0
+    dp = (c[..., 1:] * (1.0, 2.0, 3.0, 4.0))[..., ::-1]  # 4, 3 c3, 2 c2, c1
+    S = np.zeros(c.shape[:-1] + (7, 7))
     for i in range(3):
-        S[i, i:i + 5] = p
+        S[..., i, i:i + 5] = p
     for i in range(4):
-        S[3 + i, i:i + 4] = dp
-    return float(np.linalg.det(S))
+        S[..., 3 + i, i:i + 4] = dp
+    out = np.linalg.det(S)
+    return float(out) if out.ndim == 0 else out
+
+
+# index pairs (i < j) of the four roots, for the distinctness gaps
+_PAIRS = np.triu_indices(4, 1)
+_SUBDIAGONAL = np.eye(4, k=-1)
+
+
+def _degenerate_pencil(charpoly: np.ndarray) -> np.ndarray:
+    """Mask of pencils whose c4 is negligible or whose coefficients are not finite."""
+    c = np.abs(charpoly)
+    return ~(c[..., 4] > PENCIL_TOL * c.max(axis=-1))
 
 
 def characteristic_eigenvalues(sys: QuasilinearSystem) -> EigenClassification:
     """Roots of det(B - lam A) = 0 with realness/distinctness classification.
 
-    Roots come from the companion matrix of the quartic (numpy.roots),
-    which is robust where closed-form quartic solvers lose digits.
+    Roots are the eigenvalues of the quartic's companion matrix, laid out
+    as numpy.roots lays it out; this is robust where closed-form quartic
+    solvers lose digits.  Raises DegeneratePencilError where
+    _degenerate_pencil holds; scan_region masks those states out first.
     """
     c = sys.charpoly
-    scale = np.max(np.abs(c))
-    if scale == 0.0 or abs(c[4]) <= PENCIL_TOL * scale:
-        raise DegeneratePencilError(
-            f"leading charpoly coefficient {c[4]!r} is negligible against {scale!r}"
-        )
-    lam = np.roots(c[::-1])
-    lam = lam[np.argsort(lam.real)]
+    if _degenerate_pencil(c).any():
+        raise DegeneratePencilError(f"leading charpoly coefficient is negligible in {c!r}")
+    comp = np.empty(c.shape[:-1] + (4, 4))
+    comp[...] = _SUBDIAGONAL
+    comp[..., 0, :] = -c[..., 3::-1] / c[..., 4:]
+    lam = np.sort(np.asarray(np.linalg.eigvals(comp), dtype=complex), axis=-1)
     re, im = lam.real, lam.imag
-    all_real = bool(np.all(np.abs(im) <= REAL_TOL * np.maximum(1.0, np.abs(re))))
-    max_mag = float(np.max(np.abs(lam)))
-    gaps = [abs(lam[i] - lam[j]) for i in range(4) for j in range(i + 1, 4)]
-    distinct = bool(min(gaps) > DISTINCT_TOL * max_mag)
-    n_positive = int(np.sum(re > 0.0))
+    all_real = (np.abs(im) <= REAL_TOL * np.maximum(1.0, np.abs(re))).all(axis=-1)
+    gaps = np.abs(lam[..., _PAIRS[0]] - lam[..., _PAIRS[1]])
+    distinct = gaps.min(axis=-1) > DISTINCT_TOL * np.abs(lam).max(axis=-1)
+    n_positive = (re > 0.0).sum(axis=-1)
+    if c.ndim == 1:
+        all_real, distinct, n_positive = bool(all_real), bool(distinct), int(n_positive)
     return EigenClassification(
         roots=lam,
         all_real=all_real,
@@ -316,52 +336,56 @@ class ScanPoint:
     error: str | None = None
 
 
+def _grid_points(s_values: np.ndarray, tau_values: np.ndarray):
+    """(s, tau) of every grid point, row-major: index i*len(tau_values)+j is (s_i, tau_j)."""
+    return np.repeat(s_values, len(tau_values)), np.tile(tau_values, len(s_values))
+
+
 @dataclass(frozen=True)
 class ScanResult:
-    """Hyperbolicity classification over the (s, tau) plane, h0 = 1."""
+    """Hyperbolicity classification over the (s, tau) plane, h0 = 1.
+
+    `classification` has one row per grid point (see _grid_points).  Where
+    reason > 0 (an index into SCAN_REASONS) the point was not classified:
+    NaN roots and resultant, counts -1, flags false.
+    """
 
     s_values: np.ndarray
     tau_values: np.ndarray
-    points: list  # row-major: index i*len(tau_values)+j is (s_i, tau_j)
     g: float
     sign_m: int
-    errors: list = field(default_factory=list)
+    classification: EigenClassification
+    reason: np.ndarray
+
+    @property
+    def points(self) -> list:
+        """One ScanPoint per grid point, row-major; built on each access."""
+        c = self.classification
+        out = []
+        for i, (s, tau) in enumerate(zip(*_grid_points(self.s_values, self.tau_values))):
+            row = None if self.reason[i] else EigenClassification(
+                *(getattr(c, f.name)[i] for f in fields(c))
+            )
+            out.append(ScanPoint(float(s), float(tau), row, SCAN_REASONS[self.reason[i]]))
+        return out
+
+    @property
+    def errors(self) -> list:
+        """(s, tau, reason) of every point that was not classified."""
+        s, tau = _grid_points(self.s_values, self.tau_values)
+        return [(s[i], tau[i], SCAN_REASONS[self.reason[i]]) for i in np.flatnonzero(self.reason)]
 
     @property
     def all_hyperbolic(self) -> bool:
-        return all(
-            p.classification is not None
-            and p.classification.all_real
-            and p.classification.distinct
-            for p in self.points
-        )
+        return bool(np.all(self.classification.all_real & self.classification.distinct))
 
     @property
     def resultant_sign_constant(self) -> bool:
-        signs = {
-            np.sign(p.classification.resultant)
-            for p in self.points
-            if p.classification is not None
-        }
-        return len(signs) == 1
+        return np.unique(np.sign(self.classification.resultant[self.reason == 0])).size == 1
 
     def sign_pattern_grid(self) -> np.ndarray:
         """n_positive per point, shape (len(s_values), len(tau_values)); -1 on error."""
-        n_tau = len(self.tau_values)
-        grid = np.full((len(self.s_values), n_tau), -1, dtype=int)
-        for idx, p in enumerate(self.points):
-            if p.classification is not None:
-                grid[idx // n_tau, idx % n_tau] = p.classification.n_positive
-        return grid
-
-
-def _classify_point(s: float, tau: float, g: float, sign_m: int) -> ScanPoint:
-    try:
-        state = state_at_rest(RootTriple(1.0, s, s + tau), g, sign_m)
-        cls = characteristic_eigenvalues(assemble_AB(state))
-        return ScanPoint(s=s, tau=tau, classification=cls)
-    except Exception as exc:  # per-point failure must not kill the scan
-        return ScanPoint(s=s, tau=tau, classification=None, error=str(exc))
+        return self.classification.n_positive.reshape(len(self.s_values), len(self.tau_values))
 
 
 def scan_region(
@@ -372,33 +396,43 @@ def scan_region(
     grid_n: int,
     g: float,
     sign_m: int = -1,
-    n_workers: int = 1,
-    margin: float = 1e-3,
 ) -> ScanResult:
     """Classify hyperbolicity on a grid over the open window (s, tau).
 
     Each grid point builds the wave with roots (1, s, s+tau) in the U = 0
     frame (D = -m/h_bar).  The s = 1 and tau = 0 edges are degenerate
-    waves, so the grid is clamped away from them by `margin`.
+    waves, so the grid is clamped away from them by SCAN_MARGIN.  Points
+    go through state_at_rest, assemble_AB and characteristic_eigenvalues
+    as arrays of up to SCAN_CHUNK points.  Invalid roots and degenerate
+    pencils become reason codes; any exception propagates.
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
-    if not (s_min < s_max and tau_min < tau_max):
-        raise ValueError("scan window is empty")
-    s_lo = max(s_min, 1.0 + margin)
-    t_lo = max(tau_min, margin)
-    s_values = np.linspace(s_lo, s_max, grid_n)
-    tau_values = np.linspace(t_lo, tau_max, grid_n)
-    tasks = [(s, t) for s in s_values for t in tau_values]
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            points = list(pool.map(lambda st: _classify_point(*st, g, sign_m), tasks))
-    else:
-        points = [_classify_point(s, t, g, sign_m) for s, t in tasks]
-    errors = [(p.s, p.tau, p.error) for p in points if p.error is not None]
+    window = (s_min, s_max, tau_min, tau_max)
+    if not (np.isfinite(window).all() and s_min < s_max and tau_min < tau_max):
+        raise ValueError(f"scan window must be finite and non-empty, got {window}")
+    s_values = np.linspace(max(s_min, 1.0 + SCAN_MARGIN), s_max, grid_n)
+    tau_values = np.linspace(max(tau_min, SCAN_MARGIN), tau_max, grid_n)
+    s, tau = _grid_points(s_values, tau_values)
+    h0, h2, n = np.ones_like(s), s + tau, s.size
+    out = EigenClassification(np.full((n, 4), complex(np.nan, np.nan)), np.zeros(n, dtype=bool),
+                              np.zeros(n, dtype=bool), np.full(n, -1), np.full(n, -1),
+                              np.full(n, np.nan))
+    reason = np.where(valid_roots(h0, s, h2), 0, _INVALID_ROOTS)
+    todo = np.flatnonzero(reason == 0)
+    for start in range(0, todo.size, SCAN_CHUNK):
+        idx = todo[start:start + SCAN_CHUNK]
+        sys = assemble_AB(state_at_rest(RootTriple(h0[idx], s[idx], h2[idx]), g, sign_m))
+        bad = _degenerate_pencil(sys.charpoly)
+        reason[idx[bad]] = _DEGENERATE_PENCIL
+        cls = characteristic_eigenvalues(
+            QuasilinearSystem(A=sys.A[~bad], B=sys.B[~bad], charpoly=sys.charpoly[~bad])
+        )
+        for f in fields(cls):
+            getattr(out, f.name)[idx[~bad]] = getattr(cls, f.name)
     return ScanResult(
-        s_values=s_values, tau_values=tau_values, points=points,
-        g=g, sign_m=sign_m, errors=errors,
+        s_values=s_values, tau_values=tau_values, g=g, sign_m=sign_m,
+        classification=out, reason=reason,
     )
 
 
@@ -409,20 +443,12 @@ def write_scan_csv(result: ScanResult, path) -> None:
         "max_imag,resultant,n_positive,n_negative,all_real,distinct"
     )
     lines = [cols]
-    for p in result.points:
-        if p.classification is None:
-            lam = [float("nan")] * 4
-            mx, res = float("nan"), float("nan")
-            npos = nneg = -1
-            ar = di = False
-        else:
-            c = p.classification
-            lam = list(c.roots.real)
-            mx = float(np.max(np.abs(c.roots.imag)))
-            res = c.resultant
-            npos, nneg, ar, di = c.n_positive, c.n_negative, c.all_real, c.distinct
-        vals = [repr(float(v)) for v in (p.s, p.tau, *lam, mx, res)]
-        vals += [str(npos), str(nneg), str(ar).lower(), str(di).lower()]
+    c = result.classification
+    max_imag = np.abs(c.roots.imag).max(axis=-1)
+    for i, (s, tau) in enumerate(zip(*_grid_points(result.s_values, result.tau_values))):
+        vals = [repr(float(v)) for v in (s, tau, *c.roots[i].real, max_imag[i], c.resultant[i])]
+        vals += [str(c.n_positive[i]), str(c.n_negative[i])]
+        vals += [str(c.all_real[i]).lower(), str(c.distinct[i]).lower()]
         lines.append(",".join(vals))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

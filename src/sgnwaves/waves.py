@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -32,6 +32,7 @@ from .errors import InvalidRootsError, QuadratureError
 
 __all__ = [
     "RootTriple",
+    "valid_roots",
     "WaveConstants",
     "CnoidalWave",
     "constants_from_roots",
@@ -51,37 +52,57 @@ __all__ = [
 DEGENERACY_TOL = 1e-10
 
 
+def _sqrt(x):
+    """np.sqrt that keeps a scalar a Python float, as repr-ed outputs expect."""
+    out = np.sqrt(x)
+    return float(out) if out.ndim == 0 else out
+
+
+def valid_roots(h0, h1, h2):
+    """Elementwise 0 < h0 < h1 < h2 < inf (NaN fails) with both gaps >= DEGENERACY_TOL * h2."""
+    return (
+        (0.0 < h0) & (h0 < h1) & (h1 < h2) & (h2 < np.inf)
+        & (h1 - h0 >= DEGENERACY_TOL * h2) & (h2 - h1 >= DEGENERACY_TOL * h2)
+    )
+
+
 @dataclass(frozen=True)
 class RootTriple:
-    """Roots of the oscillation cubic, 0 < h0 < h1 < h2 (meters)."""
+    """Roots of the oscillation cubic, 0 < h0 < h1 < h2 (meters); floats or equal-shape arrays."""
 
     h0: float
     h1: float
     h2: float
 
     def __post_init__(self):
-        h0, h1, h2 = self.h0, self.h1, self.h2
-        if not (math.isfinite(h0) and math.isfinite(h1) and math.isfinite(h2)):
-            raise InvalidRootsError(f"roots must be finite, got ({h0}, {h1}, {h2})")
-        if not 0.0 < h0 < h1 < h2:
+        ok = valid_roots(self.h0, self.h1, self.h2)
+        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
             raise InvalidRootsError(
-                f"roots must satisfy 0 < h0 < h1 < h2, got ({h0}, {h1}, {h2})"
-            )
-        if h1 - h0 < DEGENERACY_TOL * h2 or h2 - h1 < DEGENERACY_TOL * h2:
-            raise InvalidRootsError(
-                f"degenerate root triple ({h0}, {h1}, {h2}): root gaps below "
-                f"{DEGENERACY_TOL} * h2"
+                f"roots must be finite with 0 < h0 < h1 < h2 and gaps of at least "
+                f"{DEGENERACY_TOL} * h2, got ({self.h0}, {self.h1}, {self.h2})"
             )
 
     @property
     def modulus(self) -> float:
         """Elliptic modulus k, k^2 = (h2-h1)/(h2-h0)."""
-        return math.sqrt((self.h2 - self.h1) / (self.h2 - self.h0))
+        return _sqrt((self.h2 - self.h1) / (self.h2 - self.h0))
 
     @property
     def characteristic(self) -> float:
         """Elliptic characteristic n = (h2-h1)/h2."""
         return (self.h2 - self.h1) / self.h2
+
+    @property
+    def vieta(self):
+        """Elementary symmetric sums (I1, I2, I3) of the roots."""
+        h0, h1, h2 = self.h0, self.h1, self.h2
+        return h0 + h1 + h2, h0 * h1 + h1 * h2 + h0 * h2, h0 * h1 * h2
+
+    @cached_property
+    def integrals(self):
+        """(K(k), E(k), Pi(n, k)), evaluated once and shared by the averages and L."""
+        k = self.modulus
+        return ellip_K(k), ellip_E(k), ellip_Pi(self.characteristic, k)
 
 
 @dataclass(frozen=True)
@@ -116,11 +137,8 @@ def constants_from_roots(roots: RootTriple, g: float, sign_m: int) -> WaveConsta
         raise InvalidRootsError(f"gravity must be positive, got g={g}")
     if sign_m not in (-1, 1):
         raise InvalidRootsError(f"sign_m must be -1 or +1, got {sign_m}")
-    h0, h1, h2 = roots.h0, roots.h1, roots.h2
-    I1 = h0 + h1 + h2
-    I2 = h0 * h1 + h1 * h2 + h0 * h2
-    I3 = h0 * h1 * h2
-    m = sign_m * math.sqrt(g * I3)
+    I1, I2, I3 = roots.vieta
+    m = sign_m * _sqrt(g * I3)
     return WaveConstants(
         g=g, m=m, i=g * I2 / 2.0, epsilon=I1 / (2.0 * I3),
         I1=I1, I2=I2, I3=I3, sign_m=sign_m,
@@ -184,21 +202,20 @@ def wavelength(roots: RootTriple) -> float:
 
     Equals 2 * integral of dh/sqrt(F3(h)) over [h1, h2].
     """
-    h0, h1, h2 = roots.h0, roots.h1, roots.h2
-    I3 = h0 * h1 * h2
-    return 4.0 * math.sqrt(I3 / 3.0) * ellip_K(roots.modulus) / math.sqrt(h2 - h0)
+    I3 = roots.vieta[2]
+    return 4.0 * _sqrt(I3 / 3.0) * roots.integrals[0] / _sqrt(roots.h2 - roots.h0)
 
 
 def averaged_h(roots: RootTriple) -> float:
     """Period average of h: h0 + (h2-h0) E(k)/K(k)."""
-    k = roots.modulus
-    return roots.h0 + (roots.h2 - roots.h0) * ellip_E(k) / ellip_K(k)
+    K, E, _ = roots.integrals
+    return roots.h0 + (roots.h2 - roots.h0) * E / K
 
 
 def averaged_hinv(roots: RootTriple) -> float:
     """Period average of 1/h: Pi(n, k) / (h2 K(k))."""
-    k = roots.modulus
-    return ellip_Pi(roots.characteristic, k) / (roots.h2 * ellip_K(k))
+    K, _, Pi = roots.integrals
+    return Pi / (roots.h2 * K)
 
 
 def build_wave(

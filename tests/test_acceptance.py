@@ -39,7 +39,7 @@ def _best_time_per_call(fn, n_calls=200, batches=3) -> float:
 @pytest.fixture(scope="module")
 def scan50():
     t0 = time.perf_counter()
-    result = sw.scan_region(1.0, 100.0, 0.0, 100.0, 50, g=G, sign_m=-1, n_workers=1)
+    result = sw.scan_region(1.0, 100.0, 0.0, 100.0, 50, g=G, sign_m=-1)
     elapsed = time.perf_counter() - t0
     return result, elapsed
 

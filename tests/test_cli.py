@@ -11,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from sgnwaves.cli import main, reemit_csv
+from conftest import reemit_csv
+from sgnwaves.cli import main
 
 BASE_ARGS = ["--roots", "1,1.5,2", "--g", "10"]
 
@@ -141,6 +142,28 @@ def test_scan_rejects_empty_window(capsys, tmp_path):
                                 "--out", str(tmp_path / "s.csv")])
     assert code == 2
     assert "invalid input" in err
+
+
+def test_scan_rejects_nonfinite_window(capsys, tmp_path):
+    code, _, err = run(capsys, ["scan", "--window", "1,inf,0,1",
+                                "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert "finite" in err
+
+
+def test_scan_reports_failed_points(capsys, tmp_path):
+    # for s >= 3.3e11 the root gap tau = h2 - h1 <= 1 falls below
+    # DEGENERACY_TOL * h2: 12 of the 16 triples are invalid
+    out = tmp_path / "s.csv"
+    code, stdout, err = run(capsys, ["scan", "--window", "1,1e12,0,1", "--grid", "4",
+                                     "--g", "10", "--out", str(out)])
+    assert code == 3
+    assert "16 points, 12 failures" in stdout
+    failed = [line for line in err.splitlines() if line.startswith("point (")]
+    assert len(failed) == 12
+    assert all(line.endswith("failed: invalid_roots") for line in failed)
+    rows = out.read_text().splitlines()[1:]
+    assert sum(row.endswith(",nan,nan,nan,nan,nan,nan,-1,-1,false,false") for row in rows) == 12
 
 
 # --- simulate ----------------------------------------------------------------

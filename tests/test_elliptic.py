@@ -10,6 +10,7 @@ of the (independently validated) integrals.
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,11 +143,27 @@ def test_second_kind_derivative_closed_form():
         (ellip_derivatives, (0.5, 1.0)),
         (ellip_derivatives, (0.0, 0.5)),
         (ellip_derivatives, (1.0, 0.5)),
+        (ellip_K, (np.array([0.5, 1.0]),)),
+        (ellip_E, (np.array([0.5, np.nan]),)),
+        (ellip_Pi, (np.array([0.2, 0.5]), np.array([0.5, -0.1]))),
     ],
 )
 def test_domain_errors(func, args):
     with pytest.raises(DomainError):
         func(*args)
+
+
+def test_array_calls_match_scalar_calls():
+    # elementwise evaluation must be bit for bit the scalar one, so that a
+    # batched modulation scan reproduces single-state results exactly
+    k = np.linspace(0.0, 0.999, 37)
+    n = np.linspace(0.0, 0.99, 37)[::-1]
+    for func, args in ((ellip_K, (k,)), (ellip_E, (np.append(k, 1.0),)), (ellip_Pi, (n, k))):
+        batch = func(*args)
+        singles = [func(*(float(a[i]) for a in args)) for i in range(args[0].size)]
+        assert isinstance(batch, np.ndarray) and batch.shape == args[0].shape
+        assert all(type(v) is float for v in singles)
+        assert np.array_equal(batch, singles)
 
 
 def test_singular_characteristic_band():

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgnwaves as sw
-from sgnwaves.cli import reemit_csv
+from conftest import reemit_csv
 from sgnwaves.errors import DegeneratePencilError, InvalidRootsError
 
 BASE = sw.RootTriple(1.0, 1.5, 2.0)
@@ -314,14 +314,68 @@ def test_scan_clamps_degenerate_edges():
         sw.scan_region(5.0, 4.0, 0.0, 5.0, 4, g=G)
     with pytest.raises(ValueError):
         sw.scan_region(1.0, 5.0, 0.0, 5.0, 1, g=G)
+    # non-finite bounds would put NaN into the grid
+    for window in ((1.0, math.inf, 0.0, 5.0), (1.0, 5.0, math.nan, 5.0)):
+        with pytest.raises(ValueError, match="finite"):
+            sw.scan_region(*window, 4, g=G)
 
 
-def test_scan_workers_do_not_change_results():
-    serial = sw.scan_region(1.0, 10.0, 0.0, 10.0, 6, g=G, n_workers=1)
-    threaded = sw.scan_region(1.0, 10.0, 0.0, 10.0, 6, g=G, n_workers=4)
-    for a, b in zip(serial.points, threaded.points):
-        assert (a.s, a.tau) == (b.s, b.tau)
-        assert np.array_equal(a.classification.roots, b.classification.roots)
+def test_scan_points_equal_single_state_bitwise():
+    # the scan is the batched case of the single-state path, so every
+    # point, the near-degenerate corner (1.001, 0.001) included, must be
+    # bit for bit what one characteristic_eigenvalues call gives
+    res = sw.scan_region(1.0, 10.0, 0.0, 10.0, 6, g=G)
+    assert res.s_values[0] == pytest.approx(1.001) and res.tau_values[0] == pytest.approx(0.001)
+    assert res.errors == []
+    points = res.points
+    h1 = np.array([p.s for p in points])
+    h2 = h1 + np.array([p.tau for p in points])
+    batch = sw.assemble_AB(sw.state_at_rest(sw.RootTriple(np.ones_like(h1), h1, h2), G, -1))
+    for i, p in enumerate(points):
+        one_sys = sw.assemble_AB(sw.state_at_rest(sw.RootTriple(1.0, p.s, p.s + p.tau), G, -1))
+        assert np.array_equal(batch.A[i], one_sys.A)
+        assert np.array_equal(batch.B[i], one_sys.B)
+        assert np.array_equal(batch.charpoly[i], one_sys.charpoly)
+        one = sw.characteristic_eigenvalues(one_sys)
+        got = p.classification
+        assert np.array_equal(got.roots, one.roots)
+        assert np.array_equal(got.resultant, one.resultant)
+        assert got.n_positive == one.n_positive
+        assert (got.all_real, got.distinct) == (one.all_real, one.distinct)
+
+
+def test_scan_marks_degenerate_pencils(monkeypatch):
+    # a pencil whose leading coefficient vanishes is a failed point with
+    # reason degenerate_pencil; the other points of its chunk keep their values
+    clean = sw.scan_region(1.0, 5.0, 0.0, 5.0, 3, g=G)
+    charpoly = sw.modulation._pencil_charpoly
+
+    def drop_leading_every_other(A, B):
+        c = charpoly(A, B)
+        c[::2, 4] = 0.0
+        return c
+
+    monkeypatch.setattr(sw.modulation, "_pencil_charpoly", drop_leading_every_other)
+    res = sw.scan_region(1.0, 5.0, 0.0, 5.0, 3, g=G)
+    assert [e[2] for e in res.errors] == ["degenerate_pencil"] * 5
+    assert res.sign_pattern_grid().ravel()[::2].tolist() == [-1] * 5
+    assert not res.all_hyperbolic
+    for i, (p, q) in enumerate(zip(res.points, clean.points)):
+        if i % 2:
+            assert np.array_equal(p.classification.roots, q.classification.roots)
+        else:
+            assert p.classification is None and p.error == "degenerate_pencil"
+
+
+def test_scan_propagates_kernel_errors(monkeypatch):
+    # a programming error inside the kernel must surface, not turn into
+    # failed scan points
+    def broken(A, B):
+        raise TypeError("broken kernel")
+
+    monkeypatch.setattr(sw.modulation, "_pencil_charpoly", broken)
+    with pytest.raises(TypeError, match="broken kernel"):
+        sw.scan_region(1.0, 5.0, 0.0, 5.0, 3, g=G)
 
 
 def test_scan_csv_round_trip(tmp_path):

@@ -56,6 +56,8 @@ def test_root_triple_validation():
         sw.RootTriple(1.0, 2.0, 2.0 + 1e-12)  # inside the degeneracy band
     with pytest.raises(InvalidRootsError):
         sw.RootTriple(1.0, float("nan"), 2.0)
+    with pytest.raises(InvalidRootsError):
+        sw.RootTriple(np.ones(2), np.array([1.5, 2.0]), np.array([2.0, 1.5]))  # one bad element
 
 
 def test_modulus_and_characteristic():
