@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import (
     DegeneratePencilError,
     DomainError,
@@ -67,11 +68,8 @@ def cmd_wave(args) -> int:
     xi = np.linspace(0.0, wave.L, args.samples)
     h = profile(wave, xi)
     u = velocity_from_depth(h, wave.constants, wave.D)
-    lines = ["xi,h,u"]
-    for j in range(args.samples):
-        lines.append(f"{float(xi[j])!r},{float(h[j])!r},{float(u[j])!r}")
     out = pathlib.Path(args.out)
-    out.write_text("\n".join(lines) + "\n")
+    write_csv(out, "xi,h,u", (xi, h, u))
     c = wave.constants
     print(f"wavelength L = {_fmt(wave.L)}")
     print(f"phase speed D = {_fmt(wave.D)}  (zero mean velocity frame)")

@@ -35,6 +35,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import DegeneratePencilError
 from .waves import RootTriple, averaged_h, averaged_hinv, constants_from_roots, valid_roots, wavelength
 
@@ -438,17 +439,12 @@ def scan_region(
 
 def write_scan_csv(result: ScanResult, path) -> None:
     """Serialize a scan as CSV; floats use repr so parsing round-trips."""
-    cols = (
-        "s,tau,lambda1,lambda2,lambda3,lambda4,"
-        "max_imag,resultant,n_positive,n_negative,all_real,distinct"
-    )
-    lines = [cols]
     c = result.classification
     max_imag = np.abs(c.roots.imag).max(axis=-1)
-    for i, (s, tau) in enumerate(zip(*_grid_points(result.s_values, result.tau_values))):
-        vals = [repr(float(v)) for v in (s, tau, *c.roots[i].real, max_imag[i], c.resultant[i])]
-        vals += [str(c.n_positive[i]), str(c.n_negative[i])]
-        vals += [str(c.all_real[i]).lower(), str(c.distinct[i]).lower()]
-        lines.append(",".join(vals))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(
+        path,
+        "s,tau,lambda1,lambda2,lambda3,lambda4,"
+        "max_imag,resultant,n_positive,n_negative,all_real,distinct",
+        (*_grid_points(result.s_values, result.tau_values), *c.roots.real.T, max_imag,
+         c.resultant, c.n_positive, c.n_negative, c.all_real, c.distinct),
+    )

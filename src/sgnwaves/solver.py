@@ -17,15 +17,16 @@ and a dispersive momentum correction:
         -(p'/h)' + 3 p / h^3 = 2 u_x^2 + g h_xx
 
     (substitute u_t = -p_total_x / h into the material derivatives of h),
-    a symmetric positive-definite cyclic tridiagonal system solved
-    directly; momentum is then updated in conservative flux form
-    q_t = -p_x with Heun's method.
+    a symmetric positive-definite cyclic tridiagonal system in the frozen
+    h.  Each step builds, anchors and factors it once (L D L^T by LAPACK
+    pttrf); both stages of Heun's method for the conservative update
+    q_t = -p_x reuse the factors with one pttrs back-substitution each.
 
 Both substeps conserve mass and total momentum to rounding, and the
-whole step commutes bitwise with grid rotations: the cyclic solve
-anchors its Sherman-Morrison break at a cell chosen by cyclic
-lexicographic comparison, so the choice itself rotates with the data
-even when several cells tie exactly in floating point.
+whole step commutes bitwise with grid rotations: the Sherman-Morrison
+break sits at an anchor cell chosen by cyclic lexicographic comparison,
+so the choice itself rotates with the data even when several cells tie
+exactly in floating point.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
+from .csvio import write_csv
 from .errors import EllipticSolveError, PositivityError
 from .waves import (
     CnoidalWave,
@@ -75,6 +77,8 @@ class SGNField:
             raise ValueError("h and q must be 1D arrays of equal length")
         if self.dx <= 0.0 or self.g <= 0.0:
             raise ValueError("dx and g must be positive")
+        if not (np.all(np.isfinite(self.h)) and np.all(np.isfinite(self.q))):
+            raise ValueError("h and q must be finite everywhere")
         if not np.all(self.h > 0.0):
             raise PositivityError("initial depth must be positive everywhere")
 
@@ -207,50 +211,48 @@ def _anchor_cell(key: np.ndarray) -> int:
     return int(cand[0])
 
 
-def _cyclic_tridiag_solve(low, diag, up, corner, rhs):
-    """Solve the cyclic tridiagonal system via Sherman-Morrison.
+def _pressure_operator(h, dx, g):
+    """Build, anchor and factor the operator -(p'/h)' + 3 p/h^3 of one frozen h.
 
-    low[i] couples cell i to i-1, up[i] couples i to i+1 (low[0] and
-    up[-1] are the folded-away corner couplings, both equal to `corner`).
+    With d0 the anchor's diagonal entry, Sherman-Morrison splits the cyclic
+    matrix as A = T + w v^T, w = (-d0, 0, ..., 0, corner), v = -w/d0: T drops
+    the corner entries, doubles d0 and adds corner^2/d0 to the last diagonal
+    entry, and is SPD tridiagonal.  Returns the anchor cell (rotated to index
+    0), T's L D L^T factors d, e, v_last = v[-1], zs = T^-1 w / (1 + v.T^-1 w)
+    and g h_xx, the h-only part of the right-hand side.
     """
-    n = diag.size
-    gamma = -diag[0]
-    d = diag.copy()
-    d[0] -= gamma
-    d[-1] -= corner * corner / gamma
-    ab = np.zeros((3, n))
-    ab[0, 1:] = up[:-1]
-    ab[1, :] = d
-    ab[2, :-1] = low[1:]
-    b2 = np.zeros((n, 2))
-    b2[:, 0] = rhs
-    b2[0, 1] = gamma
-    b2[-1, 1] = corner
-    sol = solve_banded((1, 1), ab, b2)
-    y = sol[:, 0]
-    z = sol[:, 1]
-    factor = (y[0] + corner * y[-1] / gamma) / (1.0 + z[0] + corner * z[-1] / gamma)
-    return y - factor * z
-
-
-def _nonhydro_pressure(h, q, dx, g):
-    """Solve -(p'/h)' + 3 p/h^3 = 2 u_x^2 + g h_xx for the dispersive pressure."""
-    u = q / h
-    ux = (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * dx)
-    hxx = (np.roll(h, -1) - 2.0 * h + np.roll(h, 1)) / (dx * dx)
-    rhs = 2.0 * ux * ux + g * hxx
     inv_dx2 = 1.0 / (dx * dx)
     w_plus = 2.0 / (h + np.roll(h, -1)) * inv_dx2    # 1/h at face i+1/2
-    w_minus = np.roll(w_plus, 1)
-    diag = 3.0 / h ** 3 + w_plus + w_minus
+    diag = 3.0 / h ** 3 + w_plus + np.roll(w_plus, 1)
+    if not np.all(np.isfinite(diag)):
+        raise EllipticSolveError("dispersive operator has non-finite diagonal entries")
     # rotate the anchor cell to index 0 so the Sherman-Morrison break point
     # is a deterministic function of the data, not of the array origin
     shift = _anchor_cell(diag)
-    d_r = np.roll(diag, -shift)
-    up_r = np.roll(-w_plus, -shift)
-    lo_r = np.roll(-w_minus, -shift)
-    rhs_r = np.roll(rhs, -shift)
-    p = _cyclic_tridiag_solve(lo_r, d_r, up_r, up_r[-1], rhs_r)
+    d = np.roll(diag, -shift)
+    off = np.roll(-w_plus, -shift)    # off[i] couples rotated cells i and i+1
+    d0, corner = d[0], off[-1]
+    d[0] += d0
+    d[-1] += corner * corner / d0
+    d, e, info = dpttrf(d, off[:-1])
+    if info != 0:
+        raise EllipticSolveError(f"dispersive operator is not positive definite (info {info})")
+    w = np.zeros_like(d)
+    w[[0, -1]] = -d0, corner
+    z, _ = dpttrs(d, e, w)
+    v_last = -corner / d0
+    g_hxx = g * ((np.roll(h, -1) - 2.0 * h + np.roll(h, 1)) / (dx * dx))
+    return shift, d, e, v_last, z / (1.0 + z[0] + v_last * z[-1]), g_hxx
+
+
+def _nonhydro_pressure(op, h, q, dx):
+    """Solve -(p'/h)' + 3 p/h^3 = 2 u_x^2 + g h_xx with a _pressure_operator of h."""
+    shift, d, e, v_last, zs, g_hxx = op
+    u = q / h
+    ux = (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * dx)
+    rhs = 2.0 * ux * ux + g_hxx
+    y, _ = dpttrs(d, e, np.roll(rhs, -shift))
+    p = y - (y[0] + v_last * y[-1]) * zs
     if not np.all(np.isfinite(p)):
         raise EllipticSolveError("dispersive pressure solve returned non-finite values")
     return np.roll(p, shift)
@@ -258,8 +260,10 @@ def _nonhydro_pressure(h, q, dx, g):
 
 def _dispersive_step(h, q, dx, dt, g):
     """Heun update of q_t = -(p_nh)_x at frozen h; conservative central flux."""
+    op = _pressure_operator(h, dx, g)
+
     def accel(qq):
-        p = _nonhydro_pressure(h, qq, dx, g)
+        p = _nonhydro_pressure(op, h, qq, dx)
         return -(np.roll(p, -1) - np.roll(p, 1)) / (2.0 * dx)
 
     k1 = accel(q)
@@ -278,14 +282,21 @@ def _step_arrays(h, q, dx, g, cfl, limiter, dt_max=None):
     q = _dispersive_step(h, q, dx, dt, g)
     h, q = _hydro_step(h, q, dx, 0.5 * dt, g, limiter)
     if not np.all(h > 0.0):
-        raise PositivityError(f"depth lost positivity at t step (min h = {h.min()})")
+        i = int(np.argmin(h > 0.0))    # first cell that is not positive
+        raise PositivityError(f"depth lost positivity at cell {i} (h = {float(h[i])!r})")
     return h, q, dt
+
+
+def _check_step_args(cfl, limiter) -> None:
+    if not 0.0 < cfl <= 0.9:
+        raise ValueError(f"cfl must be in (0, 0.9], got {cfl}")
+    if limiter not in LIMITERS:
+        raise ValueError(f"unknown limiter {limiter!r}; choose from {LIMITERS}")
 
 
 def step(field: SGNField, cfl: float, limiter: str = "mc", dt_max: float | None = None) -> SGNField:
     """Advance one time step of size cfl * dx / max(|u| + sqrt(g h))."""
-    if not 0.0 < cfl <= 0.9:
-        raise ValueError(f"cfl must be in (0, 0.9], got {cfl}")
+    _check_step_args(cfl, limiter)
     h, q, dt = _step_arrays(field.h, field.q, field.dx, field.g, cfl, limiter, dt_max)
     return replace(field, h=h, q=q, t=field.t + dt)
 
@@ -354,8 +365,9 @@ def run_experiment(
     field CSV (x,h,u) and a portrait CSV (h,h_hdot), and the run writes a
     diagnostics series plus a manifest; partial output survives failures.
     """
-    if t_end <= 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    _check_step_args(cfl, limiter)
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     wave = build_wave(config.roots, config.g, config.sign_m)
     field = init_wavetrain(config)
     times = sorted(set(float(t) for t in (output_times or [])))
@@ -391,11 +403,11 @@ def run_experiment(
             checkpoints.append((t, snap, portrait))
             diag_series.append((t, *diagnostics(snap)))
             if out is not None:
-                _write_field_csv(out / f"field_{idx:04d}.csv", snap)
-                _write_portrait_csv(out / f"portrait_{idx:04d}.csv", portrait)
+                write_csv(out / f"field_{idx:04d}.csv", "x,h,u", (snap.x, snap.h, snap.u))
+                write_csv(out / f"portrait_{idx:04d}.csv", "h,h_hdot", portrait.T)
     finally:
         if out is not None:
-            _write_diag_csv(out / "diagnostics.csv", diag_series)
+            write_csv(out / "diagnostics.csv", "t,mass,momentum,energy", np.array(diag_series).T)
             _write_manifest(
                 out / "manifest.txt", config, wave, field, t, n_steps,
                 h_min, h_max, times, cfl, limiter,
@@ -404,32 +416,6 @@ def run_experiment(
         config=config, wave=wave, checkpoints=checkpoints,
         diag_series=diag_series, h_min=h_min, h_max=h_max, n_steps=n_steps,
     )
-
-
-def _write_field_csv(path, field: SGNField) -> None:
-    lines = ["x,h,u"]
-    u = field.u
-    x = field.x
-    for i in range(field.n_cells):
-        lines.append(f"{float(x[i])!r},{float(field.h[i])!r},{float(u[i])!r}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_portrait_csv(path, portrait: np.ndarray) -> None:
-    lines = ["h,h_hdot"]
-    for hh, hd in portrait:
-        lines.append(f"{float(hh)!r},{float(hd)!r}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_diag_csv(path, series) -> None:
-    lines = ["t,mass,momentum,energy"]
-    for row in series:
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _write_manifest(

@@ -193,8 +193,9 @@ def test_simulate_runs_config(capsys, tmp_path):
     assert "depth envelope" in stdout
     assert (out_dir / "manifest.txt").is_file()
     assert (out_dir / "diagnostics.csv").is_file()
-    diag = out_dir / "diagnostics.csv"
-    assert reemit_csv(diag) == diag.read_text()
+    for name in ("diagnostics.csv", "field_0000.csv", "portrait_0000.csv"):
+        csv = out_dir / name
+        assert reemit_csv(csv) == csv.read_text()
 
 
 def test_simulate_flag_overrides(capsys, tmp_path):
@@ -223,6 +224,17 @@ def test_simulate_rejects_unknown_key(capsys, tmp_path):
     code, _, err = run(capsys, ["simulate", "--config", str(cfg)])
     assert code == 2
     assert "bogus" in err
+
+
+@pytest.mark.parametrize("line", ["cfl = 0", "t_end = nan"])
+def test_simulate_rejects_invalid_step_args(capsys, tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONFIG + line + "\n")
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, ["simulate", "--config", str(cfg), "--out-dir", str(out_dir)])
+    assert code == 2
+    assert "invalid input" in err
+    assert not out_dir.exists()
 
 
 def test_simulate_requires_roots_and_t_end(capsys, tmp_path):

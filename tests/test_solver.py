@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import sgnwaves as sw
-from sgnwaves.errors import PositivityError
-from sgnwaves.solver import LIMITERS, _step_arrays
+from sgnwaves import solver
+from sgnwaves.errors import EllipticSolveError, PositivityError
+from sgnwaves.solver import LIMITERS, _nonhydro_pressure, _pressure_operator, _step_arrays
 
 BASE = sw.RootTriple(1.0, 1.5, 2.0)
 G = 10.0
@@ -34,6 +35,12 @@ def test_field_validation():
         sw.SGNField(dx=-0.1, g=G, h=np.ones(8), q=np.zeros(8))
     with pytest.raises(PositivityError):
         sw.SGNField(dx=0.1, g=G, h=np.array([1.0, -0.5, 1.0]), q=np.zeros(3))
+    with pytest.raises(ValueError, match="finite"):
+        sw.SGNField(dx=0.1, g=G, h=np.ones(3), q=np.array([0.0, np.nan, 0.0]))
+    with pytest.raises(ValueError, match="finite"):
+        sw.SGNField(dx=0.1, g=G, h=np.array([1.0, np.inf, 1.0]), q=np.zeros(3))
+    with pytest.raises(ValueError, match="finite"):
+        sw.SGNField(dx=0.1, g=G, h=np.array([1.0, np.nan, 1.0]), q=np.zeros(3))
 
 
 def test_config_validation():
@@ -165,6 +172,62 @@ def test_positivity_guard_raises():
         _step_arrays(h, q, 0.01, G, 0.9, "mc")
 
 
+def test_positivity_error_names_the_first_cell(monkeypatch):
+    # the closing hydrostatic half step (the second call) leaves two cells dry
+    hydro, calls = solver._hydro_step, []
+
+    def drying_hydro(*args):
+        h, q = hydro(*args)
+        calls.append(None)
+        if len(calls) == 2:
+            h = h.copy()
+            h[[9, 40]] = -0.25
+        return h, q
+
+    monkeypatch.setattr(solver, "_hydro_step", drying_hydro)
+    with pytest.raises(PositivityError, match=r"at cell 9 \(h = -0\.25\)"):
+        _step_arrays(np.ones(64), np.zeros(64), 0.05, G, 0.45, "mc")
+
+
+def test_nonfinite_depth_is_an_elliptic_solve_error():
+    h = np.full(64, 1.0)
+    h[17] = np.nan
+    with pytest.raises(EllipticSolveError):
+        _step_arrays(h, np.zeros(64), 0.05, G, 0.45, "mc")
+
+
+# --- dispersive pressure solve ----------------------------------------------------
+
+@pytest.mark.parametrize("n", [64, 3])
+def test_pressure_solve_matches_dense_cyclic_matrix(n):
+    rng = np.random.default_rng(n)
+    h = 0.5 + rng.random(n)
+    q = rng.standard_normal(n)
+    dx = 0.1
+    w = 2.0 / (h + np.roll(h, -1)) / dx ** 2    # 1/h at face i+1/2
+    A = np.diag(3.0 / h ** 3 + w + np.roll(w, 1))
+    for i in range(n):
+        A[i, (i + 1) % n] -= w[i]
+        A[(i + 1) % n, i] -= w[i]
+    u = q / h
+    ux = (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * dx)
+    hxx = (np.roll(h, -1) - 2.0 * h + np.roll(h, 1)) / dx ** 2
+    expected = np.linalg.solve(A, 2.0 * ux ** 2 + G * hxx)
+    p = _nonhydro_pressure(_pressure_operator(h, dx, G), h, q, dx)
+    assert np.max(np.abs(p - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_one_step_anchors_and_factors_once(monkeypatch):
+    calls = {"_anchor_cell": 0, "dpttrf": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(solver, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(solver, name, counted)
+    sw.step(sw.init_wavetrain(base_config(amplitude=1e-3)), cfl=0.45)
+    assert calls == {"_anchor_cell": 1, "dpttrf": 1}
+
+
 # --- physics ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("kappa_H", [0.1, 0.25, 0.5])
@@ -274,6 +337,14 @@ def test_run_experiment_is_deterministic(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-def test_run_experiment_validation():
+def test_run_experiment_validation(tmp_path):
     with pytest.raises(ValueError):
         sw.run_experiment(base_config(), t_end=0.0)
+    # every argument is checked before the run directory is created
+    out = tmp_path / "run"
+    bad = [dict(cfl=c) for c in (0.0, -0.1, np.nan, 1.5)]
+    bad += [dict(limiter="superbee"), dict(t_end=np.nan), dict(t_end=np.inf)]
+    for kw in bad:
+        with pytest.raises(ValueError):
+            sw.run_experiment(base_config(), **{"t_end": 1.0, "out_dir": out, **kw})
+        assert not out.exists()
