@@ -10,7 +10,9 @@ and a dispersive momentum correction:
 
   * hydrostatic: MUSCL-Hancock finite volumes with an HLL flux and a
     configurable slope limiter (default monotonized-central, which keeps
-    the scheme at second order on smooth data);
+    the scheme at second order on smooth data), on the stacked (2, n)
+    state U = (h, q) so that each slope, face-state and flux expression
+    runs once for both fields;
   * dispersive: the non-hydrostatic pressure part satisfies the linear
     elliptic problem
 
@@ -22,11 +24,14 @@ and a dispersive momentum correction:
     pttrf); both stages of Heun's method for the conservative update
     q_t = -p_x reuse the factors with one pttrs back-substitution each.
 
-Both substeps conserve mass and total momentum to rounding, and the
-whole step commutes bitwise with grid rotations: the Sherman-Morrison
-break sits at an anchor cell chosen by cyclic lexicographic comparison,
-so the choice itself rotates with the data even when several cells tie
-exactly in floating point.
+Cyclic neighbours and rotations are slice concatenations: a ghost cell
+at each end of an array, or the two pieces of a rotation.  Both substeps
+conserve mass and total momentum to rounding, and the whole step
+commutes bitwise with grid rotations: the Sherman-Morrison break sits at
+an anchor cell chosen by cyclic lexicographic comparison, so the choice
+itself rotates with the data even when several cells tie exactly in
+floating point.  Exact ties are resolved by rank doubling, in at most
+O(n log^2 n) even on constant or exactly periodic data.
 """
 
 from __future__ import annotations
@@ -136,6 +141,19 @@ def init_wavetrain(config: WaveTrainConfig) -> SGNField:
     return SGNField(dx=dx, g=config.g, h=h, q=h * u, t=0.0)
 
 
+# --- periodic neighbours -------------------------------------------------
+
+def _cyclic_pad(v: np.ndarray) -> np.ndarray:
+    """v with one periodic ghost cell at each end of its last axis."""
+    return np.concatenate((v[..., -1:], v, v[..., :1]), axis=-1)
+
+
+def _central_diff(v, dx):
+    """Cyclic (v[i+1] - v[i-1]) / (2 dx)."""
+    vp = _cyclic_pad(v)
+    return (vp[2:] - vp[:-2]) / (2.0 * dx)
+
+
 # --- hydrostatic substep -------------------------------------------------
 
 def _minmod(a, b):
@@ -143,8 +161,10 @@ def _minmod(a, b):
 
 
 def _slopes(v: np.ndarray, limiter: str) -> np.ndarray:
-    dl = v - np.roll(v, 1)
-    dr = np.roll(v, -1) - v
+    # d[i] = v[i] - v[i-1] for cells 0..n: dl is d, dr is d one cell on
+    vp = _cyclic_pad(v)
+    d = vp[..., 1:] - vp[..., :-1]
+    dl, dr = d[..., :-1], d[..., 1:]
     if limiter == "central":
         return 0.5 * (dl + dr)
     if limiter == "minmod":
@@ -156,59 +176,69 @@ def _slopes(v: np.ndarray, limiter: str) -> np.ndarray:
     raise ValueError(f"unknown limiter {limiter!r}; choose from {LIMITERS}")
 
 
-def _swe_flux(h, q, g):
-    return q, q * q / h + 0.5 * g * h * h
+def _swe_flux(U, g):
+    h, q = U
+    return np.array((q, q * q / h + 0.5 * g * h * h))
 
 
-def _hydro_step(h, q, dx, dt, g, limiter):
-    """One MUSCL-Hancock shallow-water update of size dt."""
-    sh = _slopes(h, limiter)
-    sq = _slopes(q, limiter)
-    hR = h + 0.5 * sh   # state at the right face of each cell
-    qR = q + 0.5 * sq
-    hL = h - 0.5 * sh   # state at the left face
-    qL = q - 0.5 * sq
+def _hydro_step(U, dx, dt, g, limiter):
+    """One MUSCL-Hancock shallow-water update of size dt of the state U = (h, q)."""
+    half = 0.5 * _slopes(U, limiter)
+    UR = U + half    # state at the right face of each cell
+    UL = U - half    # state at the left face
     # predictor: advance face states by dt/2 with the cell's flux difference
-    fRh, fRq = _swe_flux(hR, qR, g)
-    fLh, fLq = _swe_flux(hL, qL, g)
     lam = 0.5 * dt / dx
-    dh = lam * (fRh - fLh)
-    dq = lam * (fRq - fLq)
-    hR -= dh; qR -= dq
-    hL -= dh; qL -= dq
-    if np.any(hR <= 0.0) or np.any(hL <= 0.0):
-        raise PositivityError("reconstructed face depth lost positivity")
+    dU = lam * (_swe_flux(UR, g) - _swe_flux(UL, g))
+    UR -= dU
+    UL -= dU
+    h_face = np.fmin(UR[0], UL[0])    # a NaN in one face does not hide the other
+    if np.any(h_face <= 0.0):
+        i = int(np.argmax(h_face <= 0.0))
+        raise PositivityError(
+            f"reconstructed face depth lost positivity at cell {i} (h = {float(h_face[i])!r})"
+        )
     # HLL flux at interface i+1/2 between cell i (right face) and i+1 (left face)
-    hl, ql = hR, qR
-    hr, qr = np.roll(hL, -1), np.roll(qL, -1)
+    Ul = UR
+    Ur = np.concatenate((UL[:, 1:], UL[:, :1]), axis=1)
+    (hl, ql), (hr, qr) = Ul, Ur
     ul = ql / hl
     ur = qr / hr
     cl = np.sqrt(g * hl)
     cr = np.sqrt(g * hr)
     sl = np.minimum(np.minimum(ul - cl, ur - cr), 0.0)
     sr = np.maximum(np.maximum(ul + cl, ur + cr), 0.0)
-    flh, flq = _swe_flux(hl, ql, g)
-    frh, frq = _swe_flux(hr, qr, g)
-    den = sr - sl
-    Fh = (sr * flh - sl * frh + sl * sr * (hr - hl)) / den
-    Fq = (sr * flq - sl * frq + sl * sr * (qr - ql)) / den
-    h_new = h - dt / dx * (Fh - np.roll(Fh, 1))
-    q_new = q - dt / dx * (Fq - np.roll(Fq, 1))
-    return h_new, q_new
+    F = (sr * _swe_flux(Ul, g) - sl * _swe_flux(Ur, g) + sl * sr * (Ur - Ul)) / (sr - sl)
+    Fp = np.concatenate((F[:, -1:], F), axis=1)    # Fp[:, i] = F[:, i-1]
+    return U - dt / dx * (Fp[:, 1:] - Fp[:, :-1])
 
 
 # --- dispersive substep --------------------------------------------------
 
 def _anchor_cell(key: np.ndarray) -> int:
-    """Cyclic lexicographic argmax: rotation-equivariant even under exact ties."""
+    """Cyclic lexicographic argmax: rotation-equivariant even under exact ties.
+
+    Returns the lowest index i whose rotation key[i], key[i+1], ... (mod n)
+    is lexicographically largest.  Exact ties are broken by rank doubling:
+    rank[i] orders the blocks of length `width` starting at i, and the pair
+    (rank[i], rank[i + width]) orders those of length 2 * width.  It stops
+    when one block of maximal rank is left, or when a doubling splits no
+    class of equal blocks: then blocks equal at one length are equal at
+    every length, as on flat or exactly periodic data.
+    """
     n = key.size
     cand = np.flatnonzero(key == key.max())
-    depth = 1
-    while cand.size > 1 and depth < n:
-        vals = key[(cand + depth) % n]
-        cand = cand[vals == vals.max()]
-        depth += 1
-    return int(cand[0])
+    if cand.size == 1:
+        return int(cand[0])
+    values, rank = np.unique(key, return_inverse=True)
+    width = 1
+    while width < n:
+        classes = values.size
+        ahead = np.concatenate((rank[width:], rank[:width]))    # rank[(i + width) % n]
+        values, rank, counts = np.unique(rank * n + ahead, return_inverse=True, return_counts=True)
+        if counts[-1] == 1 or values.size == classes:
+            break
+        width *= 2
+    return int(np.argmax(rank))
 
 
 def _pressure_operator(h, dx, g):
@@ -222,15 +252,17 @@ def _pressure_operator(h, dx, g):
     and g h_xx, the h-only part of the right-hand side.
     """
     inv_dx2 = 1.0 / (dx * dx)
-    w_plus = 2.0 / (h + np.roll(h, -1)) * inv_dx2    # 1/h at face i+1/2
-    diag = 3.0 / h ** 3 + w_plus + np.roll(w_plus, 1)
+    hp = _cyclic_pad(h)
+    w_plus = 2.0 / (h + hp[2:]) * inv_dx2    # 1/h at face i+1/2
+    w_minus = np.concatenate((w_plus[-1:], w_plus[:-1]))    # 1/h at face i-1/2
+    diag = 3.0 / h ** 3 + w_plus + w_minus
     if not np.all(np.isfinite(diag)):
         raise EllipticSolveError("dispersive operator has non-finite diagonal entries")
     # rotate the anchor cell to index 0 so the Sherman-Morrison break point
     # is a deterministic function of the data, not of the array origin
     shift = _anchor_cell(diag)
-    d = np.roll(diag, -shift)
-    off = np.roll(-w_plus, -shift)    # off[i] couples rotated cells i and i+1
+    d = np.concatenate((diag[shift:], diag[:shift]))
+    off = -np.concatenate((w_plus[shift:], w_plus[:shift]))    # couples rotated i, i+1
     d0, corner = d[0], off[-1]
     d[0] += d0
     d[-1] += corner * corner / d0
@@ -241,21 +273,21 @@ def _pressure_operator(h, dx, g):
     w[[0, -1]] = -d0, corner
     z, _ = dpttrs(d, e, w)
     v_last = -corner / d0
-    g_hxx = g * ((np.roll(h, -1) - 2.0 * h + np.roll(h, 1)) / (dx * dx))
+    g_hxx = g * ((hp[2:] - 2.0 * h + hp[:-2]) / (dx * dx))
     return shift, d, e, v_last, z / (1.0 + z[0] + v_last * z[-1]), g_hxx
 
 
 def _nonhydro_pressure(op, h, q, dx):
     """Solve -(p'/h)' + 3 p/h^3 = 2 u_x^2 + g h_xx with a _pressure_operator of h."""
     shift, d, e, v_last, zs, g_hxx = op
-    u = q / h
-    ux = (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * dx)
+    ux = _central_diff(q / h, dx)
     rhs = 2.0 * ux * ux + g_hxx
-    y, _ = dpttrs(d, e, np.roll(rhs, -shift))
+    y, _ = dpttrs(d, e, np.concatenate((rhs[shift:], rhs[:shift])))
     p = y - (y[0] + v_last * y[-1]) * zs
     if not np.all(np.isfinite(p)):
         raise EllipticSolveError("dispersive pressure solve returned non-finite values")
-    return np.roll(p, shift)
+    back = p.size - shift
+    return np.concatenate((p[back:], p[:back]))
 
 
 def _dispersive_step(h, q, dx, dt, g):
@@ -263,8 +295,7 @@ def _dispersive_step(h, q, dx, dt, g):
     op = _pressure_operator(h, dx, g)
 
     def accel(qq):
-        p = _nonhydro_pressure(op, h, qq, dx)
-        return -(np.roll(p, -1) - np.roll(p, 1)) / (2.0 * dx)
+        return -_central_diff(_nonhydro_pressure(op, h, qq, dx), dx)
 
     k1 = accel(q)
     k2 = accel(q + dt * k1)
@@ -278,9 +309,9 @@ def _step_arrays(h, q, dx, g, cfl, limiter, dt_max=None):
     dt = cfl * dx / float(np.max(np.abs(u) + np.sqrt(g * h)))
     if dt_max is not None and dt > dt_max:
         dt = dt_max
-    h, q = _hydro_step(h, q, dx, 0.5 * dt, g, limiter)
-    q = _dispersive_step(h, q, dx, dt, g)
-    h, q = _hydro_step(h, q, dx, 0.5 * dt, g, limiter)
+    U = _hydro_step(np.array((h, q)), dx, 0.5 * dt, g, limiter)
+    U[1] = _dispersive_step(U[0], U[1], dx, dt, g)
+    h, q = _hydro_step(U, dx, 0.5 * dt, g, limiter)
     if not np.all(h > 0.0):
         i = int(np.argmin(h > 0.0))    # first cell that is not positive
         raise PositivityError(f"depth lost positivity at cell {i} (h = {float(h[i])!r})")
@@ -303,9 +334,7 @@ def step(field: SGNField, cfl: float, limiter: str = "mc", dt_max: float | None 
 
 def _hdot(h, q, dx):
     # material derivative of depth from the mass equation: Dh/Dt = -h u_x
-    u = q / h
-    ux = (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * dx)
-    return -h * ux
+    return -h * _central_diff(q / h, dx)
 
 
 def diagnostics(field: SGNField) -> tuple[float, float, float]:
@@ -361,9 +390,11 @@ def run_experiment(
     """Integrate a wave train to t_end, checkpointing at the requested times.
 
     Checkpoints land exactly on the requested instants (the step before a
-    checkpoint is clipped).  If out_dir is given, each checkpoint writes a
-    field CSV (x,h,u) and a portrait CSV (h,h_hdot), and the run writes a
-    diagnostics series plus a manifest; partial output survives failures.
+    checkpoint is clipped); each must lie in (0, t_end], and the run always
+    ends with a checkpoint at t_end.  If out_dir is given, each checkpoint
+    writes a field CSV (x,h,u) and a portrait CSV (h,h_hdot), and the run
+    writes a diagnostics series plus a manifest; partial output survives
+    failures.
     """
     _check_step_args(cfl, limiter)
     if not 0.0 < t_end < math.inf:
@@ -371,9 +402,11 @@ def run_experiment(
     wave = build_wave(config.roots, config.g, config.sign_m)
     field = init_wavetrain(config)
     times = sorted(set(float(t) for t in (output_times or [])))
+    for t in times:
+        if not 0.0 < t <= t_end:
+            raise ValueError(f"checkpoint time {t!r} is outside (0, t_end = {t_end!r}]")
     if not times or times[-1] < t_end:
         times.append(float(t_end))
-    times = [t for t in times if 0.0 < t <= t_end]
 
     out = None
     if out_dir is not None:

@@ -226,7 +226,7 @@ def test_simulate_rejects_unknown_key(capsys, tmp_path):
     assert "bogus" in err
 
 
-@pytest.mark.parametrize("line", ["cfl = 0", "t_end = nan"])
+@pytest.mark.parametrize("line", ["cfl = 0", "t_end = nan", "checkpoints = 0.6"])
 def test_simulate_rejects_invalid_step_args(capsys, tmp_path, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(CONFIG + line + "\n")

@@ -9,11 +9,18 @@ the exact traveling wave is covered by the convergence tests.
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 import sgnwaves as sw
 from sgnwaves import solver
 from sgnwaves.errors import EllipticSolveError, PositivityError
-from sgnwaves.solver import LIMITERS, _nonhydro_pressure, _pressure_operator, _step_arrays
+from sgnwaves.solver import (
+    LIMITERS,
+    _anchor_cell,
+    _nonhydro_pressure,
+    _pressure_operator,
+    _step_arrays,
+)
 
 BASE = sw.RootTriple(1.0, 1.5, 2.0)
 G = 10.0
@@ -152,6 +159,26 @@ def test_translation_equivariance_tiled_bitwise():
     assert np.array_equal(np.roll(q1, shift), q2)
 
 
+def _assert_rotation_equivariant(h, q, dx, shift):
+    h1, q1, _ = _step_arrays(h, q, dx, G, 0.45, "mc")
+    h2, q2, _ = _step_arrays(np.roll(h, shift), np.roll(q, shift), dx, G, 0.45, "mc")
+    assert np.array_equal(np.roll(h1, shift), h2)
+    assert np.array_equal(np.roll(q1, shift), q2)
+
+
+def test_translation_equivariance_still_water_4000_cells():
+    # every diagonal entry ties: the anchor search runs to full depth
+    _assert_rotation_equivariant(np.full(4000, 2.0), np.zeros(4000), 0.05, 1237)
+
+
+def test_translation_equivariance_nudged_tiled_train_4000_cells():
+    # ten bitwise-identical wavelengths, one cell nudged so the anchor is unique
+    one = sw.init_wavetrain(base_config(cells_per_wavelength=400))
+    h, q = np.tile(one.h, 10), np.tile(one.q, 10)
+    h[2718] *= 1.0 + 1e-9
+    _assert_rotation_equivariant(h, q, one.dx, 1237)
+
+
 def test_reflection_symmetry():
     field = sw.init_wavetrain(base_config(amplitude=1e-2))
     h1, q1, _ = _step_arrays(field.h, field.q, field.dx, G, 0.45, "mc")
@@ -168,7 +195,8 @@ def test_positivity_guard_raises():
     q = np.zeros(64)
     q[:32] = -5.0
     q[33:] = 5.0
-    with pytest.raises(PositivityError):
+    message = r"face depth lost positivity at cell 32 \(h = -152\.86"
+    with pytest.raises(PositivityError, match=message):
         _step_arrays(h, q, 0.01, G, 0.9, "mc")
 
 
@@ -177,12 +205,12 @@ def test_positivity_error_names_the_first_cell(monkeypatch):
     hydro, calls = solver._hydro_step, []
 
     def drying_hydro(*args):
-        h, q = hydro(*args)
+        U = hydro(*args)
         calls.append(None)
         if len(calls) == 2:
-            h = h.copy()
-            h[[9, 40]] = -0.25
-        return h, q
+            U = U.copy()
+            U[0, [9, 40]] = -0.25
+        return U
 
     monkeypatch.setattr(solver, "_hydro_step", drying_hydro)
     with pytest.raises(PositivityError, match=r"at cell 9 \(h = -0\.25\)"):
@@ -226,6 +254,152 @@ def test_one_step_anchors_and_factors_once(monkeypatch):
         monkeypatch.setattr(solver, name, counted)
     sw.step(sw.init_wavetrain(base_config(amplitude=1e-3)), cfl=0.45)
     assert calls == {"_anchor_cell": 1, "dpttrf": 1}
+
+
+# --- the np.roll formulation the solver replaced ---------------------------------
+#
+# A compact copy of the solver before it moved to the stacked (h, q) state and
+# slice concatenations.  The arithmetic is unchanged, so the results must match
+# bit for bit.
+
+def _ref_anchor_cell(key):
+    n = key.size
+    cand = np.flatnonzero(key == key.max())
+    depth = 1
+    while cand.size > 1 and depth < n:
+        vals = key[(cand + depth) % n]
+        cand = cand[vals == vals.max()]
+        depth += 1
+    return int(cand[0])
+
+
+def _ref_slopes(v, limiter):
+    dl = v - np.roll(v, 1)
+    dr = np.roll(v, -1) - v
+    if limiter == "central":
+        return 0.5 * (dl + dr)
+    if limiter == "minmod":
+        return solver._minmod(dl, dr)
+    c = 0.5 * (dl + dr)
+    lim = 2.0 * np.minimum(np.abs(dl), np.abs(dr))
+    return np.where(dl * dr <= 0.0, 0.0, np.sign(c) * np.minimum(np.abs(c), lim))
+
+
+def _ref_flux(h, q, g):
+    return q, q * q / h + 0.5 * g * h * h
+
+
+def _ref_hydro_step(h, q, dx, dt, g, limiter):
+    sh, sq = _ref_slopes(h, limiter), _ref_slopes(q, limiter)
+    hR, qR, hL, qL = h + 0.5 * sh, q + 0.5 * sq, h - 0.5 * sh, q - 0.5 * sq
+    fRh, fRq = _ref_flux(hR, qR, g)
+    fLh, fLq = _ref_flux(hL, qL, g)
+    lam = 0.5 * dt / dx
+    dh, dq = lam * (fRh - fLh), lam * (fRq - fLq)
+    hR -= dh; qR -= dq
+    hL -= dh; qL -= dq
+    hl, ql, hr, qr = hR, qR, np.roll(hL, -1), np.roll(qL, -1)
+    ul, ur = ql / hl, qr / hr
+    cl, cr = np.sqrt(g * hl), np.sqrt(g * hr)
+    sl = np.minimum(np.minimum(ul - cl, ur - cr), 0.0)
+    sr = np.maximum(np.maximum(ul + cl, ur + cr), 0.0)
+    flh, flq = _ref_flux(hl, ql, g)
+    frh, frq = _ref_flux(hr, qr, g)
+    den = sr - sl
+    Fh = (sr * flh - sl * frh + sl * sr * (hr - hl)) / den
+    Fq = (sr * flq - sl * frq + sl * sr * (qr - ql)) / den
+    return h - dt / dx * (Fh - np.roll(Fh, 1)), q - dt / dx * (Fq - np.roll(Fq, 1))
+
+
+def _ref_dispersive_step(h, q, dx, dt, g):
+    w_plus = 2.0 / (h + np.roll(h, -1)) * (1.0 / (dx * dx))
+    diag = 3.0 / h ** 3 + w_plus + np.roll(w_plus, 1)
+    shift = _ref_anchor_cell(diag)
+    d = np.roll(diag, -shift)
+    off = np.roll(-w_plus, -shift)
+    d0, corner = d[0], off[-1]
+    d[0] += d0
+    d[-1] += corner * corner / d0
+    d, e, _ = dpttrf(d, off[:-1])
+    w = np.zeros_like(d)
+    w[[0, -1]] = -d0, corner
+    z, _ = dpttrs(d, e, w)
+    v_last = -corner / d0
+    zs = z / (1.0 + z[0] + v_last * z[-1])
+    g_hxx = g * ((np.roll(h, -1) - 2.0 * h + np.roll(h, 1)) / (dx * dx))
+
+    def accel(qq):
+        u = qq / h
+        ux = (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * dx)
+        y, _ = dpttrs(d, e, np.roll(2.0 * ux * ux + g_hxx, -shift))
+        p = np.roll(y - (y[0] + v_last * y[-1]) * zs, shift)
+        return -(np.roll(p, -1) - np.roll(p, 1)) / (2.0 * dx)
+
+    k1 = accel(q)
+    k2 = accel(q + dt * k1)
+    return q + 0.5 * dt * (k1 + k2)
+
+
+def _ref_step_arrays(h, q, dx, g, cfl, limiter):
+    dt = cfl * dx / float(np.max(np.abs(q / h) + np.sqrt(g * h)))
+    h, q = _ref_hydro_step(h, q, dx, 0.5 * dt, g, limiter)
+    q = _ref_dispersive_step(h, q, dx, dt, g)
+    h, q = _ref_hydro_step(h, q, dx, 0.5 * dt, g, limiter)
+    return h, q, dt
+
+
+def _random_state():
+    rng = np.random.default_rng(11)
+    return 1.0 + 0.3 * rng.random(200), 0.2 * rng.standard_normal(200), 0.05
+
+
+def _desk_state():
+    field = sw.init_wavetrain(base_config(n_waves=5, amplitude=1e-3, cells_per_wavelength=400))
+    return field.h, field.q, field.dx
+
+
+@pytest.mark.parametrize("limiter", LIMITERS)
+@pytest.mark.parametrize("state", [_random_state, _desk_state], ids=["random", "desk"])
+def test_step_matches_roll_reference_bitwise(state, limiter):
+    h, q, dx = state()
+    ref_h, ref_q = h, q
+    for _ in range(20):
+        h, q, dt = _step_arrays(h, q, dx, G, 0.45, limiter)
+        ref_h, ref_q, ref_dt = _ref_step_arrays(ref_h, ref_q, dx, G, 0.45, limiter)
+        assert dt == ref_dt
+        assert np.array_equal(h, ref_h)
+        assert np.array_equal(q, ref_q)
+
+
+def _tie_heavy_keys(rng, n):
+    """Keys with exact ties at the maximum, resolved at every depth up to n."""
+    yield np.full(n, 1.5)
+    for period in range(1, 6):
+        yield np.tile(rng.integers(0, 3, period), n // period + 1)[:n].astype(float)
+    dent = np.full(n, 1.5)
+    dent[rng.integers(n)] = 0.5
+    yield dent
+    alternating = rng.integers(0, 2, n).astype(float)
+    alternating[::2] = 2.0
+    yield alternating
+    yield rng.integers(0, 2, n).astype(float)
+
+
+def test_anchor_matches_reference_loop_on_ties():
+    rng = np.random.default_rng(2024)
+    for n in range(1, 41):
+        for _ in range(5):
+            for key in _tie_heavy_keys(rng, n):
+                assert _anchor_cell(key) == _ref_anchor_cell(key), key
+
+
+@pytest.mark.parametrize("period", [1, 400])
+def test_anchor_matches_reference_loop_on_4000_cells(period):
+    rng = np.random.default_rng(period)
+    key = np.tile(1.0 + rng.integers(0, 4, period), 4000 // period)
+    assert _anchor_cell(key) == _ref_anchor_cell(key) < period    # lowest tied copy
+    rotated = np.roll(key, 1234)
+    assert _anchor_cell(rotated) == _ref_anchor_cell(rotated)
 
 
 # --- physics ---------------------------------------------------------------------
@@ -344,6 +518,7 @@ def test_run_experiment_validation(tmp_path):
     out = tmp_path / "run"
     bad = [dict(cfl=c) for c in (0.0, -0.1, np.nan, 1.5)]
     bad += [dict(limiter="superbee"), dict(t_end=np.nan), dict(t_end=np.inf)]
+    bad += [dict(output_times=[t]) for t in (1.5, 0.0, -1.0, np.nan)]
     for kw in bad:
         with pytest.raises(ValueError):
             sw.run_experiment(base_config(), **{"t_end": 1.0, "out_dir": out, **kw})
