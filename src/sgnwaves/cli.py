@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 validation failure, 3 numerical degeneracy,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import pathlib
 import sys
 
@@ -23,7 +24,6 @@ from .errors import (
     SgnError,
 )
 from .modulation import (
-    ModulationState,
     assemble_AB,
     characteristic_eigenvalues,
     scan_region,
@@ -90,17 +90,11 @@ def cmd_eigen(args) -> int:
     roots = _parse_roots(args.roots)
     if args.D is not None and args.galilean_U is not None:
         raise DomainError("give at most one of --D and --galilean-U")
+    state = state_at_rest(roots, args.g, args.sign)
     if args.D is not None:
-        state = ModulationState(
-            D=args.D, h0=roots.h0, h1=roots.h1, h2=roots.h2, g=args.g, sign_m=args.sign
-        )
-    else:
-        state = state_at_rest(roots, args.g, args.sign)
-        if args.galilean_U is not None:
-            state = ModulationState(
-                D=state.D + args.galilean_U, h0=roots.h0, h1=roots.h1, h2=roots.h2,
-                g=args.g, sign_m=args.sign,
-            )
+        state = dataclasses.replace(state, D=args.D)
+    elif args.galilean_U is not None:
+        state = dataclasses.replace(state, D=state.D + args.galilean_U)
     cls = characteristic_eigenvalues(assemble_AB(state))
     print(f"D = {_fmt(state.D)}")
     for j, lam in enumerate(cls.roots, start=1):
@@ -156,7 +150,7 @@ def cmd_scan(args) -> int:
     out = pathlib.Path(args.out)
     write_scan_csv(result, out)
     scripts = _write_plot_scripts(out)
-    n_pts = len(result.points)
+    n_pts = result.reason.size
     n_fail = len(result.errors)
     for s, tau, msg in result.errors:
         print(f"point (s={s}, tau={tau}) failed: {msg}", file=sys.stderr)

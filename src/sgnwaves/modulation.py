@@ -31,7 +31,7 @@ scan_region is that batched case, run in chunks of SCAN_CHUNK points.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "DifferentialCoefficients",
     "QuasilinearSystem",
     "EigenClassification",
-    "ScanPoint",
     "ScanResult",
     "conserved_vector",
     "differential_coefficients",
@@ -68,7 +67,11 @@ _INVALID_ROOTS, _DEGENERATE_PENCIL = 1, 2
 
 @dataclass(frozen=True)
 class ModulationState:
-    """Phase speed plus root triple: floats for one state, equal-shape arrays for a batch."""
+    """Phase speed plus root triple: floats for one state, equal-shape arrays for a batch.
+
+    `roots` is the validated RootTriple of (h0, h1, h2), built once per state,
+    so every call on the state shares its cached K, E, Pi.
+    """
 
     D: float
     h0: float
@@ -76,13 +79,10 @@ class ModulationState:
     h2: float
     g: float = 9.81
     sign_m: int = -1
+    roots: RootTriple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.roots  # triggers root validation
-
-    @property
-    def roots(self) -> RootTriple:
-        return RootTriple(self.h0, self.h1, self.h2)
+        object.__setattr__(self, "roots", RootTriple(self.h0, self.h1, self.h2))
 
     @property
     def U(self) -> float:
@@ -329,14 +329,6 @@ def characteristic_eigenvalues(sys: QuasilinearSystem) -> EigenClassification:
     )
 
 
-@dataclass(frozen=True)
-class ScanPoint:
-    s: float
-    tau: float
-    classification: EigenClassification | None
-    error: str | None = None
-
-
 def _grid_points(s_values: np.ndarray, tau_values: np.ndarray):
     """(s, tau) of every grid point, row-major: index i*len(tau_values)+j is (s_i, tau_j)."""
     return np.repeat(s_values, len(tau_values)), np.tile(tau_values, len(s_values))
@@ -346,9 +338,10 @@ def _grid_points(s_values: np.ndarray, tau_values: np.ndarray):
 class ScanResult:
     """Hyperbolicity classification over the (s, tau) plane, h0 = 1.
 
-    `classification` has one row per grid point (see _grid_points).  Where
-    reason > 0 (an index into SCAN_REASONS) the point was not classified:
-    NaN roots and resultant, counts -1, flags false.
+    `classification` and `reason` hold one entry per grid point, row-major
+    (s outer, tau inner; see _grid_points).  Where reason > 0 (an index
+    into SCAN_REASONS) the point was not classified: NaN roots and
+    resultant, counts -1, flags false.
     """
 
     s_values: np.ndarray
@@ -357,18 +350,6 @@ class ScanResult:
     sign_m: int
     classification: EigenClassification
     reason: np.ndarray
-
-    @property
-    def points(self) -> list:
-        """One ScanPoint per grid point, row-major; built on each access."""
-        c = self.classification
-        out = []
-        for i, (s, tau) in enumerate(zip(*_grid_points(self.s_values, self.tau_values))):
-            row = None if self.reason[i] else EigenClassification(
-                *(getattr(c, f.name)[i] for f in fields(c))
-            )
-            out.append(ScanPoint(float(s), float(tau), row, SCAN_REASONS[self.reason[i]]))
-        return out
 
     @property
     def errors(self) -> list:

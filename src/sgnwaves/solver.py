@@ -80,6 +80,8 @@ class SGNField:
     def __post_init__(self):
         if self.h.shape != self.q.shape or self.h.ndim != 1:
             raise ValueError("h and q must be 1D arrays of equal length")
+        if self.h.size < 2:
+            raise ValueError(f"a periodic field needs at least 2 cells, got {self.h.size}")
         if self.dx <= 0.0 or self.g <= 0.0:
             raise ValueError("dx and g must be positive")
         if not (np.all(np.isfinite(self.h)) and np.all(np.isfinite(self.q))):
@@ -401,7 +403,7 @@ def run_experiment(
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     wave = build_wave(config.roots, config.g, config.sign_m)
     field = init_wavetrain(config)
-    times = sorted(set(float(t) for t in (output_times or [])))
+    times = sorted(set(float(t) for t in (() if output_times is None else output_times)))
     for t in times:
         if not 0.0 < t <= t_end:
             raise ValueError(f"checkpoint time {t!r} is outside (0, t_end = {t_end!r}]")

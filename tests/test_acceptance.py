@@ -68,21 +68,16 @@ def test_phase_speed_reproduction():
 
 def test_strict_hyperbolicity_scan(scan50):
     result, elapsed = scan50
-    n_points = len(result.points)
-    n_hyperbolic = sum(
-        1
-        for p in result.points
-        if p.classification is not None
-        and p.classification.all_real
-        and p.classification.distinct
-    )
+    c = result.classification
+    n_points = result.reason.size
+    n_hyperbolic = int(np.count_nonzero((result.reason == 0) & c.all_real & c.distinct))
     ok = (
         n_hyperbolic == n_points == 2500
         and not result.errors
         and result.resultant_sign_constant
         and elapsed < 60.0
     )
-    sign = np.sign(result.points[0].classification.resultant)
+    sign = np.sign(c.resultant[0])
     _report(
         "strict hyperbolicity scan",
         ok,

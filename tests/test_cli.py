@@ -95,6 +95,17 @@ def test_eigen_galilean_frame_shifts_spectrum(capsys):
     )) <= 1e-9
 
 
+def test_eigen_phase_speed_matches_galilean_frame(capsys):
+    _, rest, _ = run(capsys, ["eigen", *BASE_ARGS])
+    D = stdout_value(rest, "D = ") + 2.5
+    code, given_D, _ = run(capsys, ["eigen", *BASE_ARGS, "--D", repr(D)])
+    assert code == 0
+    _, moved, _ = run(capsys, ["eigen", *BASE_ARGS, "--galilean-U", "2.5"])
+    assert stdout_value(given_D, "D = ") == stdout_value(moved, "D = ") == D
+    lam, expected = eigenvalues_from(given_D), eigenvalues_from(moved)
+    assert np.max(np.abs(lam - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 def test_eigen_depth_scaling_doubles_spectrum(capsys):
     _, small, _ = run(capsys, ["eigen", *BASE_ARGS])
     code, large, _ = run(capsys, ["eigen", "--roots", "4,6,8", "--g", "10"])

@@ -86,6 +86,30 @@ def test_state_validation_and_mean_velocity():
     assert shifted.U == pytest.approx(2.0, abs=1e-13)
 
 
+def test_state_holds_one_root_triple():
+    state = sw.ModulationState(D=0.5, h0=1.0, h1=1.5, h2=2.0, g=G, sign_m=-1)
+    assert state.roots is state.roots
+    assert state.roots == BASE
+
+
+def test_repeated_calls_on_a_state_evaluate_K_once(monkeypatch):
+    calls = []
+
+    def counted(k, _fn=sw.waves.ellip_K):
+        calls.append(k)
+        return _fn(k)
+
+    monkeypatch.setattr(sw.waves, "ellip_K", counted)
+    state = sw.ModulationState(D=0.5, h0=1.0, h1=1.5, h2=2.0, g=G, sign_m=-1)
+    first = sw.assemble_AB(state)
+    assert len(calls) == 1
+    second = sw.assemble_AB(state)
+    sw.conserved_vector(state)
+    state.U
+    assert len(calls) == 1
+    assert np.array_equal(first.A, second.A) and np.array_equal(first.B, second.B)
+
+
 # --- gradients of the averages ----------------------------------------------
 
 TRIPLES = [
@@ -327,21 +351,22 @@ def test_scan_points_equal_single_state_bitwise():
     res = sw.scan_region(1.0, 10.0, 0.0, 10.0, 6, g=G)
     assert res.s_values[0] == pytest.approx(1.001) and res.tau_values[0] == pytest.approx(0.001)
     assert res.errors == []
-    points = res.points
-    h1 = np.array([p.s for p in points])
-    h2 = h1 + np.array([p.tau for p in points])
+    # the per-point results are row-major: s outer, tau inner
+    s, tau = (a.ravel() for a in np.meshgrid(res.s_values, res.tau_values, indexing="ij"))
+    h1, h2 = s, s + tau
     batch = sw.assemble_AB(sw.state_at_rest(sw.RootTriple(np.ones_like(h1), h1, h2), G, -1))
-    for i, p in enumerate(points):
-        one_sys = sw.assemble_AB(sw.state_at_rest(sw.RootTriple(1.0, p.s, p.s + p.tau), G, -1))
+    got = res.classification
+    for i in range(res.reason.size):
+        si, ti = float(s[i]), float(tau[i])
+        one_sys = sw.assemble_AB(sw.state_at_rest(sw.RootTriple(1.0, si, si + ti), G, -1))
         assert np.array_equal(batch.A[i], one_sys.A)
         assert np.array_equal(batch.B[i], one_sys.B)
         assert np.array_equal(batch.charpoly[i], one_sys.charpoly)
         one = sw.characteristic_eigenvalues(one_sys)
-        got = p.classification
-        assert np.array_equal(got.roots, one.roots)
-        assert np.array_equal(got.resultant, one.resultant)
-        assert got.n_positive == one.n_positive
-        assert (got.all_real, got.distinct) == (one.all_real, one.distinct)
+        assert np.array_equal(got.roots[i], one.roots)
+        assert np.array_equal(got.resultant[i], one.resultant)
+        assert got.n_positive[i] == one.n_positive
+        assert (got.all_real[i], got.distinct[i]) == (one.all_real, one.distinct)
 
 
 def test_scan_marks_degenerate_pencils(monkeypatch):
@@ -360,11 +385,14 @@ def test_scan_marks_degenerate_pencils(monkeypatch):
     assert [e[2] for e in res.errors] == ["degenerate_pencil"] * 5
     assert res.sign_pattern_grid().ravel()[::2].tolist() == [-1] * 5
     assert not res.all_hyperbolic
-    for i, (p, q) in enumerate(zip(res.points, clean.points)):
+    got, ref = res.classification, clean.classification
+    for i in range(res.reason.size):
         if i % 2:
-            assert np.array_equal(p.classification.roots, q.classification.roots)
+            assert res.reason[i] == 0
+            assert np.array_equal(got.roots[i], ref.roots[i])
         else:
-            assert p.classification is None and p.error == "degenerate_pencil"
+            assert sw.modulation.SCAN_REASONS[res.reason[i]] == "degenerate_pencil"
+            assert np.isnan(got.roots[i]).all() and np.isnan(got.resultant[i])
 
 
 def test_scan_propagates_kernel_errors(monkeypatch):

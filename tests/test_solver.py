@@ -50,6 +50,17 @@ def test_field_validation():
         sw.SGNField(dx=0.1, g=G, h=np.array([1.0, np.nan, 1.0]), q=np.zeros(3))
 
 
+def test_field_needs_two_cells():
+    # the cyclic pressure operator needs an off-diagonal: two cells at least
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 cells"):
+            sw.SGNField(dx=0.1, g=G, h=np.ones(n), q=np.zeros(n))
+    field = sw.SGNField(dx=0.1, g=G, h=np.array([1.0, 1.2]), q=np.array([0.1, -0.05]))
+    out = sw.step(field, cfl=0.45)
+    assert np.all(np.isfinite(out.h)) and np.all(np.isfinite(out.q)) and out.t > 0.0
+    assert np.sum(out.h) == pytest.approx(np.sum(field.h), rel=1e-14)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         base_config(n_waves=0)
@@ -498,6 +509,15 @@ def test_run_experiment_checkpoints_and_artifacts(tmp_path):
     field_lines = (out / "field_0000.csv").read_text().splitlines()
     assert field_lines[0] == "x,h,u"
     assert len(field_lines) == 65
+
+
+def test_run_experiment_accepts_array_output_times():
+    runs = [sw.run_experiment(base_config(amplitude=1e-3), t_end=0.1, output_times=times)
+            for times in ([0.05, 0.1], np.array([0.05, 0.1]))]
+    listed, arrayed = (res.checkpoints for res in runs)
+    assert [t for t, _, _ in arrayed] == [t for t, _, _ in listed] == [0.05, 0.1]
+    for (_, a, _), (_, b, _) in zip(arrayed, listed):
+        assert np.array_equal(a.h, b.h) and np.array_equal(a.q, b.q)
 
 
 def test_run_experiment_is_deterministic(tmp_path):
