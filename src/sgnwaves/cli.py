@@ -22,6 +22,7 @@ from .errors import (
     PositivityError,
     QuadratureError,
     SgnError,
+    StepBudgetError,
 )
 from .modulation import (
     assemble_AB,
@@ -279,7 +280,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PositivityError, EllipticSolveError) as exc:
+    except (PositivityError, EllipticSolveError, StepBudgetError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (DegeneratePencilError, QuadratureError) as exc:

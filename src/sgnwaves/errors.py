@@ -31,3 +31,7 @@ class PositivityError(SgnError, ArithmeticError):
 
 class EllipticSolveError(SgnError, ArithmeticError):
     """The dispersive-pressure linear solve failed or returned non-finite values."""
+
+
+class StepBudgetError(SgnError, ArithmeticError):
+    """The time step collapsed: a run would need more than about 1e12 steps to finish."""

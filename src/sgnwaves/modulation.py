@@ -94,10 +94,16 @@ class ModulationState:
 def state_at_rest(
     roots: RootTriple, g: float, sign_m: int = -1
 ) -> ModulationState:
-    """State with D = -m/h_bar, the Galilean frame where U = 0."""
+    """State with D = -m/h_bar, the Galilean frame where U = 0.
+
+    The state holds `roots` itself, so the K, E, Pi evaluated here for
+    h_bar serve every later call on the state.
+    """
     c = constants_from_roots(roots, g, sign_m)
     D = -c.m / averaged_h(roots)
-    return ModulationState(D=D, h0=roots.h0, h1=roots.h1, h2=roots.h2, g=g, sign_m=sign_m)
+    state = ModulationState(D=D, h0=roots.h0, h1=roots.h1, h2=roots.h2, g=g, sign_m=sign_m)
+    object.__setattr__(state, "roots", roots)
+    return state
 
 
 @dataclass(frozen=True)

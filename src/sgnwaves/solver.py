@@ -31,7 +31,16 @@ commutes bitwise with grid rotations: the Sherman-Morrison break sits at
 an anchor cell chosen by cyclic lexicographic comparison, so the choice
 itself rotates with the data even when several cells tie exactly in
 floating point.  Exact ties are resolved by rank doubling, in at most
-O(n log^2 n) even on constant or exactly periodic data.
+O(n log^2 n).
+
+An exactly periodic state (still water, or tiled copies of one wave) has
+no unique anchor, since every copy ties.  When the maximum of h is not
+unique, the step looks for the shortest block of at least two cells whose
+copies make up (h, q); the count of cells tied at the maximum rules out
+most block lengths before any arrays are compared.  If there is one, the
+step advances that block alone and tiles it: O(block) work, the same dt,
+rotation equivariance on these states too, and a result within rounding
+of the full-length step.  Other data pays one max and one compare.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .csvio import write_csv
-from .errors import EllipticSolveError, PositivityError
+from .errors import EllipticSolveError, PositivityError, StepBudgetError
 from .waves import (
     CnoidalWave,
     RootTriple,
@@ -259,7 +268,11 @@ def _pressure_operator(h, dx, g):
     w_minus = np.concatenate((w_plus[-1:], w_plus[:-1]))    # 1/h at face i-1/2
     diag = 3.0 / h ** 3 + w_plus + w_minus
     if not np.all(np.isfinite(diag)):
-        raise EllipticSolveError("dispersive operator has non-finite diagonal entries")
+        i = int(np.argmin(np.isfinite(diag)))    # first non-finite entry
+        raise EllipticSolveError(
+            f"dispersive operator has a non-finite diagonal entry at cell {i} "
+            f"(h = {float(h[i])!r})"
+        )
     # rotate the anchor cell to index 0 so the Sherman-Morrison break point
     # is a deterministic function of the data, not of the array origin
     shift = _anchor_cell(diag)
@@ -286,10 +299,12 @@ def _nonhydro_pressure(op, h, q, dx):
     rhs = 2.0 * ux * ux + g_hxx
     y, _ = dpttrs(d, e, np.concatenate((rhs[shift:], rhs[:shift])))
     p = y - (y[0] + v_last * y[-1]) * zs
-    if not np.all(np.isfinite(p)):
-        raise EllipticSolveError("dispersive pressure solve returned non-finite values")
     back = p.size - shift
-    return np.concatenate((p[back:], p[:back]))
+    p = np.concatenate((p[back:], p[:back]))
+    if not np.all(np.isfinite(p)):
+        i = int(np.argmin(np.isfinite(p)))    # first non-finite cell
+        raise EllipticSolveError(f"dispersive pressure solve returned a non-finite value at cell {i}")
+    return p
 
 
 def _dispersive_step(h, q, dx, dt, g):
@@ -306,7 +321,44 @@ def _dispersive_step(h, q, dx, dt, g):
 
 # --- full step and diagnostics -------------------------------------------
 
+def _divisors(k: int) -> list[int]:
+    small = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
+    return sorted(set(small + [k // d for d in small]))
+
+
+def _block_length(h, q) -> int:
+    """Shortest block of at least 2 cells whose copies make up (h, q), or n.
+
+    Only a block length m that divides n can repeat; then h holds (n/m)
+    equal copies of each of its maxima, so the number of cells tied at the
+    maximum of h rules out most m before any arrays are compared.  Data
+    with a unique maximum (almost every state after the first step) pays
+    one max and one compare.
+    """
+    n = h.size
+    ties = int(np.count_nonzero(h == h.max()))
+    if ties < 2:
+        return n
+    for copies in reversed(_divisors(math.gcd(n, ties))[1:]):    # m ascending, m < n
+        m = n // copies
+        if m >= 2 and np.array_equal(h[m:], h[:-m]) and np.array_equal(q[m:], q[:-m]):
+            return m
+    return n
+
+
 def _step_arrays(h, q, dx, g, cfl, limiter, dt_max=None):
+    # n/m identical blocks step identically: step one and tile it.  The
+    # block has the same maximum wave speed, so dt is unchanged, and a
+    # rotation of the whole state is a rotation of the block, which the
+    # step commutes with even where the full state has no unique anchor.
+    n, m = h.size, _block_length(h, q)
+    h, q, dt = _step_cells(h[:m], q[:m], dx, g, cfl, limiter, dt_max)
+    if m < n:
+        h, q = np.tile(h, n // m), np.tile(q, n // m)
+    return h, q, dt
+
+
+def _step_cells(h, q, dx, g, cfl, limiter, dt_max):
     u = q / h
     dt = cfl * dx / float(np.max(np.abs(u) + np.sqrt(g * h)))
     if dt_max is not None and dt > dt_max:
@@ -396,7 +448,8 @@ def run_experiment(
     ends with a checkpoint at t_end.  If out_dir is given, each checkpoint
     writes a field CSV (x,h,u) and a portrait CSV (h,h_hdot), and the run
     writes a diagnostics series plus a manifest; partial output survives
-    failures.
+    failures.  Solver errors name the step and the time it started from;
+    a CFL step shorter than 1e-12 * t_end raises StepBudgetError.
     """
     _check_step_args(cfl, limiter)
     if not 0.0 < t_end < math.inf:
@@ -425,10 +478,17 @@ def run_experiment(
     h_max = float(h.max())
     checkpoints = []
     diag_series = [(0.0, *diagnostics(field))]
+    dt_floor = 1e-12 * t_end
     try:
         for idx, t_target in enumerate(times):
             while t < t_target - 1e-12 * max(1.0, t_target):
                 h, q, dt = _step_arrays(h, q, dx, g, cfl, limiter, dt_max=t_target - t)
+                # a step clipped onto a checkpoint may be short; a CFL step may not
+                if dt < dt_floor and dt < t_target - t:
+                    raise StepBudgetError(
+                        f"step {n_steps + 1} from t = {t!r} took dt = {dt!r}, below "
+                        f"1e-12 * t_end = {dt_floor!r}: the run would not reach t_end"
+                    )
                 t += dt
                 n_steps += 1
                 h_min = min(h_min, float(h.min()))
@@ -440,6 +500,8 @@ def run_experiment(
             if out is not None:
                 write_csv(out / f"field_{idx:04d}.csv", "x,h,u", (snap.x, snap.h, snap.u))
                 write_csv(out / f"portrait_{idx:04d}.csv", "h,h_hdot", portrait.T)
+    except (PositivityError, EllipticSolveError) as exc:
+        raise type(exc)(f"step {n_steps + 1} from t = {t!r}: {exc}") from exc
     finally:
         if out is not None:
             write_csv(out / "diagnostics.csv", "t,mass,momentum,energy", np.array(diag_series).T)

@@ -248,6 +248,19 @@ def test_simulate_rejects_invalid_step_args(capsys, tmp_path, line):
     assert not out_dir.exists()
 
 
+def test_simulate_exits_4_when_dt_collapses(capsys, tmp_path, monkeypatch):
+    from sgnwaves import solver
+
+    monkeypatch.setattr(solver, "_step_arrays", lambda h, q, *args, **kw: (h, q, 1e-20))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, ["simulate", "--config", str(cfg), "--out-dir", str(out_dir)])
+    assert code == 4
+    assert err.startswith("solver failure: step 1 from t = 0.0 took dt = 1e-20, below")
+    assert "n_steps = 0\n" in (out_dir / "manifest.txt").read_text()
+
+
 def test_simulate_requires_roots_and_t_end(capsys, tmp_path):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("g = 10\n")

@@ -110,6 +110,26 @@ def test_repeated_calls_on_a_state_evaluate_K_once(monkeypatch):
     assert np.array_equal(first.A, second.A) and np.array_equal(first.B, second.B)
 
 
+def test_scan_evaluates_K_once_per_chunk(monkeypatch):
+    # state_at_rest hands the triple it found D with to the state, so
+    # assemble_AB reuses its K, E, Pi: one ellip_K call per chunk
+    calls = []
+
+    def counted(k, _fn=sw.waves.ellip_K):
+        calls.append(k)
+        return _fn(k)
+
+    monkeypatch.setattr(sw.waves, "ellip_K", counted)
+    roots = sw.RootTriple(1.0, 1.5, 2.0)    # a fresh triple: no K cached yet
+    state = sw.state_at_rest(roots, G, -1)
+    assert state.roots is roots
+    sw.assemble_AB(state)
+    assert len(calls) == 1
+    calls.clear()
+    sw.scan_region(1.0, 100.0, 0.0, 100.0, 50, G)
+    assert len(calls) == 3    # 2500 points in chunks of 1024
+
+
 # --- gradients of the averages ----------------------------------------------
 
 TRIPLES = [

@@ -7,19 +7,23 @@ measured from the phase drift of a small sinusoid.  Accuracy against
 the exact traveling wave is covered by the convergence tests.
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 import sgnwaves as sw
 from sgnwaves import solver
-from sgnwaves.errors import EllipticSolveError, PositivityError
+from sgnwaves.errors import EllipticSolveError, PositivityError, StepBudgetError
 from sgnwaves.solver import (
     LIMITERS,
     _anchor_cell,
+    _block_length,
     _nonhydro_pressure,
     _pressure_operator,
     _step_arrays,
+    _step_cells,
 )
 
 BASE = sw.RootTriple(1.0, 1.5, 2.0)
@@ -122,6 +126,18 @@ def test_still_water_is_fixed_point():
     assert np.max(np.abs(field.q)) <= 1e-14
 
 
+@pytest.mark.parametrize("n", [200, 13])
+@pytest.mark.parametrize("limiter", LIMITERS)
+def test_still_water_stays_bitwise_fixed(limiter, n):
+    # n = 200 steps a 2-cell block, n = 13 (prime) the whole array
+    h = np.full(n, 2.0)
+    field = sw.SGNField(dx=0.05, g=G, h=h, q=np.zeros(n))
+    for _ in range(25):
+        field = sw.step(field, cfl=0.45, limiter=limiter)
+    assert np.array_equal(field.h, h)
+    assert np.array_equal(field.q, np.zeros(n))
+
+
 @pytest.mark.parametrize("limiter", LIMITERS)
 def test_mass_and_momentum_conserved_per_step(limiter):
     field = sw.init_wavetrain(base_config(n_waves=2, amplitude=1e-3,
@@ -170,9 +186,9 @@ def test_translation_equivariance_tiled_bitwise():
     assert np.array_equal(np.roll(q1, shift), q2)
 
 
-def _assert_rotation_equivariant(h, q, dx, shift):
-    h1, q1, _ = _step_arrays(h, q, dx, G, 0.45, "mc")
-    h2, q2, _ = _step_arrays(np.roll(h, shift), np.roll(q, shift), dx, G, 0.45, "mc")
+def _assert_rotation_equivariant(h, q, dx, shift, limiter="mc"):
+    h1, q1, _ = _step_arrays(h, q, dx, G, 0.45, limiter)
+    h2, q2, _ = _step_arrays(np.roll(h, shift), np.roll(q, shift), dx, G, 0.45, limiter)
     assert np.array_equal(np.roll(h1, shift), h2)
     assert np.array_equal(np.roll(q1, shift), q2)
 
@@ -188,6 +204,55 @@ def test_translation_equivariance_nudged_tiled_train_4000_cells():
     h, q = np.tile(one.h, 10), np.tile(one.q, 10)
     h[2718] *= 1.0 + 1e-9
     _assert_rotation_equivariant(h, q, one.dx, 1237)
+
+
+def _tiled_train():
+    one = sw.init_wavetrain(base_config(cells_per_wavelength=400))
+    return np.tile(one.h, 10), np.tile(one.q, 10), one.dx
+
+
+@pytest.mark.parametrize("limiter", LIMITERS)
+@pytest.mark.parametrize("shift", [1, 400, 1200, 1237])
+def test_translation_equivariance_exactly_tiled_train_4000_cells(shift, limiter):
+    # ten bitwise-identical wavelengths: no unique anchor in the whole array,
+    # so the step works on one wavelength and tiles it
+    h, q, dx = _tiled_train()
+    _assert_rotation_equivariant(h, q, dx, shift, limiter)
+
+
+@pytest.mark.parametrize("limiter", LIMITERS)
+def test_tiled_train_block_step_matches_full_length_step(limiter):
+    h, q, dx = _tiled_train()
+    hb, qb, dt = _step_arrays(h, q, dx, G, 0.45, limiter)
+    hf, qf, dt_full = _step_cells(h, q, dx, G, 0.45, limiter, None)
+    assert dt == dt_full
+    assert np.max(np.abs(hb - hf)) <= 1e-14 * np.max(np.abs(hf))
+    assert np.max(np.abs(qb - qf)) <= 1e-14 * np.max(np.abs(qf))
+
+
+def _period_cases():
+    rng = np.random.default_rng(5)
+    block_h, block_q = np.array([1.0, 1.3, 1.1]), np.array([0.1, -0.2, 0.1])
+    yield pytest.param(np.tile(block_h, 4), np.tile(block_q, 4), 3, id="p = 3 of n = 12")
+    yield pytest.param(np.full(12, 1.5), np.zeros(12), 2, id="constant, n = 12")
+    yield pytest.param(np.full(9, 1.5), np.zeros(9), 3, id="constant, n = 9")
+    yield pytest.param(np.full(13, 1.5), np.zeros(13), 13, id="constant, odd prime n = 13")
+    yield pytest.param(1.0 + rng.random(12), np.zeros(12), 12, id="unique maximum")
+    q = np.tile(block_q, 4)
+    q[7] += 1e-3
+    yield pytest.param(np.tile(block_h, 4), q, 12, id="h periodic, q not")
+    h, q, _ = _tiled_train()
+    yield pytest.param(h.copy(), q, 400, id="tiled train")
+    h[2718] *= 1.0 + 1e-9
+    yield pytest.param(h, q, 4000, id="nudged tiled train")
+    h, q, _ = _tiled_train()
+    q[-1] *= 1.0 + 1e-9
+    yield pytest.param(h, q, 4000, id="tiled train, q nudged")
+
+
+@pytest.mark.parametrize("h, q, m", _period_cases())
+def test_block_length(h, q, m):
+    assert _block_length(h, q) == m
 
 
 def test_reflection_symmetry():
@@ -224,8 +289,9 @@ def test_positivity_error_names_the_first_cell(monkeypatch):
         return U
 
     monkeypatch.setattr(solver, "_hydro_step", drying_hydro)
+    h = 1.0 + 0.01 * np.random.default_rng(3).random(64)    # aperiodic: all 64 cells step
     with pytest.raises(PositivityError, match=r"at cell 9 \(h = -0\.25\)"):
-        _step_arrays(np.ones(64), np.zeros(64), 0.05, G, 0.45, "mc")
+        _step_arrays(h, np.zeros(64), 0.05, G, 0.45, "mc")
 
 
 def test_nonfinite_depth_is_an_elliptic_solve_error():
@@ -233,6 +299,34 @@ def test_nonfinite_depth_is_an_elliptic_solve_error():
     h[17] = np.nan
     with pytest.raises(EllipticSolveError):
         _step_arrays(h, np.zeros(64), 0.05, G, 0.45, "mc")
+
+
+def test_nonfinite_diagonal_names_its_first_cell():
+    h = 1.0 + 0.1 * np.random.default_rng(4).random(64)
+    h[17] = 0.0    # 3/h^3 is infinite at cell 17 only
+    with np.errstate(divide="ignore"), pytest.raises(
+        EllipticSolveError, match=r"non-finite diagonal entry at cell 17 \(h = 0\.0\)"
+    ):
+        _pressure_operator(h, 0.05, G)
+
+
+def test_nonfinite_pressure_names_its_first_cell(monkeypatch):
+    # the solve runs in the anchor-rotated frame; the error names the cell
+    # in the caller's frame
+    rng = np.random.default_rng(6)
+    h, q = 1.0 + 0.1 * rng.random(64), 0.1 * rng.standard_normal(64)
+    op = _pressure_operator(h, 0.05, G)
+    shift = op[0]
+    assert shift != 0
+
+    def broken_solve(d, e, b):
+        y, info = dpttrs(d, e, b)
+        y[5] = np.nan
+        return y, info
+
+    monkeypatch.setattr(solver, "dpttrs", broken_solve)
+    with pytest.raises(EllipticSolveError, match=rf"non-finite value at cell {(5 + shift) % 64}$"):
+        _nonhydro_pressure(op, h, q, 0.05)
 
 
 # --- dispersive pressure solve ----------------------------------------------------
@@ -529,6 +623,50 @@ def test_run_experiment_is_deterministic(tmp_path):
         outs.append(out)
     for name in ("field_0000.csv", "portrait_0000.csv", "diagnostics.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def _failing_step(monkeypatch, on_call, fail):
+    """Make the on_call-th _step_arrays call fail(h, q, dt_max); return the dt of the others."""
+    real, dts = solver._step_arrays, []
+
+    def stepping(h, q, dx, g, cfl, limiter, dt_max=None):
+        if len(dts) + 1 == on_call:
+            return fail(h, q, dt_max)
+        out = real(h, q, dx, g, cfl, limiter, dt_max)
+        dts.append(out[2])
+        return out
+
+    monkeypatch.setattr(solver, "_step_arrays", stepping)
+    return dts
+
+
+@pytest.mark.parametrize("error", [PositivityError, EllipticSolveError])
+def test_run_experiment_errors_name_the_step_and_time(monkeypatch, tmp_path, error):
+    def fail(h, q, dt_max):
+        raise error("at cell 5")
+
+    dts = _failing_step(monkeypatch, 3, fail)
+    with pytest.raises(error) as info:
+        sw.run_experiment(base_config(amplitude=1e-3), t_end=0.5, out_dir=tmp_path)
+    t = 0.0 + dts[0] + dts[1]
+    assert re.fullmatch(rf"step 3 from t = {re.escape(repr(t))}: at cell 5", str(info.value))
+    assert "n_steps = 2\n" in (tmp_path / "manifest.txt").read_text()
+
+
+def test_run_experiment_stops_when_dt_collapses(monkeypatch):
+    dts = _failing_step(monkeypatch, 2, lambda h, q, dt_max: (h, q, 1e-20))
+    with pytest.raises(StepBudgetError) as info:
+        sw.run_experiment(base_config(amplitude=1e-3), t_end=0.5)
+    message = rf"step 2 from t = {re.escape(repr(0.0 + dts[0]))} took dt = 1e-20, below "
+    assert re.match(message, str(info.value))
+
+
+def test_run_experiment_allows_a_short_step_onto_a_checkpoint():
+    # the step clipped onto t = 1 + 1.5e-12 is shorter than 1e-12 * t_end
+    # but was asked for; only a CFL step that short counts as a collapse
+    times = [1.0, 1.0 + 1.5e-12, 2.0]
+    res = sw.run_experiment(base_config(amplitude=1e-3), t_end=2.0, output_times=times)
+    assert [t for t, _, _ in res.checkpoints] == times
 
 
 def test_run_experiment_validation(tmp_path):
