@@ -1,65 +1,15 @@
 """Cnoidal traveling waves of the Serre-Green-Naghdi equations, their
-Whitham modulation system, and a 1D time-domain SGN solver."""
+Whitham modulation system, and a 1D time-domain SGN solver.
+
+Each public name is declared once, in its module's __all__.
+"""
 
 __version__ = "0.1.0"
 
-from .elliptic import ellip_K, ellip_E, ellip_Pi, ellip_derivatives
-from .waves import (
-    RootTriple,
-    WaveConstants,
-    CnoidalWave,
-    constants_from_roots,
-    oscillation_rhs,
-    jacobi_cn,
-    build_wave,
-    profile,
-    velocity_from_depth,
-    wavelength,
-    average,
-    averaged_h,
-    averaged_hinv,
-)
-from .modulation import (
-    ModulationState,
-    DifferentialCoefficients,
-    QuasilinearSystem,
-    EigenClassification,
-    ScanResult,
-    conserved_vector,
-    differential_coefficients,
-    assemble_AB,
-    characteristic_eigenvalues,
-    resultant_quartic,
-    scan_region,
-    write_scan_csv,
-)
-from .modulation import state_at_rest
-from .solver import (
-    SGNField,
-    WaveTrainConfig,
-    RunResult,
-    init_wavetrain,
-    step,
-    diagnostics,
-    phase_portrait,
-    portrait_residual,
-    run_experiment,
-)
-from . import errors
+from . import elliptic, errors, modulation, solver, waves
+from .elliptic import *  # noqa: F401,F403
+from .modulation import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
+from .waves import *  # noqa: F401,F403
 
-__all__ = [
-    "ellip_K", "ellip_E", "ellip_Pi", "ellip_derivatives",
-    "RootTriple", "WaveConstants", "CnoidalWave",
-    "constants_from_roots", "oscillation_rhs", "jacobi_cn", "build_wave",
-    "profile", "velocity_from_depth", "wavelength",
-    "average", "averaged_h", "averaged_hinv",
-    "ModulationState", "DifferentialCoefficients", "QuasilinearSystem",
-    "EigenClassification", "ScanResult", "state_at_rest",
-    "conserved_vector", "differential_coefficients", "assemble_AB",
-    "characteristic_eigenvalues", "resultant_quartic", "scan_region",
-    "write_scan_csv",
-    "SGNField", "WaveTrainConfig", "RunResult",
-    "init_wavetrain", "step", "diagnostics", "phase_portrait",
-    "portrait_residual", "run_experiment",
-    "errors",
-]
+__all__ = [*elliptic.__all__, *waves.__all__, *modulation.__all__, *solver.__all__, "errors"]

@@ -47,12 +47,16 @@ EXIT_DEGENERATE = 3
 EXIT_SOLVER = 4
 
 
+def _float_list(text: str, count: int | None = None, usage: str = "") -> list[float]:
+    """Floats of a comma-separated list; `usage` says what a list of the wrong `count` needs."""
+    parts = text.split(",") if text else []
+    if count is not None and len(parts) != count:
+        raise DomainError(f"{usage}, got {text!r}")
+    return [float(p) for p in parts]
+
+
 def _parse_roots(text: str) -> RootTriple:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise DomainError(f"--roots needs three comma-separated depths, got {text!r}")
-    h0, h1, h2 = (float(p) for p in parts)
-    return RootTriple(h0, h1, h2)
+    return RootTriple(*_float_list(text, 3, "--roots needs three comma-separated depths"))
 
 
 def _fmt(x: float) -> str:
@@ -143,11 +147,8 @@ def _write_plot_scripts(out_csv: pathlib.Path) -> list[pathlib.Path]:
 
 
 def cmd_scan(args) -> int:
-    lo = args.window.split(",")
-    if len(lo) != 4:
-        raise DomainError(f"--window needs smin,smax,taumin,taumax, got {args.window!r}")
-    s_min, s_max, t_min, t_max = (float(v) for v in lo)
-    result = scan_region(s_min, s_max, t_min, t_max, args.grid, args.g, args.sign)
+    window = _float_list(args.window, 4, "--window needs smin,smax,taumin,taumax")
+    result = scan_region(*window, args.grid, args.g, args.sign)
     out = pathlib.Path(args.out)
     write_scan_csv(result, out)
     scripts = _write_plot_scripts(out)
@@ -171,10 +172,15 @@ def cmd_scan(args) -> int:
 
 # --- simulate ----------------------------------------------------------------
 
-CONFIG_KEYS = (
-    "roots", "g", "sign_m", "n_waves", "amplitude", "cells_per_wavelength",
-    "t_end", "checkpoints", "cfl", "limiter",
-)
+# Each simulate config key and the parser of its value.  A key the config
+# leaves out takes the default of WaveTrainConfig (for its fields) or of
+# run_experiment (for the rest; checkpoints are its output_times).
+SIMULATE_KEYS = {
+    "roots": _parse_roots, "g": float, "sign_m": int,
+    "n_waves": int, "amplitude": float, "cells_per_wavelength": int,
+    "t_end": float, "checkpoints": lambda text: _float_list(text.replace(";", ",")),
+    "cfl": float, "limiter": str,
+}
 
 
 def _read_config(path: pathlib.Path) -> dict:
@@ -189,42 +195,27 @@ def _read_config(path: pathlib.Path) -> dict:
             raise DomainError(f"{path}:{ln}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in CONFIG_KEYS:
+        if key not in SIMULATE_KEYS:
             raise DomainError(f"{path}:{ln}: unknown key {key!r}")
         cfg[key] = val.strip()
     return cfg
 
 
 def cmd_simulate(args) -> int:
-    cfg = _read_config(pathlib.Path(args.config))
+    text = _read_config(pathlib.Path(args.config))
     # flags override file values
     if args.t_end is not None:
-        cfg["t_end"] = repr(args.t_end)
+        text["t_end"] = repr(args.t_end)
     if args.checkpoints is not None:
-        cfg["checkpoints"] = args.checkpoints
-    if "roots" not in cfg or "t_end" not in cfg:
+        text["checkpoints"] = args.checkpoints
+    if "roots" not in text or "t_end" not in text:
         raise DomainError("config must define at least 'roots' and 't_end'")
-    roots = _parse_roots(cfg["roots"])
-    config = WaveTrainConfig(
-        roots=roots,
-        g=float(cfg.get("g", "9.81")),
-        sign_m=int(cfg.get("sign_m", "-1")),
-        n_waves=int(cfg.get("n_waves", "5")),
-        amplitude=float(cfg.get("amplitude", "0")),
-        cells_per_wavelength=int(cfg.get("cells_per_wavelength", "400")),
-    )
-    t_end = float(cfg["t_end"])
-    checkpoints = None
-    if cfg.get("checkpoints"):
-        checkpoints = [float(v) for v in cfg["checkpoints"].replace(";", ",").split(",")]
-    result = run_experiment(
-        config,
-        t_end,
-        output_times=checkpoints,
-        out_dir=args.out_dir,
-        cfl=float(cfg.get("cfl", "0.45")),
-        limiter=cfg.get("limiter", "mc"),
-    )
+    kw = {key: parse(text[key]) for key, parse in SIMULATE_KEYS.items() if key in text}
+    train = {f.name for f in dataclasses.fields(WaveTrainConfig)}
+    config = WaveTrainConfig(**{key: kw.pop(key) for key in train & kw.keys()})
+    if "checkpoints" in kw:
+        kw["output_times"] = kw.pop("checkpoints")
+    result = run_experiment(config, out_dir=args.out_dir, **kw)
     print(f"simulated {result.n_steps} steps to t = {_fmt(result.checkpoints[-1][0])}")
     print(f"depth envelope: [{_fmt(result.h_min)}, {_fmt(result.h_max)}]")
     print(f"artifacts in {args.out_dir}")
@@ -239,19 +230,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cnoidal SGN waves: profiles, modulation eigenvalues, scans, simulations",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    physics = argparse.ArgumentParser(add_help=False)
+    physics.add_argument("--g", type=float, default=9.81)
+    physics.add_argument("--sign", type=int, choices=(-1, 1), default=-1)
+    one_wave = argparse.ArgumentParser(add_help=False)
+    one_wave.add_argument("--roots", required=True, help="h0,h1,h2")
 
-    w = sub.add_parser("wave", help="construct one periodic wave, write its profile")
-    w.add_argument("--roots", required=True, help="h0,h1,h2")
-    w.add_argument("--g", type=float, default=9.81)
-    w.add_argument("--sign", type=int, choices=(-1, 1), default=-1)
+    w = sub.add_parser("wave", parents=[one_wave, physics],
+                       help="construct one periodic wave, write its profile")
     w.add_argument("--samples", type=int, default=512)
     w.add_argument("--out", default="wave_profile.csv")
     w.set_defaults(func=cmd_wave)
 
-    e = sub.add_parser("eigen", help="modulation eigenvalues for one wave")
-    e.add_argument("--roots", required=True, help="h0,h1,h2")
-    e.add_argument("--g", type=float, default=9.81)
-    e.add_argument("--sign", type=int, choices=(-1, 1), default=-1)
+    e = sub.add_parser("eigen", parents=[one_wave, physics],
+                       help="modulation eigenvalues for one wave")
     e.add_argument("--D", type=float, default=None, help="phase speed (default: U=0)")
     e.add_argument(
         "--galilean-U", type=float, default=None, dest="galilean_U",
@@ -259,11 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     e.set_defaults(func=cmd_eigen)
 
-    s = sub.add_parser("scan", help="hyperbolicity scan over the (s,tau) plane")
+    s = sub.add_parser("scan", parents=[physics], help="hyperbolicity scan over the (s,tau) plane")
     s.add_argument("--window", default="1,100,0,100", help="smin,smax,taumin,taumax")
     s.add_argument("--grid", type=int, default=50)
-    s.add_argument("--g", type=float, default=9.81)
-    s.add_argument("--sign", type=int, choices=(-1, 1), default=-1)
     s.add_argument("--out", default="scan.csv")
     s.set_defaults(func=cmd_scan)
 

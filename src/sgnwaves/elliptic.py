@@ -26,6 +26,9 @@ from .errors import DomainError, SingularConfigurationError
 
 __all__ = ["ellip_K", "ellip_E", "ellip_Pi", "ellip_derivatives"]
 
+# Relative half-width of the band around n = k^2 that ellip_derivatives rejects.
+SINGULAR_TOL = 1e-12
+
 
 def _require(ok, rule: str, name: str, value) -> None:
     """Raise DomainError unless `ok` holds for every element (a scalar skips the reduction)."""
@@ -78,9 +81,7 @@ def ellip_Pi(n, k):
     return float(out) if out.ndim == 0 else out
 
 
-def ellip_derivatives(
-    n: float, k: float, singular_tol: float = 1e-12
-) -> tuple[float, float, float, float]:
+def ellip_derivatives(n: float, k: float) -> tuple[float, float, float, float]:
     """Closed-form derivatives (dK/dk, dE/dk, dPi/dn, dPi/dk).
 
         dK/dk   = E / (k (1-k^2)) - K / k
@@ -90,7 +91,7 @@ def ellip_derivatives(
         dPi/dk  = k E / ((k^2-n)(1-k^2)) - k Pi / (k^2-n)
 
     The Pi derivatives divide by (k^2 - n); configurations with
-    |n - k^2| <= singular_tol * max(n, k^2) are rejected.  Callers that
+    |n - k^2| <= SINGULAR_TOL * max(n, k^2) are rejected.  Callers that
     need that regime must fall back to numerical differentiation of
     ellip_Pi.
 
@@ -98,14 +99,13 @@ def ellip_derivatives(
     ----------
     n : characteristic, 0 < n < 1
     k : modulus, 0 < k < 1 (open interval: the formulas divide by k and 1-k^2)
-    singular_tol : relative half-width of the rejected band around n = k^2
     """
     n = float(n)
     k = float(k)
     _require(0.0 < k < 1.0, "ellip_derivatives requires 0 < k < 1", "k", k)
     _require(0.0 < n < 1.0, "ellip_derivatives requires 0 < n < 1", "n", n)
     ksq = k * k
-    if abs(n - ksq) <= singular_tol * max(n, ksq):
+    if abs(n - ksq) <= SINGULAR_TOL * max(n, ksq):
         raise SingularConfigurationError(
             f"Pi derivatives are singular at n = k^2 (n={n}, k^2={ksq})"
         )

@@ -45,6 +45,7 @@ __all__ = [
     "QuasilinearSystem",
     "EigenClassification",
     "ScanResult",
+    "state_at_rest",
     "conserved_vector",
     "differential_coefficients",
     "assemble_AB",

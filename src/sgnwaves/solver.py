@@ -116,8 +116,8 @@ class WaveTrainConfig:
     """A periodic train of N identical cnoidal waves, optionally perturbed."""
 
     roots: RootTriple
-    g: float
-    sign_m: int
+    g: float = 9.81
+    sign_m: int = -1
     n_waves: int = 5
     amplitude: float = 0.0        # relative height perturbation a
     cells_per_wavelength: int = 400
@@ -361,6 +361,11 @@ def _step_arrays(h, q, dx, g, cfl, limiter, dt_max=None):
 def _step_cells(h, q, dx, g, cfl, limiter, dt_max):
     u = q / h
     dt = cfl * dx / float(np.max(np.abs(u) + np.sqrt(g * h)))
+    if not dt > 0.0:    # NaN or 0: name a non-finite cell before a substep spreads it
+        bad = ~(np.isfinite(h) & np.isfinite(q))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise EllipticSolveError(f"non-finite state at cell {i}: h = {h[i]}, q = {q[i]}")
     if dt_max is not None and dt > dt_max:
         dt = dt_max
     U = _hydro_step(np.array((h, q)), dx, 0.5 * dt, g, limiter)

@@ -50,6 +50,8 @@ __all__ = [
 # Triples closer to the soliton (h1->h0) or zero-amplitude (h1->h2) limit
 # than this are rejected: the periodic construction degenerates there.
 DEGENERACY_TOL = 1e-10
+# average() stops doubling its nodes once the average settles to this relative tolerance.
+AVERAGE_RTOL = 1e-12
 
 
 def _sqrt(x):
@@ -253,17 +255,17 @@ def _gauss_nodes(n: int):
     return 0.25 * np.pi * (x + 1.0), 0.25 * np.pi * w
 
 
-def average(f: Callable, roots: RootTriple, rtol: float = 1e-12) -> float:
+def average(f: Callable, roots: RootTriple) -> float:
     """Period average of f(h): (integral f/sqrt(P3)) / (integral 1/sqrt(P3)).
 
     P3(h) = (h-h0)(h-h1)(h2-h) has inverse-square-root singularities at
     both endpoints of [h1, h2].  The substitution h = h1 + (h2-h1) sin^2(phi)
     absorbs them: both integrals become smooth integrals over [0, pi/2]
     with weight 1/sqrt(h(phi) - h0), evaluated by Gauss-Legendre quadrature
-    doubled from 64 nodes until the average changes by less than rtol
-    relative to the mean magnitude of f (not of the average itself, which
-    can be exactly zero by cancellation, e.g. the momentum of a wave in
-    its zero-mean frame).
+    doubled from 64 nodes until the average changes by less than
+    AVERAGE_RTOL relative to the mean magnitude of f (not of the average
+    itself, which can be exactly zero by cancellation, e.g. the momentum
+    of a wave in its zero-mean frame).
 
     f must accept a numpy array of depths.
     """
@@ -278,10 +280,10 @@ def average(f: Callable, roots: RootTriple, rtol: float = 1e-12) -> float:
         wsum = float(np.sum(weight))
         val = float(np.dot(fv, weight) / wsum)
         scale = float(np.dot(np.abs(fv), weight) / wsum)
-        if prev is not None and abs(val - prev) <= rtol * max(1e-300, scale):
+        if prev is not None and abs(val - prev) <= AVERAGE_RTOL * max(1e-300, scale):
             return val
         prev = val
         n *= 2
     raise QuadratureError(
-        f"period average did not converge to rtol={rtol} within 4096 nodes"
+        f"period average did not converge to rtol={AVERAGE_RTOL} within 4096 nodes"
     )

@@ -15,3 +15,11 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_package_reexports_each_module_all_once():
+    # the package keeps no name list of its own: its __all__ is its modules'
+    modules = ("elliptic", "waves", "modulation", "solver")
+    expected = [n for m in modules for n in importlib.import_module(f"sgnwaves.{m}").__all__]
+    assert sgnwaves.__all__ == expected + ["errors"]
+    assert len(set(sgnwaves.__all__)) == len(sgnwaves.__all__)

@@ -6,12 +6,15 @@ repr(), so a parse -> re-serialize pass must reproduce them byte for
 byte; that round trip is asserted here for each artifact kind.
 """
 
+import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from conftest import reemit_csv
+from sgnwaves import WaveTrainConfig, run_experiment
 from sgnwaves.cli import main
 
 BASE_ARGS = ["--roots", "1,1.5,2", "--g", "10"]
@@ -155,6 +158,13 @@ def test_scan_rejects_empty_window(capsys, tmp_path):
     assert "invalid input" in err
 
 
+def test_scan_rejects_a_window_of_three_numbers(capsys, tmp_path):
+    code, _, err = run(capsys, ["scan", "--window", "1,2,3", "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert "--window needs smin,smax,taumin,taumax, got '1,2,3'" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_scan_rejects_nonfinite_window(capsys, tmp_path):
     code, _, err = run(capsys, ["scan", "--window", "1,inf,0,1",
                                 "--out", str(tmp_path / "s.csv")])
@@ -220,6 +230,22 @@ def test_simulate_flag_overrides(capsys, tmp_path):
     manifest = (out_dir / "manifest.txt").read_text()
     assert "t_final = 0.25" in manifest
     assert "checkpoint_times = 0.1;0.25" in manifest
+
+
+def test_simulate_unset_keys_take_the_library_defaults(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("roots = 1,1.5,2\nt_end = 1e-4\n")
+    out_dir = tmp_path / "out"
+    code, _, _ = run(capsys, ["simulate", "--config", str(cfg), "--out-dir", str(out_dir)])
+    assert code == 0
+    rows = (out_dir / "manifest.txt").read_text().splitlines()
+    manifest = dict(row.split(" = ", 1) for row in rows)
+    train = {f.name: f.default for f in dataclasses.fields(WaveTrainConfig) if f.name != "roots"}
+    run_params = inspect.signature(run_experiment).parameters
+    expected = {**train, "cfl": run_params["cfl"].default, "limiter": run_params["limiter"].default}
+    assert {key: manifest[key] for key in expected} == {
+        key: value if isinstance(value, str) else repr(value) for key, value in expected.items()
+    }
 
 
 def test_simulate_missing_config(capsys, tmp_path):

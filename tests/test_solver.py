@@ -297,8 +297,18 @@ def test_positivity_error_names_the_first_cell(monkeypatch):
 def test_nonfinite_depth_is_an_elliptic_solve_error():
     h = np.full(64, 1.0)
     h[17] = np.nan
-    with pytest.raises(EllipticSolveError):
+    with pytest.raises(EllipticSolveError, match=r"cell 17"):
         _step_arrays(h, np.zeros(64), 0.05, G, 0.45, "mc")
+
+
+@pytest.mark.parametrize("field, value", [("h", np.inf), ("q", np.nan), ("q", -np.inf)])
+def test_nonfinite_state_names_its_first_cell(field, value):
+    # NaN makes dt NaN and inf makes it 0; either way no substep may run
+    state = {"h": np.ones(64), "q": np.zeros(64)}
+    state[field][40] = value
+    h, q = (repr(float(state[k][40])) for k in "hq")
+    with pytest.raises(EllipticSolveError, match=rf"non-finite state at cell 40: h = {h}, q = {q}$"):
+        _step_arrays(state["h"], state["q"], 0.05, G, 0.45, "mc")
 
 
 def test_nonfinite_diagonal_names_its_first_cell():
