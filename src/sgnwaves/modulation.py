@@ -36,6 +36,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .csvio import write_csv
+from .elliptic import _require
 from .errors import DegeneratePencilError
 from .waves import RootTriple, averaged_h, averaged_hinv, constants_from_roots, valid_roots, wavelength
 
@@ -70,8 +71,11 @@ _INVALID_ROOTS, _DEGENERATE_PENCIL = 1, 2
 class ModulationState:
     """Phase speed plus root triple: floats for one state, equal-shape arrays for a batch.
 
-    `roots` is the validated RootTriple of (h0, h1, h2), built once per state,
-    so every call on the state shares its cached K, E, Pi.
+    `roots` is the validated RootTriple of (h0, h1, h2), so every call on
+    the state shares its cached K, E, Pi.  A triple handed in is kept when
+    it holds these very h0, h1, h2 objects, as it does from state_at_rest
+    and from dataclasses.replace of D, g or sign_m; otherwise the state
+    builds and validates its own.
     """
 
     D: float
@@ -80,10 +84,13 @@ class ModulationState:
     h2: float
     g: float = 9.81
     sign_m: int = -1
-    roots: RootTriple = field(init=False, repr=False, compare=False)
+    roots: RootTriple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "roots", RootTriple(self.h0, self.h1, self.h2))
+        _require(np.isfinite(self.D), "phase speed D must be finite", "D", self.D)
+        r = self.roots
+        if not (isinstance(r, RootTriple) and r.h0 is self.h0 and r.h1 is self.h1 and r.h2 is self.h2):
+            object.__setattr__(self, "roots", RootTriple(self.h0, self.h1, self.h2))
 
     @property
     def U(self) -> float:
@@ -102,9 +109,7 @@ def state_at_rest(
     """
     c = constants_from_roots(roots, g, sign_m)
     D = -c.m / averaged_h(roots)
-    state = ModulationState(D=D, h0=roots.h0, h1=roots.h1, h2=roots.h2, g=g, sign_m=sign_m)
-    object.__setattr__(state, "roots", roots)
-    return state
+    return ModulationState(D=D, h0=roots.h0, h1=roots.h1, h2=roots.h2, g=g, sign_m=sign_m, roots=roots)
 
 
 @dataclass(frozen=True)
@@ -166,6 +171,9 @@ def conserved_vector(state: ModulationState):
     return densities, fluxes
 
 
+_TWO_OVER_SQRT3 = 2.0 / np.sqrt(3.0)
+
+
 def differential_coefficients(roots: RootTriple) -> DifferentialCoefficients:
     """Closed-form gradients Phi^i, Psi^i, Lambda^i of h_bar, hinv_bar, L.
 
@@ -195,7 +203,7 @@ def differential_coefficients(roots: RootTriple) -> DifferentialCoefficients:
     )
     sI3 = np.sqrt(roots.vieta[2])
     s20 = np.sqrt(d20)
-    pre = 2.0 / np.sqrt(3.0)
+    pre = _TWO_OVER_SQRT3
     Lambda = (
         pre * (sI3 / (d10 * s20) * E + h1 * h2 / (s20 * sI3) * K),
         pre * (-s20 * sI3 / (d21 * d10) * E + h0 * h2 * h2 / (d21 * s20 * sI3) * K),
@@ -206,18 +214,28 @@ def differential_coefficients(roots: RootTriple) -> DifferentialCoefficients:
 
 # Column subsets for det(B - lam A): picking S columns from -A and the rest
 # from B contributes det * lam^|S|; summing over all 16 subsets gives the
-# exact polynomial coefficients.  _PICK broadcasts each subset over the rows.
-_SUBSETS = list(itertools.product((False, True), repeat=4))
-_PICK = np.array(_SUBSETS)[:, None, :]
-_SUBSET_SIZES = [sum(s) for s in _SUBSETS]
+# exact polynomial coefficients.  Coefficient d sums its subsets of size d
+# in itertools.product order, starting from +0.0.  The stack holds them
+# round by round: round j is the j-th subset of every degree that has one,
+# degrees ascending, so each round adds one contiguous run of determinants
+# to one contiguous run of coefficients.  _PICK broadcasts each subset over
+# the rows.
+_BY_DEGREE = [[s for s in itertools.product((False, True), repeat=4) if sum(s) == d]
+              for d in range(5)]
+_ROUNDS = [[d for d in range(5) if j < len(_BY_DEGREE[d])] for j in range(6)]  # degrees per round
+_PICK = np.array([_BY_DEGREE[d][j] for j, degrees in enumerate(_ROUNDS) for d in degrees])[:, None, :]
+# (coefficient slice, determinant slice) of rounds 1..5: (1:4, 5:8) ... (2:3, 15:16)
+_ROUND_ADDS = [(slice(degrees[0], degrees[-1] + 1), slice(start, start + len(degrees)))
+               for degrees, start in zip(_ROUNDS[1:], itertools.accumulate(map(len, _ROUNDS)))]
 
 
 def _pencil_charpoly(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     dets = np.linalg.det(np.where(_PICK, -A[..., None, :, :], B[..., None, :, :]))
-    c = np.zeros(dets.shape[:-1] + (5,))
-    # a fixed summation order keeps one state bitwise equal to its batch
-    for idx, size in enumerate(_SUBSET_SIZES):
-        c[..., size] += dets[..., idx]
+    # round 0 added to +0.0, then rounds 1..5: each coefficient sums in the
+    # same fixed order for one state and for a batch, so their bits agree
+    c = dets[..., :5] + 0.0
+    for coefficients, determinants in _ROUND_ADDS:
+        c[..., coefficients] += dets[..., determinants]
     return c
 
 
@@ -241,8 +259,7 @@ def assemble_AB(state: ModulationState) -> QuasilinearSystem:
     prod_other = (hs[1] * hs[2], hs[0] * hs[2], hs[0] * hs[1])
     sum_other = (hs[1] + hs[2], hs[0] + hs[2], hs[0] + hs[1])
 
-    A = np.zeros(np.shape(hb) + (4, 4))
-    B = np.zeros_like(A)
+    A, B = np.zeros((2,) + np.shape(hb) + (4, 4))
     A[..., 2, 0] = hb
     A[..., 3, 0] = hb * D + m
     B[..., 0, 0] = -L
@@ -269,6 +286,9 @@ def assemble_AB(state: ModulationState) -> QuasilinearSystem:
     return QuasilinearSystem(A=A, B=B, charpoly=_pencil_charpoly(A, B))
 
 
+_POWERS = np.array([1.0, 2.0, 3.0, 4.0])  # d/dx c_k x^k = k c_k x^(k-1), k = 1..4
+
+
 def resultant_quartic(charpoly):
     """Res(p, p') of a quartic via the 7x7 Sylvester determinant.
 
@@ -279,11 +299,11 @@ def resultant_quartic(charpoly):
     gives a float, shape (..., 5) an array of resultants.
     """
     c = np.asarray(charpoly, dtype=float)
-    if c.shape[-1:] != (5,) or (c[..., 4] == 0.0).any():
+    if c.shape[-1:] != (5,) or (c[..., 4:] == 0.0).any():
         raise DegeneratePencilError("resultant_quartic needs a degree-4 polynomial")
     c = c / c[..., 4:]
-    p = c[..., ::-1]                                 # monic, descending: 1, c3, c2, c1, c0
-    dp = (c[..., 1:] * (1.0, 2.0, 3.0, 4.0))[..., ::-1]  # 4, 3 c3, 2 c2, c1
+    p = c[..., ::-1]                          # monic, descending: 1, c3, c2, c1, c0
+    dp = (c[..., 1:] * _POWERS)[..., ::-1]    # 4, 3 c3, 2 c2, c1
     S = np.zeros(c.shape[:-1] + (7, 7))
     for i in range(3):
         S[..., i, i:i + 5] = p
@@ -318,7 +338,8 @@ def characteristic_eigenvalues(sys: QuasilinearSystem) -> EigenClassification:
     comp = np.empty(c.shape[:-1] + (4, 4))
     comp[...] = _SUBDIAGONAL
     comp[..., 0, :] = -c[..., 3::-1] / c[..., 4:]
-    lam = np.sort(np.asarray(np.linalg.eigvals(comp), dtype=complex), axis=-1)
+    lam = np.asarray(np.linalg.eigvals(comp), dtype=complex)
+    lam.sort(axis=-1)
     re, im = lam.real, lam.imag
     all_real = (np.abs(im) <= REAL_TOL * np.maximum(1.0, np.abs(re))).all(axis=-1)
     gaps = np.abs(lam[..., _PAIRS[0]] - lam[..., _PAIRS[1]])

@@ -91,8 +91,8 @@ class SGNField:
             raise ValueError("h and q must be 1D arrays of equal length")
         if self.h.size < 2:
             raise ValueError(f"a periodic field needs at least 2 cells, got {self.h.size}")
-        if self.dx <= 0.0 or self.g <= 0.0:
-            raise ValueError("dx and g must be positive")
+        if not (0.0 < self.dx < np.inf and 0.0 < self.g < np.inf):
+            raise ValueError(f"dx and g must be finite and positive, got dx={self.dx}, g={self.g}")
         if not (np.all(np.isfinite(self.h)) and np.all(np.isfinite(self.q))):
             raise ValueError("h and q must be finite everywhere")
         if not np.all(self.h > 0.0):

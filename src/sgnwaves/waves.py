@@ -135,8 +135,8 @@ class CnoidalWave:
 
 def constants_from_roots(roots: RootTriple, g: float, sign_m: int) -> WaveConstants:
     """Derive (m, i, eps, I1, I2, I3) from the roots via Vieta's formulas."""
-    if g <= 0.0:
-        raise InvalidRootsError(f"gravity must be positive, got g={g}")
+    if not 0.0 < g < math.inf:
+        raise InvalidRootsError(f"gravity must be finite and positive, got g={g}")
     if sign_m not in (-1, 1):
         raise InvalidRootsError(f"sign_m must be -1 or +1, got {sign_m}")
     I1, I2, I3 = roots.vieta
@@ -248,10 +248,36 @@ def velocity_from_depth(h, constants: WaveConstants, D: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _legendre(n: int, x: np.ndarray):
+    """P_n(x) and P_n'(x) by the three-term recurrence, elementwise."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+
+
+def _gauss_legendre(n: int):
+    """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1], n even.
+
+    Five Newton steps on P_n, from Tricomi's estimate, take the n/2 nodes
+    in (-1, 0) to rounding; the others are their mirror images.  This is
+    O(n^2), where the companion eigensolve of numpy's leggauss is O(n^3),
+    and its end weights are closer to the exact ones.
+    """
+    k = np.arange(1, n // 2 + 1)
+    x = -(1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    for _ in range(5):
+        p, dp = _legendre(n, x)
+        x = x - p / dp
+    _, dp = _legendre(n, x)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    return np.concatenate((x, -x[::-1])), np.concatenate((w, w[::-1]))
+
+
 @lru_cache(maxsize=16)
 def _gauss_nodes(n: int):
     # nodes/weights for [0, pi/2]
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _gauss_legendre(n)
     return 0.25 * np.pi * (x + 1.0), 0.25 * np.pi * w
 
 

@@ -294,6 +294,31 @@ def test_simulate_requires_roots_and_t_end(capsys, tmp_path):
     assert code == 2
 
 
+# --- non-finite physics -----------------------------------------------------------
+
+@pytest.mark.filterwarnings("error")    # no numpy RuntimeWarning on the way to the error
+@pytest.mark.parametrize("argv,named", [
+    (["wave", "--roots", "1,1.5,2", "--g", "nan"], "got g=nan"),
+    (["eigen", "--roots", "1,1.5,2", "--g", "nan"], "got g=nan"),
+    (["eigen", *BASE_ARGS, "--D", "nan"], "got D=nan"),
+    (["eigen", *BASE_ARGS, "--galilean-U", "nan"], "got D=nan"),
+    (["simulate"], "got g=nan"),
+], ids=["wave-g", "eigen-g", "eigen-D", "eigen-galilean-U", "simulate-g"])
+def test_nonfinite_gravity_or_phase_speed_is_invalid_input(capsys, tmp_path, argv, named):
+    out = tmp_path / "out"
+    if argv[0] == "wave":
+        argv = [*argv, "--out", str(out)]
+    elif argv[0] == "simulate":
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG + "g = nan\n")
+        argv = [*argv, "--config", str(cfg), "--out-dir", str(out)]
+    code, stdout, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith("invalid input: ") and named in err
+    assert stdout == ""
+    assert not out.exists()
+
+
 # --- dispatcher ----------------------------------------------------------------
 
 def test_cli_requires_subcommand(capsys):

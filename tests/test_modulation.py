@@ -12,6 +12,8 @@ Oracles:
     eigenvalues must inherit from the underlying equations.
 """
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 import sgnwaves as sw
 from conftest import reemit_csv
-from sgnwaves.errors import DegeneratePencilError, InvalidRootsError
+from sgnwaves.errors import DegeneratePencilError, DomainError, InvalidRootsError
 
 BASE = sw.RootTriple(1.0, 1.5, 2.0)
 G = 10.0
@@ -84,6 +86,51 @@ def test_state_validation_and_mean_velocity():
         D=state.D + 2.0, h0=1.0, h1=1.5, h2=2.0, g=G, sign_m=-1
     )
     assert shifted.U == pytest.approx(2.0, abs=1e-13)
+
+
+def test_state_rejects_nonfinite_phase_speed():
+    for D in (math.nan, -math.inf):
+        with pytest.raises(DomainError, match=f"D must be finite, got D={D}"):
+            sw.ModulationState(D=D, h0=1.0, h1=1.5, h2=2.0, g=G)
+    h = np.ones(3)
+    with pytest.raises(DomainError, match="got D=inf"):
+        sw.ModulationState(D=np.array([0.5, math.inf, 1.0]), h0=h, h1=1.5 * h, h2=2.0 * h, g=G)
+
+
+def _counting(monkeypatch, module, names):
+    """Wrap each named function of `module`; return the dict of call counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(module, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_state_validates_and_integrates_its_root_triple_once(monkeypatch):
+    counts = _counting(monkeypatch, sw.waves, ("valid_roots", "ellip_K"))
+    roots = sw.RootTriple(1.0, 1.5, 2.0)
+    state = sw.state_at_rest(roots, G, -1)    # K for h_bar, no second validation
+    assert state.roots is roots
+    assert counts == {"valid_roots": 1, "ellip_K": 1}
+    for change in ({"D": state.D + 0.5}, {"g": 9.81}, {"sign_m": 1}):
+        moved = dataclasses.replace(state, **change)
+        assert moved.roots is roots
+        sw.assemble_AB(moved)
+    assert counts == {"valid_roots": 1, "ellip_K": 1}
+    # new depths get a triple of their own, validated at construction
+    fresh = dataclasses.replace(state, h1=1.6)
+    assert counts["valid_roots"] == 2
+    assert (fresh.roots.h0, fresh.roots.h1, fresh.roots.h2) == (1.0, 1.6, 2.0)
+    with pytest.raises(InvalidRootsError):
+        dataclasses.replace(state, h1=2.5)
+    # a triple that does not hold the state's own depths is not trusted
+    other = sw.ModulationState(D=0.0, h0=1.0, h1=1.5, h2=2.0, g=G, roots=sw.RootTriple(1.0, 1.4, 2.0))
+    assert other.roots.h1 == 1.5
+    counts["valid_roots"] = 0
+    sw.scan_region(1.0, 100.0, 0.0, 100.0, 50, G)
+    assert counts["valid_roots"] == 3    # one RootTriple per chunk of 1024 points
 
 
 def test_state_holds_one_root_triple():
@@ -251,6 +298,50 @@ def test_charpoly_matches_direct_determinant(label, state):
         poly = float(np.polyval(sys.charpoly[::-1], lam))
         assert poly == pytest.approx(direct, rel=1e-10, abs=1e-10 * scale)
     assert sys.charpoly[4] == pytest.approx(np.linalg.det(sys.A), rel=1e-12)
+
+
+def _ref_pencil_charpoly(A, B):
+    """The 16 subset determinants added to +0.0 one at a time, in itertools.product order."""
+    subsets = list(itertools.product((False, True), repeat=4))
+    pick = np.array(subsets)[:, None, :]
+    dets = np.linalg.det(np.where(pick, -A[..., None, :, :], B[..., None, :, :]))
+    c = np.zeros(dets.shape[:-1] + (5,))
+    for idx, subset in enumerate(subsets):
+        c[..., sum(subset)] += dets[..., idx]
+    return c
+
+
+def _bits(x):
+    # array_equal counts -0.0 equal to 0.0; the bit patterns do not
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+def test_pencil_charpoly_sums_like_the_loop_bitwise():
+    # the first scan chunk of the 50x50 window, (1.001, 0.001) corner included
+    s_values = np.linspace(1.0 + sw.modulation.SCAN_MARGIN, 100.0, 50)
+    tau_values = np.linspace(sw.modulation.SCAN_MARGIN, 100.0, 50)
+    s, tau = (a[:sw.modulation.SCAN_CHUNK] for a in sw.modulation._grid_points(s_values, tau_values))
+    assert (s[0], tau[0]) == (1.001, 0.001)
+    chunk = sw.assemble_AB(sw.state_at_rest(sw.RootTriple(np.ones_like(s), s, s + tau), G, -1))
+    assert np.array_equal(_bits(chunk.charpoly), _bits(_ref_pencil_charpoly(chunk.A, chunk.B)))
+    # single states in Galilean-shifted frames
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        si, ti = 1.01 + 98.99 * rng.random(), 0.01 + 99.99 * rng.random()
+        sign_m = int(rng.choice((-1, 1)))
+        rest = sw.state_at_rest(sw.RootTriple(1.0, si, si + ti), G, sign_m)
+        state = dataclasses.replace(rest, D=rest.D + rng.uniform(-5.0, 5.0))
+        one = sw.assemble_AB(state)
+        assert np.array_equal(_bits(one.charpoly), _bits(_ref_pencil_charpoly(one.A, one.B)))
+    # every subset determinant exactly zero: a singular pencil gives +0.0, and
+    # 1e-90 diagonals underflow to signed zeros, which the +0.0 start absorbs
+    zero_row = np.array([[1.0, 2.0, 3.0, 4.0], [0.0] * 4, [5.0, 6.0, 7.0, 8.0], [1.0, -1.0, 2.0, -2.0]])
+    tiny = 1e-90 * np.eye(4)
+    assert np.signbit(np.linalg.det(np.diag([-1e-90, 1e-90, 1e-90, 1e-90])))
+    for A, B in ((zero_row, -zero_row[:, ::-1]), (tiny, tiny)):
+        got, ref = sw.modulation._pencil_charpoly(A, B), _ref_pencil_charpoly(A, B)
+        assert not ref.any() and not np.signbit(ref).any()
+        assert np.array_equal(_bits(got), _bits(ref))
 
 
 # --- eigenvalues ---------------------------------------------------------------

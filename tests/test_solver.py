@@ -15,7 +15,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 import sgnwaves as sw
 from sgnwaves import solver
-from sgnwaves.errors import EllipticSolveError, PositivityError, StepBudgetError
+from sgnwaves.errors import EllipticSolveError, InvalidRootsError, PositivityError, StepBudgetError
 from sgnwaves.solver import (
     LIMITERS,
     _anchor_cell,
@@ -44,6 +44,10 @@ def test_field_validation():
         sw.SGNField(dx=0.1, g=G, h=np.ones(8), q=np.zeros(7))
     with pytest.raises(ValueError):
         sw.SGNField(dx=-0.1, g=G, h=np.ones(8), q=np.zeros(8))
+    for dx, g in ((np.nan, G), (np.inf, G), (0.1, np.nan), (0.1, np.inf), (0.1, 0.0)):
+        # NaN fails every comparison, so it must not slip past a <= 0 test
+        with pytest.raises(ValueError, match=f"finite and positive, got dx={dx}, g={g}"):
+            sw.SGNField(dx=dx, g=g, h=np.ones(8), q=np.zeros(8))
     with pytest.raises(PositivityError):
         sw.SGNField(dx=0.1, g=G, h=np.array([1.0, -0.5, 1.0]), q=np.zeros(3))
     with pytest.raises(ValueError, match="finite"):
@@ -74,6 +78,14 @@ def test_config_validation():
         base_config(amplitude=-0.1)
     with pytest.raises(ValueError):
         base_config(cells_per_wavelength=15)
+
+
+@pytest.mark.parametrize("g", [np.nan, np.inf])
+def test_nonfinite_gravity_is_rejected_before_any_output(tmp_path, g):
+    out = tmp_path / "out"
+    with pytest.raises(InvalidRootsError, match=f"got g={g}"):
+        sw.run_experiment(base_config(g=g), t_end=0.1, out_dir=out)
+    assert not out.exists()
 
 
 def test_step_validation():

@@ -75,8 +75,12 @@ def test_constants_from_roots():
     assert c.epsilon == pytest.approx(0.75, rel=1e-15)
     c_plus = sw.constants_from_roots(BASE, G, 1)
     assert c_plus.m == pytest.approx(math.sqrt(30.0), rel=1e-15)
-    with pytest.raises(InvalidRootsError):
-        sw.constants_from_roots(BASE, -9.81, -1)
+    for g in (-9.81, 0.0, math.nan, math.inf):
+        # NaN fails every comparison, so it must not slip past a g <= 0 test
+        with pytest.raises(InvalidRootsError, match=f"got g={g}"):
+            sw.constants_from_roots(BASE, g, -1)
+        with pytest.raises(InvalidRootsError, match=f"got g={g}"):
+            sw.build_wave(BASE, g, -1)
     with pytest.raises(InvalidRootsError):
         sw.constants_from_roots(BASE, G, 0)
 
@@ -275,3 +279,35 @@ def test_average_reports_nonconvergence():
     # satisfy the tolerance, which must surface as an error, not a hang
     with pytest.raises(QuadratureError):
         sw.average(lambda h: np.sin(1e8 * h), BASE)
+
+
+# Worst relative weight error of numpy's leggauss, which _gauss_legendre
+# replaced, on the nodes and against the oracle of the test below
+# (numpy 2.4; leggauss takes about 5 s at n = 4096, so it is not rerun).
+LEGGAUSS_WEIGHT_ERROR = {
+    64: 1.3e-12, 128: 1.4e-11, 256: 2.1e-11, 512: 1.1e-10,
+    1024: 1.2e-9, 2048: 6.3e-8, 4096: 4.6e-7,
+}
+
+
+@pytest.mark.parametrize("n", sorted(LEGGAUSS_WEIGHT_ERROR))
+def test_gauss_legendre_matches_mpmath(n):
+    # oracle: one 30-digit Newton step on mpmath's P_n from each float node,
+    # then w = 2 (1 - x^2) / (n P_{n-1}(x))^2; sampled at both ends and the middle
+    x, w = sw.waves._gauss_legendre(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0.0) and x[0] > -1.0 and x[-1] < 1.0
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert float(np.sum(w)) == pytest.approx(2.0, abs=1e-14)
+    node_err = weight_err = 0.0
+    with mpmath.workdps(30):
+        for i in (0, 1, n // 2 - 1, n // 2, n - 2, n - 1):
+            xm = mpmath.mpf(float(x[i]))
+            pn, pm = mpmath.legendre(n, xm), mpmath.legendre(n - 1, xm)
+            xm -= pn * (1 - xm * xm) / (n * (pm - xm * pn))
+            pm = mpmath.legendre(n - 1, xm)
+            wm = 2 * (1 - xm * xm) / (n * n * pm * pm)
+            node_err = max(node_err, abs(float(x[i] - xm)))
+            weight_err = max(weight_err, abs(float((w[i] - wm) / wm)))
+    assert node_err <= 2.0 ** -53    # rounding: leggauss's nodes are off by as much
+    assert weight_err < LEGGAUSS_WEIGHT_ERROR[n]
