@@ -411,7 +411,8 @@ def scan_region(
 
     Each grid point builds the wave with roots (1, s, s+tau) in the U = 0
     frame (D = -m/h_bar).  The s = 1 and tau = 0 edges are degenerate
-    waves, so the grid is clamped away from them by SCAN_MARGIN.  Points
+    waves, so the grid is clamped away from them by SCAN_MARGIN, and a
+    window that lies wholly inside the margin is rejected.  Points
     go through state_at_rest, assemble_AB and characteristic_eigenvalues
     as arrays of up to SCAN_CHUNK points.  Invalid roots and degenerate
     pencils become reason codes; any exception propagates.
@@ -419,10 +420,14 @@ def scan_region(
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     window = (s_min, s_max, tau_min, tau_max)
-    if not (np.isfinite(window).all() and s_min < s_max and tau_min < tau_max):
-        raise ValueError(f"scan window must be finite and non-empty, got {window}")
-    s_values = np.linspace(max(s_min, 1.0 + SCAN_MARGIN), s_max, grid_n)
-    tau_values = np.linspace(max(tau_min, SCAN_MARGIN), tau_max, grid_n)
+    s_lo, tau_lo = max(s_min, 1.0 + SCAN_MARGIN), max(tau_min, SCAN_MARGIN)
+    if not (np.isfinite(window).all() and s_lo < s_max and tau_lo < tau_max):
+        raise ValueError(
+            f"scan window must be finite and non-empty after its lower bounds are clamped "
+            f"to s >= 1 + SCAN_MARGIN and tau >= SCAN_MARGIN = {SCAN_MARGIN}, got {window}"
+        )
+    s_values = np.linspace(s_lo, s_max, grid_n)
+    tau_values = np.linspace(tau_lo, tau_max, grid_n)
     s, tau = _grid_points(s_values, tau_values)
     h0, h2, n = np.ones_like(s), s + tau, s.size
     out = EigenClassification(np.full((n, 4), complex(np.nan, np.nan)), np.zeros(n, dtype=bool),

@@ -46,6 +46,7 @@ of the full-length step.  Other data pays one max and one compare.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,6 +60,7 @@ from .waves import (
     build_wave,
     oscillation_rhs,
     profile,
+    velocity_from_depth,
 )
 
 __all__ = [
@@ -123,6 +125,11 @@ class WaveTrainConfig:
     cells_per_wavelength: int = 400
 
     def __post_init__(self):
+        # a fractional size would leave a jump at the periodic wrap or a grid
+        # longer than the train; numpy integers are Integral too
+        for name in ("n_waves", "cells_per_wavelength"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be a whole number, got {getattr(self, name)!r}")
         if self.n_waves < 1:
             raise ValueError(f"n_waves must be >= 1, got {self.n_waves}")
         if not 0.0 <= self.amplitude < 1.0:
@@ -145,11 +152,8 @@ def init_wavetrain(config: WaveTrainConfig) -> SGNField:
     n = config.n_waves * config.cells_per_wavelength
     dx = L1 / n
     x = (np.arange(n) + 0.5) * dx
-    h = profile(wave, x)
-    if config.amplitude != 0.0:
-        h = h * (1.0 + config.amplitude * np.cos(2.0 * np.pi * x / L1))
-    u = wave.constants.m / h + wave.D
-    return SGNField(dx=dx, g=config.g, h=h, q=h * u, t=0.0)
+    h = profile(wave, x) * (1.0 + config.amplitude * np.cos(2.0 * np.pi * x / L1))
+    return SGNField(dx=dx, g=config.g, h=h, q=h * velocity_from_depth(h, wave.constants, wave.D))
 
 
 # --- periodic neighbours -------------------------------------------------
@@ -252,6 +256,12 @@ def _anchor_cell(key: np.ndarray) -> int:
     return int(np.argmax(rank))
 
 
+def _require_positive(h) -> None:
+    if not np.all(h > 0.0):
+        i = int(np.argmin(h > 0.0))    # first cell that is not positive
+        raise PositivityError(f"depth lost positivity at cell {i} (h = {float(h[i])!r})")
+
+
 def _pressure_operator(h, dx, g):
     """Build, anchor and factor the operator -(p'/h)' + 3 p/h^3 of one frozen h.
 
@@ -283,6 +293,7 @@ def _pressure_operator(h, dx, g):
     d[-1] += corner * corner / d0
     d, e, info = dpttrf(d, off[:-1])
     if info != 0:
+        _require_positive(h)    # the operator is SPD wherever h > 0: name a dry cell first
         raise EllipticSolveError(f"dispersive operator is not positive definite (info {info})")
     w = np.zeros_like(d)
     w[[0, -1]] = -d0, corner
@@ -371,9 +382,7 @@ def _step_cells(h, q, dx, g, cfl, limiter, dt_max):
     U = _hydro_step(np.array((h, q)), dx, 0.5 * dt, g, limiter)
     U[1] = _dispersive_step(U[0], U[1], dx, dt, g)
     h, q = _hydro_step(U, dx, 0.5 * dt, g, limiter)
-    if not np.all(h > 0.0):
-        i = int(np.argmin(h > 0.0))    # first cell that is not positive
-        raise PositivityError(f"depth lost positivity at cell {i} (h = {float(h[i])!r})")
+    _require_positive(h)
     return h, q, dt
 
 

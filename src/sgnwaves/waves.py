@@ -169,31 +169,23 @@ def jacobi_cn(u, k: float):
 
     In floating point c_i stalls around half an ulp of a_i, so the descent
     stops at c_i <= 2.5e-16 a_i (with a hard cap) rather than at zero.
+    Below k of about 1e-8, 1 - k^2 rounds to 1: the descent stops after one
+    level with c_1 = 0, and the recurrence returns cos(u) exactly.
     """
     u = np.asarray(u, dtype=float)
     k = float(k)
     if not 0.0 <= k < 1.0:
         raise InvalidRootsError(f"jacobi_cn requires 0 <= k < 1, got k={k}")
-    if k < 1e-12:
-        out = np.cos(u)
-        return float(out) if out.ndim == 0 else out
-    a_seq = [1.0]
-    c_seq = [k]
-    a = 1.0
-    b = math.sqrt(1.0 - k * k)
+    a, b = 1.0, math.sqrt(1.0 - k * k)
+    ratios = []    # c_i / a_i for i = 1 .. N
     for _ in range(64):
-        a_next = 0.5 * (a + b)
-        c_next = 0.5 * (a - b)
-        b = math.sqrt(a * b)
-        a = a_next
-        a_seq.append(a)
-        c_seq.append(c_next)
-        if abs(c_next) <= 2.5e-16 * a:
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        ratios.append(c / a)
+        if abs(c) <= 2.5e-16 * a:
             break
-    N = len(a_seq) - 1
-    phi = (2.0 ** N) * a_seq[N] * u
-    for i in range(N, 0, -1):
-        s = np.clip(c_seq[i] / a_seq[i] * np.sin(phi), -1.0, 1.0)
+    phi = (2.0 ** len(ratios)) * a * u
+    for r in reversed(ratios):
+        s = np.clip(r * np.sin(phi), -1.0, 1.0)
         phi = 0.5 * (phi + np.arcsin(s))
     out = np.cos(phi)
     return float(out) if out.ndim == 0 else out

@@ -118,6 +118,20 @@ def test_eigen_depth_scaling_doubles_spectrum(capsys):
     )) <= 1e-8
 
 
+def test_eigen_exits_3_on_a_degenerate_pencil(capsys, monkeypatch):
+    from sgnwaves import cli
+    from sgnwaves.errors import DegeneratePencilError
+
+    def degenerate(system):
+        raise DegeneratePencilError("leading charpoly coefficient is negligible")
+
+    monkeypatch.setattr(cli, "characteristic_eigenvalues", degenerate)
+    code, stdout, err = run(capsys, ["eigen", *BASE_ARGS])
+    assert code == 3
+    assert err == "numerical degeneracy: leading charpoly coefficient is negligible\n"
+    assert stdout == ""
+
+
 def test_eigen_rejects_conflicting_frames(capsys):
     code, _, err = run(capsys, ["eigen", *BASE_ARGS, "--D", "1.0",
                                 "--galilean-U", "0.0"])
@@ -170,6 +184,17 @@ def test_scan_rejects_nonfinite_window(capsys, tmp_path):
                                 "--out", str(tmp_path / "s.csv")])
     assert code == 2
     assert "finite" in err
+
+
+def test_scan_rejects_a_window_inside_the_margin(capsys, tmp_path):
+    # both ranges lie below the SCAN_MARGIN clamp, which would put every grid
+    # point outside the window, in descending order
+    out = tmp_path / "s.csv"
+    code, _, err = run(capsys, ["scan", "--window", "1,1.0005,0,0.0005", "--grid", "3",
+                                "--out", str(out)])
+    assert code == 2
+    assert err.startswith("invalid input: ") and "SCAN_MARGIN" in err
+    assert not out.exists()
 
 
 def test_scan_reports_failed_points(capsys, tmp_path):
@@ -261,6 +286,14 @@ def test_simulate_rejects_unknown_key(capsys, tmp_path):
     code, _, err = run(capsys, ["simulate", "--config", str(cfg)])
     assert code == 2
     assert "bogus" in err
+
+
+def test_simulate_rejects_a_line_without_equals(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# no separator on line 2\nroots 1,1.5,2\nt_end = 0.5\n")
+    code, _, err = run(capsys, ["simulate", "--config", str(cfg)])
+    assert code == 2
+    assert f"{cfg}:2: expected 'key = value', got 'roots 1,1.5,2'" in err
 
 
 @pytest.mark.parametrize("line", ["cfl = 0", "t_end = nan", "checkpoints = 0.6"])

@@ -8,6 +8,8 @@ Oracles:
     for the pencil polynomial;
   * the product formula Res(p, p') = prod p'(r_i) over the roots, and
     hand-factored quartics, for the resultant;
+  * 60-digit mpmath eigenvalues of A^-1 B, from the same float64 A and B,
+    for the charpoly and root layer at points of the 50x50 scan grid;
   * exact symmetries (Galilean shift, depth scaling, sign flip) that the
     eigenvalues must inherit from the underlying equations.
 """
@@ -16,6 +18,7 @@ import dataclasses
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 import sgnwaves as sw
 from conftest import reemit_csv
 from sgnwaves.errors import DegeneratePencilError, DomainError, InvalidRootsError
+from sgnwaves.modulation import SCAN_MARGIN
 
 BASE = sw.RootTriple(1.0, 1.5, 2.0)
 G = 10.0
@@ -453,6 +457,41 @@ def test_scan_clamps_degenerate_edges():
     for window in ((1.0, math.inf, 0.0, 5.0), (1.0, 5.0, math.nan, 5.0)):
         with pytest.raises(ValueError, match="finite"):
             sw.scan_region(*window, 4, g=G)
+
+
+@pytest.mark.parametrize("window", [
+    (1.0, 1.0005, 0.0, 0.0005), (1.0, 1.0005, 0.0, 5.0), (1.0, 5.0, 0.0, SCAN_MARGIN),
+])
+def test_scan_rejects_a_window_inside_the_margin(window):
+    # clamping the lower bounds would leave no window: grid points outside
+    # it, in descending order, or one repeated tau
+    with pytest.raises(ValueError, match="SCAN_MARGIN"):
+        sw.scan_region(*window, 3, g=G)
+
+
+# Points (i, j) of the 50x50 scan grid over (1, 100) x (0, 100), and a
+# ceiling on each one's eigenvalue error relative to max |lambda|: twice
+# the error of the charpoly and companion-matrix roots at the time of
+# writing.  The near-degenerate corner loses the most.
+S50 = np.linspace(1.0 + SCAN_MARGIN, 100.0, 50)
+TAU50 = np.linspace(SCAN_MARGIN, 100.0, 50)
+ORACLE_CEILINGS = {
+    (0, 0): 2.7e-7, (1, 0): 1.1e-9, (24, 0): 1.3e-10, (41, 0): 5.3e-10,
+    (0, 24): 1.4e-12, (24, 24): 2.1e-15,
+}
+
+
+@pytest.mark.parametrize("ij", ORACLE_CEILINGS, ids=lambda ij: f"s{ij[0]}-tau{ij[1]}")
+def test_scan_eigenvalues_match_a_60_digit_oracle(ij):
+    s, tau = S50[ij[0]], TAU50[ij[1]]
+    system = sw.assemble_AB(sw.state_at_rest(sw.RootTriple(1.0, s, s + tau), G))
+    lam = np.sort(sw.characteristic_eigenvalues(system).roots.real)
+    with mpmath.workdps(60):
+        A, B = (mpmath.matrix(M.tolist()) for M in (system.A, system.B))
+        ev = mpmath.eig(A ** -1 * B, left=False, right=False)
+        assert max(abs(mpmath.im(e)) for e in ev) < 1e-40
+        ref = np.sort([float(mpmath.re(e)) for e in ev])
+    assert np.max(np.abs(lam - ref)) <= ORACLE_CEILINGS[ij] * np.max(np.abs(ref))
 
 
 def test_scan_points_equal_single_state_bitwise():

@@ -80,6 +80,16 @@ def test_config_validation():
         base_config(cells_per_wavelength=15)
 
 
+@pytest.mark.parametrize("size, value", [("n_waves", 2.5), ("cells_per_wavelength", 400.5)])
+def test_config_sizes_are_whole_numbers(size, value):
+    # 2.5 waves leave a jump at the periodic wrap; 400.5 cells per wave give
+    # a grid longer than the train
+    with pytest.raises(ValueError, match=f"{size} must be a whole number, got {value}"):
+        base_config(**{size: value})
+    cfg = base_config(**{size: np.int64(32)})
+    assert sw.init_wavetrain(cfg).n_cells == cfg.n_waves * cfg.cells_per_wavelength
+
+
 @pytest.mark.parametrize("g", [np.nan, np.inf])
 def test_nonfinite_gravity_is_rejected_before_any_output(tmp_path, g):
     out = tmp_path / "out"
@@ -304,6 +314,33 @@ def test_positivity_error_names_the_first_cell(monkeypatch):
     h = 1.0 + 0.01 * np.random.default_rng(3).random(64)    # aperiodic: all 64 cells step
     with pytest.raises(PositivityError, match=r"at cell 9 \(h = -0\.25\)"):
         _step_arrays(h, np.zeros(64), 0.05, G, 0.45, "mc")
+
+
+def test_positivity_error_names_a_cell_dried_before_the_pressure_solve(monkeypatch):
+    # the opening hydrostatic half step (the first call) leaves two cells dry,
+    # so the factorization of the dispersive operator fails on them
+    hydro, calls = solver._hydro_step, []
+
+    def drying_hydro(*args):
+        U = hydro(*args)
+        calls.append(None)
+        if len(calls) == 1:
+            U = U.copy()
+            U[0, [9, 40]] = -0.25
+        return U
+
+    monkeypatch.setattr(solver, "_hydro_step", drying_hydro)
+    h = 1.0 + 0.01 * np.random.default_rng(3).random(64)    # aperiodic: all 64 cells step
+    with pytest.raises(PositivityError, match=r"at cell 9 \(h = -0\.25\)"):
+        _step_arrays(h, np.zeros(64), 0.05, G, 0.45, "mc")
+    assert len(calls) == 1
+
+
+def test_failed_factorization_at_positive_depth_is_an_elliptic_solve_error(monkeypatch):
+    monkeypatch.setattr(solver, "dpttrf", lambda d, e: (d, e, 3))
+    h = 1.0 + 0.01 * np.random.default_rng(3).random(64)
+    with pytest.raises(EllipticSolveError, match=r"not positive definite \(info 3\)"):
+        _pressure_operator(h, 0.05, G)
 
 
 def test_nonfinite_depth_is_an_elliptic_solve_error():

@@ -1,8 +1,10 @@
 """Tests for the periodic traveling-wave construction.
 
 Oracles:
-  * scipy.special.ellipj for the cn evaluation (independent algorithm;
-    note its parameter convention is m = k^2);
+  * mpmath ellipfun, which sums Jacobi theta series, for the cn
+    evaluation; scipy.special.ellipj runs the same AGM descent as
+    jacobi_cn, so it is a cross-check, not an independent oracle
+    (note its parameter convention is m = k^2);
   * mpmath quadrature of 2 * integral dh / sqrt(F3(h)) for the wavelength
     (tanh-sinh handles the inverse-square-root endpoints);
   * the adaptive Gauss average() against the closed-form means;
@@ -122,6 +124,26 @@ def test_jacobi_cn_against_scipy(k):
     ours = sw.jacobi_cn(u, k)
     _, ref, _, _ = scipy.special.ellipj(u, k * k)  # scipy wants the parameter m
     assert np.max(np.abs(ours - ref)) <= 1e-13
+
+
+# 1 - k^2 down to 1e-10, the modulus of the valid triple (1e-7, 1.001e-7, 1),
+# where ellipj returns inf.  Close to k = 1 the rounding of 1 - k*k carries
+# into the descent: the worst error over 4001 points on +-40 K was 2.5e-13
+# for 1 - k^2 >= 1e-3 and 2.5e-9 below.
+CN_ORACLE_CASES = [
+    (math.sqrt(0.5), 5e-13), (math.sqrt(1.0 - 1e-3), 5e-13),
+    (math.sqrt(1.0 - 1e-6), 5e-9), (math.sqrt(1.0 - 1e-9), 5e-9),
+    (sw.RootTriple(1e-7, 1.001e-7, 1.0).modulus, 5e-9),
+]
+
+
+@pytest.mark.parametrize("k, tol", CN_ORACLE_CASES, ids=lambda v: f"{v!r}")
+def test_jacobi_cn_against_mpmath(k, tol):
+    u = np.linspace(-40.0, 40.0, 401) * sw.ellip_K(k)
+    with mpmath.workdps(40):
+        m = mpmath.mpf(k) ** 2    # exact square of the float modulus
+        ref = np.array([float(mpmath.ellipfun("cn", mpmath.mpf(x), m=m)) for x in u])
+    assert np.max(np.abs(sw.jacobi_cn(u, k) - ref)) <= tol
 
 
 def test_jacobi_cn_special_points():
