@@ -24,8 +24,8 @@ and a dispersive momentum correction:
     pttrf); both stages of Heun's method for the conservative update
     q_t = -p_x reuse the factors with one pttrs back-substitution each.
 
-Cyclic neighbours and rotations are slice concatenations: a ghost cell
-at each end of an array, or the two pieces of a rotation.  Both substeps
+Cyclic neighbours and rotations are slice concatenations: ghost cells
+at each end of an array, the two pieces of a rotation, or both at once.  Both substeps
 conserve mass and total momentum to rounding, and the whole step
 commutes bitwise with grid rotations: the Sherman-Morrison break sits at
 an anchor cell chosen by cyclic lexicographic comparison, so the choice
@@ -157,74 +157,127 @@ def init_wavetrain(config: WaveTrainConfig) -> SGNField:
 
 
 # --- periodic neighbours -------------------------------------------------
+#
+# A step is a fixed sequence of whole-array NumPy passes, most of them
+# writing into an array the step already owns.  Each pass is an exact
+# rewrite of the plain formula quoted beside it, so the result keeps every
+# bit, signed zeros included: the same operations in the same order, except
+# that a + or * may swap its two operands, a - b may be a + (-b), and a
+# negation may move into the sign of a divisor.  h ** 3 stays a pow.  An
+# extreme is read as v[v.argmax()]: the same value as v.max(), and a NaN
+# is found too, without the fixed cost of a reduction.
 
-def _cyclic_pad(v: np.ndarray) -> np.ndarray:
-    """v with one periodic ghost cell at each end of its last axis."""
-    return np.concatenate((v[..., -1:], v, v[..., :1]), axis=-1)
+def _cyclic_pad(v: np.ndarray, width: int = 1, shift: int = 0) -> np.ndarray:
+    """v rotated left by `shift` cells, with `width` periodic ghost cells at each end.
+
+    Along the last axis, entry j is v[(shift - width + j) mod n]; width = 0
+    is a plain rotation.  Needs 0 <= shift and shift + width <= n.
+    """
+    lo, hi = shift - width, shift + width
+    pieces = (v[..., lo:], v[..., :hi]) if lo >= 0 else (v[..., lo:], v, v[..., :hi])
+    return np.concatenate(pieces, axis=-1)
 
 
-def _central_diff(v, dx):
-    """Cyclic (v[i+1] - v[i-1]) / (2 dx)."""
-    vp = _cyclic_pad(v)
-    return (vp[2:] - vp[:-2]) / (2.0 * dx)
+def _central_diff(v, dx, shift=0):
+    """Cyclic (v[i+1] - v[i-1]) / (2 dx) of v rotated left by `shift` cells."""
+    vp = _cyclic_pad(v, 1, shift)
+    d = vp[2:] - vp[:-2]
+    d /= 2.0 * dx
+    return d
 
 
 # --- hydrostatic substep -------------------------------------------------
 
-def _minmod(a, b):
-    return np.where(a * b <= 0.0, 0.0, np.where(np.abs(a) < np.abs(b), a, b))
-
-
-def _slopes(v: np.ndarray, limiter: str) -> np.ndarray:
-    # d[i] = v[i] - v[i-1] for cells 0..n: dl is d, dr is d one cell on
-    vp = _cyclic_pad(v)
-    d = vp[..., 1:] - vp[..., :-1]
+def _slopes(vp: np.ndarray, limiter: str) -> np.ndarray:
+    """Limited slopes of the cells vp[..., 1:-1] of a padded array."""
+    d = vp[..., 1:] - vp[..., :-1]    # dl is d, dr is d one cell on
     dl, dr = d[..., :-1], d[..., 1:]
     if limiter == "central":
-        return 0.5 * (dl + dr)
+        s = dl + dr
+        s *= 0.5    # 0.5 * (dl + dr)
+        return s
+    ad = np.abs(d)
     if limiter == "minmod":
-        return _minmod(dl, dr)
-    if limiter == "mc":
-        c = 0.5 * (dl + dr)
-        lim = 2.0 * np.minimum(np.abs(dl), np.abs(dr))
-        return np.where(dl * dr <= 0.0, 0.0, np.sign(c) * np.minimum(np.abs(c), lim))
-    raise ValueError(f"unknown limiter {limiter!r}; choose from {LIMITERS}")
+        s = np.where(ad[..., :-1] < ad[..., 1:], dl, dr)
+    elif limiter == "mc":
+        # sign(c) * min(|c|, 2 min(|dl|, |dr|)) with c = 0.5 * (dl + dr).
+        # Where dl * dr > 0, c is not zero, so copysign gives the same value
+        # as sign(c) * ...; the other cells are set to 0 below
+        lim = np.minimum(ad[..., :-1], ad[..., 1:])
+        lim *= 2.0
+        s = dl + dr
+        s *= 0.5
+        m = np.abs(s)
+        np.minimum(m, lim, out=m)
+        s = np.copysign(m, s, out=m)
+    else:
+        raise ValueError(f"unknown limiter {limiter!r}; choose from {LIMITERS}")
+    flat = dl * dr
+    np.putmask(s, flat <= 0.0, 0.0)    # 0 at an extremum or a flat stretch
+    return s
 
 
-def _swe_flux(U, g):
-    h, q = U
-    return np.array((q, q * q / h + 0.5 * g * h * h))
+def _momentum_flux(W, g) -> None:
+    """W[2] = q^2/h + g h^2/2 of W[0] = h and W[1] = q."""
+    h, q, m = W
+    np.multiply(q, q, out=m)
+    m /= h
+    t = 0.5 * g * h
+    t *= h
+    m += t
 
 
 def _hydro_step(U, dx, dt, g, limiter):
     """One MUSCL-Hancock shallow-water update of size dt of the state U = (h, q)."""
-    half = 0.5 * _slopes(U, limiter)
-    UR = U + half    # state at the right face of each cell
-    UL = U - half    # state at the left face
+    # cells -1 .. n: the ghost cells' faces give the HLL flux at face -1/2
+    # without a wrap-around copy
+    n = U.shape[1]
+    Up = _cyclic_pad(U, 2)
+    half = _slopes(Up, limiter)
+    half *= 0.5
+    # W[k, 0] at the right face of each cell and W[k, 1] at its left face,
+    # for k = h, q, q^2/h + g h^2/2: W[1:] is the flux of the state W[:2],
+    # and each field's pair of faces is one contiguous block
+    W = np.empty((3, 2, n + 2))
+    np.add(Up[:, 1:-1], half, out=W[:2, 0])
+    np.subtract(Up[:, 1:-1], half, out=W[:2, 1])
+    _momentum_flux(W, g)
     # predictor: advance face states by dt/2 with the cell's flux difference
-    lam = 0.5 * dt / dx
-    dU = lam * (_swe_flux(UR, g) - _swe_flux(UL, g))
-    UR -= dU
-    UL -= dU
-    h_face = np.fmin(UR[0], UL[0])    # a NaN in one face does not hide the other
-    if np.any(h_face <= 0.0):
+    dU = W[1:, 0] - W[1:, 1]
+    dU *= 0.5 * dt / dx
+    W[:2] -= dU[:, None]
+    if (W[0] <= 0.0).any():
+        # the smaller face depth of each cell; a NaN in one face does not hide the other
+        h_face = np.fmin(W[0, 0, 1:-1], W[0, 1, 1:-1])
         i = int(np.argmax(h_face <= 0.0))
         raise PositivityError(
             f"reconstructed face depth lost positivity at cell {i} (h = {float(h_face[i])!r})"
         )
-    # HLL flux at interface i+1/2 between cell i (right face) and i+1 (left face)
-    Ul = UR
-    Ur = np.concatenate((UL[:, 1:], UL[:, :1]), axis=1)
-    (hl, ql), (hr, qr) = Ul, Ur
-    ul = ql / hl
-    ur = qr / hr
-    cl = np.sqrt(g * hl)
-    cr = np.sqrt(g * hr)
-    sl = np.minimum(np.minimum(ul - cl, ur - cr), 0.0)
-    sr = np.maximum(np.maximum(ul + cl, ur + cr), 0.0)
-    F = (sr * _swe_flux(Ul, g) - sl * _swe_flux(Ur, g) + sl * sr * (Ur - Ul)) / (sr - sl)
-    Fp = np.concatenate((F[:, -1:], F), axis=1)    # Fp[:, i] = F[:, i-1]
-    return U - dt / dx * (Fp[:, 1:] - Fp[:, :-1])
+    _momentum_flux(W, g)
+    # HLL flux at faces -1/2 .. n-1/2, between cell i (its right face, Wl)
+    # and cell i+1 (its left face, Wr)
+    u = W[1] / W[0]
+    c = g * W[0]
+    np.sqrt(c, out=c)
+    s = u - c
+    sl = np.minimum(s[0, :-1], s[1, 1:])    # min(ul - cl, ur - cr)
+    np.minimum(sl, 0.0, out=sl)
+    u += c
+    sr = np.maximum(u[0, :-1], u[1, 1:])    # max(ul + cl, ur + cr)
+    np.maximum(sr, 0.0, out=sr)
+    Wl, Wr = W[:, 0, :-1], W[:, 1, 1:]
+    # F = (sr * F(Ul) - sl * F(Ur) + sl * sr * (Ur - Ul)) / (sr - sl)
+    F = sr * Wl[1:]
+    t = sl * Wr[1:]
+    F -= t
+    np.subtract(Wr[:2], Wl[:2], out=t)
+    np.multiply(sl * sr, t, out=t)
+    F += t
+    F /= sr - sl
+    # U - dt/dx * (F[i+1/2] - F[i-1/2])
+    t = F[:, 1:] - F[:, :-1]
+    t *= dt / dx
+    return np.subtract(U, t, out=t)
 
 
 # --- dispersive substep --------------------------------------------------
@@ -241,9 +294,9 @@ def _anchor_cell(key: np.ndarray) -> int:
     every length, as on flat or exactly periodic data.
     """
     n = key.size
-    cand = np.flatnonzero(key == key.max())
-    if cand.size == 1:
-        return int(cand[0])
+    top = int(key.argmax())
+    if np.count_nonzero(key == key[top]) == 1:
+        return top
     values, rank = np.unique(key, return_inverse=True)
     width = 1
     while width < n:
@@ -256,8 +309,14 @@ def _anchor_cell(key: np.ndarray) -> int:
     return int(np.argmax(rank))
 
 
+def _all_finite(v) -> bool:
+    # argmax and argmin return the index of a NaN if there is one, and an
+    # infinity is an extreme
+    return math.isfinite(v[v.argmax()]) and math.isfinite(v[v.argmin()])
+
+
 def _require_positive(h) -> None:
-    if not np.all(h > 0.0):
+    if not h[h.argmin()] > 0.0:    # a NaN fails too
         i = int(np.argmin(h > 0.0))    # first cell that is not positive
         raise PositivityError(f"depth lost positivity at cell {i} (h = {float(h[i])!r})")
 
@@ -270,24 +329,39 @@ def _pressure_operator(h, dx, g):
     the corner entries, doubles d0 and adds corner^2/d0 to the last diagonal
     entry, and is SPD tridiagonal.  Returns the anchor cell (rotated to index
     0), T's L D L^T factors d, e, v_last = v[-1], zs = T^-1 w / (1 + v.T^-1 w)
-    and g h_xx, the h-only part of the right-hand side.
+    and g h_xx, the h-only part of the right-hand side; g h_xx is rotated
+    like T, the rest of the right-hand side is not.
     """
+    n = h.size
     inv_dx2 = 1.0 / (dx * dx)
     hp = _cyclic_pad(h)
-    w_plus = 2.0 / (h + hp[2:]) * inv_dx2    # 1/h at face i+1/2
-    w_minus = np.concatenate((w_plus[-1:], w_plus[:-1]))    # 1/h at face i-1/2
-    diag = 3.0 / h ** 3 + w_plus + w_minus
-    if not np.all(np.isfinite(diag)):
+    # rows: the diagonal, the off-diagonal -w[i] coupling i and i+1 (w[i] is
+    # 1/h at face i+1/2, over dx^2) and g h_xx; one rotation moves all three
+    M = np.empty((3, n))
+    diag, off, g_hxx = M
+    np.add(h, hp[2:], out=off)
+    np.divide(-2.0, off, out=off)    # -(2.0 / (h + hp[2:])), exactly
+    off *= inv_dx2
+    np.power(h, 3, out=diag)    # h ** 3
+    np.divide(3.0, diag, out=diag)
+    diag -= off    # 3 / h**3 + w[i] + w[i-1], each added as a subtracted -w
+    diag[1:] -= off[:-1]
+    diag[0] -= off[-1]
+    if not _all_finite(diag):
         i = int(np.argmin(np.isfinite(diag)))    # first non-finite entry
         raise EllipticSolveError(
             f"dispersive operator has a non-finite diagonal entry at cell {i} "
             f"(h = {float(h[i])!r})"
         )
+    np.multiply(2.0, h, out=g_hxx)    # g * ((hp[2:] - 2.0 * h + hp[:-2]) / (dx * dx))
+    np.subtract(hp[2:], g_hxx, out=g_hxx)
+    g_hxx += hp[:-2]
+    g_hxx /= dx * dx
+    g_hxx *= g
     # rotate the anchor cell to index 0 so the Sherman-Morrison break point
     # is a deterministic function of the data, not of the array origin
     shift = _anchor_cell(diag)
-    d = np.concatenate((diag[shift:], diag[:shift]))
-    off = -np.concatenate((w_plus[shift:], w_plus[:shift]))    # couples rotated i, i+1
+    d, off, g_hxx = _cyclic_pad(M, 0, shift)
     d0, corner = d[0], off[-1]
     d[0] += d0
     d[-1] += corner * corner / d0
@@ -295,24 +369,27 @@ def _pressure_operator(h, dx, g):
     if info != 0:
         _require_positive(h)    # the operator is SPD wherever h > 0: name a dry cell first
         raise EllipticSolveError(f"dispersive operator is not positive definite (info {info})")
-    w = np.zeros_like(d)
-    w[[0, -1]] = -d0, corner
+    w = np.zeros(n)
+    w[0] = -d0
+    w[-1] = corner
     z, _ = dpttrs(d, e, w)
     v_last = -corner / d0
-    g_hxx = g * ((hp[2:] - 2.0 * h + hp[:-2]) / (dx * dx))
-    return shift, d, e, v_last, z / (1.0 + z[0] + v_last * z[-1]), g_hxx
+    z /= 1.0 + z[0] + v_last * z[-1]
+    return shift, d, e, v_last, z, g_hxx
 
 
 def _nonhydro_pressure(op, h, q, dx):
     """Solve -(p'/h)' + 3 p/h^3 = 2 u_x^2 + g h_xx with a _pressure_operator of h."""
     shift, d, e, v_last, zs, g_hxx = op
-    ux = _central_diff(q / h, dx)
-    rhs = 2.0 * ux * ux + g_hxx
-    y, _ = dpttrs(d, e, np.concatenate((rhs[shift:], rhs[:shift])))
-    p = y - (y[0] + v_last * y[-1]) * zs
-    back = p.size - shift
-    p = np.concatenate((p[back:], p[:back]))
-    if not np.all(np.isfinite(p)):
+    ux = _central_diff(q / h, dx, shift)    # in the operator's rotated frame
+    rhs = 2.0 * ux
+    rhs *= ux
+    rhs += g_hxx    # 2.0 * ux * ux + g_hxx
+    y, _ = dpttrs(d, e, rhs)
+    p = (y[0] + v_last * y[-1]) * zs
+    np.subtract(y, p, out=p)
+    p = _cyclic_pad(p, 0, p.size - shift)
+    if not _all_finite(p):
         i = int(np.argmin(np.isfinite(p)))    # first non-finite cell
         raise EllipticSolveError(f"dispersive pressure solve returned a non-finite value at cell {i}")
     return p
@@ -323,11 +400,15 @@ def _dispersive_step(h, q, dx, dt, g):
     op = _pressure_operator(h, dx, g)
 
     def accel(qq):
-        return -_central_diff(_nonhydro_pressure(op, h, qq, dx), dx)
+        # -p_x: a difference over -dx is the negated difference, exactly
+        return _central_diff(_nonhydro_pressure(op, h, qq, dx), -dx)
 
     k1 = accel(q)
-    k2 = accel(q + dt * k1)
-    return q + 0.5 * dt * (k1 + k2)
+    q1 = dt * k1
+    k2 = accel(np.add(q, q1, out=q1))    # q + dt * k1
+    np.add(k1, k2, out=k2)
+    np.multiply(0.5 * dt, k2, out=k2)
+    return np.add(q, k2, out=k2)    # q + 0.5 * dt * (k1 + k2)
 
 
 # --- full step and diagnostics -------------------------------------------
@@ -347,7 +428,7 @@ def _block_length(h, q) -> int:
     one max and one compare.
     """
     n = h.size
-    ties = int(np.count_nonzero(h == h.max()))
+    ties = int(np.count_nonzero(h == h[h.argmax()]))
     if ties < 2:
         return n
     for copies in reversed(_divisors(math.gcd(n, ties))[1:]):    # m ascending, m < n
@@ -370,8 +451,11 @@ def _step_arrays(h, q, dx, g, cfl, limiter, dt_max=None):
 
 
 def _step_cells(h, q, dx, g, cfl, limiter, dt_max):
-    u = q / h
-    dt = cfl * dx / float(np.max(np.abs(u) + np.sqrt(g * h)))
+    speed = q / h
+    np.abs(speed, out=speed)
+    c = g * h
+    speed += np.sqrt(c, out=c)    # np.abs(q / h) + np.sqrt(g * h)
+    dt = cfl * dx / float(speed[speed.argmax()])
     if not dt > 0.0:    # NaN or 0: name a non-finite cell before a substep spreads it
         bad = ~(np.isfinite(h) & np.isfinite(q))
         if bad.any():
@@ -394,8 +478,10 @@ def _check_step_args(cfl, limiter) -> None:
 
 
 def step(field: SGNField, cfl: float, limiter: str = "mc", dt_max: float | None = None) -> SGNField:
-    """Advance one time step of size cfl * dx / max(|u| + sqrt(g h))."""
+    """Advance one time step of size cfl * dx / max(|u| + sqrt(g h)), at most dt_max."""
     _check_step_args(cfl, limiter)
+    if dt_max is not None and not dt_max > 0.0:    # NaN fails the comparison too
+        raise ValueError(f"dt_max must be positive, got {dt_max}")
     h, q, dt = _step_arrays(field.h, field.q, field.dx, field.g, cfl, limiter, dt_max)
     return replace(field, h=h, q=q, t=field.t + dt)
 
@@ -505,8 +591,8 @@ def run_experiment(
                     )
                 t += dt
                 n_steps += 1
-                h_min = min(h_min, float(h.min()))
-                h_max = max(h_max, float(h.max()))
+                h_min = min(h_min, float(h[h.argmin()]))
+                h_max = max(h_max, float(h[h.argmax()]))
             snap = SGNField(dx=dx, g=g, h=h.copy(), q=q.copy(), t=t)
             portrait = phase_portrait(snap)
             checkpoints.append((t, snap, portrait))

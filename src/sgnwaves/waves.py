@@ -169,14 +169,17 @@ def jacobi_cn(u, k: float):
 
     In floating point c_i stalls around half an ulp of a_i, so the descent
     stops at c_i <= 2.5e-16 a_i (with a hard cap) rather than at zero.
-    Below k of about 1e-8, 1 - k^2 rounds to 1: the descent stops after one
-    level with c_1 = 0, and the recurrence returns cos(u) exactly.
+    b_0 = sqrt((1 - k)(1 + k)) avoids the cancellation of 1 - k*k as k -> 1
+    (1 - k is exact for k >= 0.5).  Below k of about 1e-8, b_0 rounds to 1
+    or to 1 - 2^-53, so a_1 = 1 and c_1 <= 2^-54: the descent stops after
+    one level, the arcsin term moves 2u by less than half an ulp, and the
+    recurrence returns cos(u) exactly.
     """
     u = np.asarray(u, dtype=float)
     k = float(k)
     if not 0.0 <= k < 1.0:
         raise InvalidRootsError(f"jacobi_cn requires 0 <= k < 1, got k={k}")
-    a, b = 1.0, math.sqrt(1.0 - k * k)
+    a, b = 1.0, math.sqrt((1.0 - k) * (1.0 + k))
     ratios = []    # c_i / a_i for i = 1 .. N
     for _ in range(64):
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)

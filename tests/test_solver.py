@@ -108,6 +108,15 @@ def test_step_validation():
         sw.step(field, cfl=0.45, limiter="superbee")
 
 
+@pytest.mark.parametrize("dt_max", [-0.01, 0.0, np.nan])
+def test_step_rejects_a_non_positive_or_nan_dt_max(dt_max, monkeypatch):
+    # these used to step back in time, return a zero step, or be ignored
+    field = sw.SGNField(dx=0.1, g=G, h=1.0 + 0.1 * np.cos(np.arange(64) / 4.0), q=np.zeros(64))
+    monkeypatch.setattr(solver, "_step_arrays", lambda *args: pytest.fail("stepped"))
+    with pytest.raises(ValueError, match=rf"dt_max must be positive, got {dt_max}"):
+        sw.step(field, cfl=0.45, dt_max=dt_max)
+
+
 # --- initialization --------------------------------------------------------------
 
 def test_init_unperturbed_momentum_relation():
@@ -437,13 +446,17 @@ def _ref_anchor_cell(key):
     return int(cand[0])
 
 
+def _ref_minmod(a, b):
+    return np.where(a * b <= 0.0, 0.0, np.where(np.abs(a) < np.abs(b), a, b))
+
+
 def _ref_slopes(v, limiter):
     dl = v - np.roll(v, 1)
     dr = np.roll(v, -1) - v
     if limiter == "central":
         return 0.5 * (dl + dr)
     if limiter == "minmod":
-        return solver._minmod(dl, dr)
+        return _ref_minmod(dl, dr)
     c = 0.5 * (dl + dr)
     lim = 2.0 * np.minimum(np.abs(dl), np.abs(dr))
     return np.where(dl * dr <= 0.0, 0.0, np.sign(c) * np.minimum(np.abs(c), lim))
@@ -522,17 +535,58 @@ def _desk_state():
     return field.h, field.q, field.dx
 
 
+def _plateau_state():
+    # runs of exactly equal cells and stretches of q = +0.0 and -0.0: flat
+    # slopes (dl * dr = 0), c = 0 in the limiter and HLL jumps that vanish;
+    # the three tied maxima do not make the state periodic
+    h = np.repeat([1.0, 1.2, 1.2, 1.05, 1.3, 1.0, 1.3, 1.0], [9, 5, 4, 7, 1, 6, 2, 6])
+    q = np.zeros(40)
+    q[9:14] = 0.1
+    q[20:23] = -0.05
+    q[30:] = -0.0
+    return h, q, 0.05
+
+
+def _two_cell_state():
+    return np.array([1.0, 1.2]), np.array([0.1, -0.0]), 0.05
+
+
+def _still_state():
+    # at rest with q = -0.0: every flux difference and acceleration is a
+    # zero, and its sign decides the sign of each q after the step
+    return np.full(6, 1.5), np.full(6, -0.0), 0.05
+
+
+def _three_cell_state():
+    return np.array([1.1, 1.0, 1.3]), np.array([0.0, 0.2, -0.1]), 0.05
+
+
+def _bits(a):
+    """The IEEE bit pattern of each value, so that -0.0 and +0.0 differ."""
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+STATES = {
+    "random": _random_state,
+    "desk": _desk_state,
+    "plateau": _plateau_state,
+    "still": _still_state,
+    "2 cells": _two_cell_state,
+    "3 cells": _three_cell_state,
+}
+
+
 @pytest.mark.parametrize("limiter", LIMITERS)
-@pytest.mark.parametrize("state", [_random_state, _desk_state], ids=["random", "desk"])
+@pytest.mark.parametrize("state", STATES.values(), ids=STATES.keys())
 def test_step_matches_roll_reference_bitwise(state, limiter):
     h, q, dx = state()
     ref_h, ref_q = h, q
     for _ in range(20):
         h, q, dt = _step_arrays(h, q, dx, G, 0.45, limiter)
         ref_h, ref_q, ref_dt = _ref_step_arrays(ref_h, ref_q, dx, G, 0.45, limiter)
-        assert dt == ref_dt
-        assert np.array_equal(h, ref_h)
-        assert np.array_equal(q, ref_q)
+        assert _bits(dt) == _bits(ref_dt)
+        assert np.array_equal(_bits(h), _bits(ref_h))
+        assert np.array_equal(_bits(q), _bits(ref_q))
 
 
 def _tie_heavy_keys(rng, n):

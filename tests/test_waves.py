@@ -127,13 +127,16 @@ def test_jacobi_cn_against_scipy(k):
 
 
 # 1 - k^2 down to 1e-10, the modulus of the valid triple (1e-7, 1.001e-7, 1),
-# where ellipj returns inf.  Close to k = 1 the rounding of 1 - k*k carries
-# into the descent: the worst error over 4001 points on +-40 K was 2.5e-13
-# for 1 - k^2 >= 1e-3 and 2.5e-9 below.
+# where ellipj returns inf.  The descent starts from sqrt((1 - k)(1 + k)),
+# which does not cancel as k -> 1.  Each ceiling is about twice the worst
+# error measured over these 401 points on +-40 K: 1.1e-14 at k = sqrt(0.5),
+# 2.5e-14 at 1 - k^2 = 1e-3 and 1e-6, 3.2e-14 at 1e-9 and 3.1e-14 at the
+# triple.  Starting from sqrt(1 - k*k), the errors were 2.5e-13, 1.5e-10,
+# 9.3e-10 and 7.5e-11.
 CN_ORACLE_CASES = [
-    (math.sqrt(0.5), 5e-13), (math.sqrt(1.0 - 1e-3), 5e-13),
-    (math.sqrt(1.0 - 1e-6), 5e-9), (math.sqrt(1.0 - 1e-9), 5e-9),
-    (sw.RootTriple(1e-7, 1.001e-7, 1.0).modulus, 5e-9),
+    (math.sqrt(0.5), 2.5e-14), (math.sqrt(1.0 - 1e-3), 5e-14),
+    (math.sqrt(1.0 - 1e-6), 5e-14), (math.sqrt(1.0 - 1e-9), 7e-14),
+    (sw.RootTriple(1e-7, 1.001e-7, 1.0).modulus, 7e-14),
 ]
 
 
