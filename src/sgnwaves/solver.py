@@ -6,7 +6,20 @@ Unknowns are the cell values of depth h and momentum q = h u.  The system
     (h u)_t + (h u^2 + p)_x = 0,   p = g h^2/2 + (1/3) h^2 (D^2 h / D t^2)
 
 is advanced by Strang splitting between a hydrostatic shallow-water step
-and a dispersive momentum correction:
+H and a dispersive momentum correction D.  `step` takes one step
+H(dt/2) D(dt) H(dt/2).  `run_experiment` advances each stretch between two
+checkpoints as one chain
+
+    H(dt0/2) D(dt0) H((dt0 + dt1)/2) D(dt1) ... D(dtk) H(dtk/2),
+
+the "first same as last" form of Strang splitting (Strang 1968): the
+closing half-step of one step and the opening half-step of the next are
+one hydrostatic stage, so a run pays for one H per step, not two.  Each
+dt is the CFL step of the state after the previous D, and the chain
+closes with a half-step at every checkpoint.  A chain of length one is
+`step`, bit for bit.  Each hydrostatic stage ends with a check that every
+depth is positive, so the dispersive operator is only built on positive
+h.  The two substeps are:
 
   * hydrostatic: MUSCL-Hancock finite volumes with an HLL flux and a
     configurable slope limiter (default monotonized-central, which keeps
@@ -26,7 +39,7 @@ and a dispersive momentum correction:
 
 Cyclic neighbours and rotations are slice concatenations: ghost cells
 at each end of an array, the two pieces of a rotation, or both at once.  Both substeps
-conserve mass and total momentum to rounding, and the whole step
+conserve mass and total momentum to rounding, and a whole step or chain
 commutes bitwise with grid rotations: the Sherman-Morrison break sits at
 an anchor cell chosen by cyclic lexicographic comparison, so the choice
 itself rotates with the data even when several cells tie exactly in
@@ -40,7 +53,8 @@ copies make up (h, q); the count of cells tied at the maximum rules out
 most block lengths before any arrays are compared.  If there is one, the
 step advances that block alone and tiles it: O(block) work, the same dt,
 rotation equivariance on these states too, and a result within rounding
-of the full-length step.  Other data pays one max and one compare.
+of the full-length step.  Other data pays one max and one compare.  A
+chain looks once, when it starts: each stage keeps a tiled state tiled.
 """
 
 from __future__ import annotations
@@ -199,7 +213,7 @@ def _slopes(vp: np.ndarray, limiter: str) -> np.ndarray:
     ad = np.abs(d)
     if limiter == "minmod":
         s = np.where(ad[..., :-1] < ad[..., 1:], dl, dr)
-    elif limiter == "mc":
+    else:    # "mc"; the entry points reject any other name
         # sign(c) * min(|c|, 2 min(|dl|, |dr|)) with c = 0.5 * (dl + dr).
         # Where dl * dr > 0, c is not zero, so copysign gives the same value
         # as sign(c) * ...; the other cells are set to 0 below
@@ -210,8 +224,6 @@ def _slopes(vp: np.ndarray, limiter: str) -> np.ndarray:
         m = np.abs(s)
         np.minimum(m, lim, out=m)
         s = np.copysign(m, s, out=m)
-    else:
-        raise ValueError(f"unknown limiter {limiter!r}; choose from {LIMITERS}")
     flat = dl * dr
     np.putmask(s, flat <= 0.0, 0.0)    # 0 at an extremum or a flat stretch
     return s
@@ -366,8 +378,7 @@ def _pressure_operator(h, dx, g):
     d[0] += d0
     d[-1] += corner * corner / d0
     d, e, info = dpttrf(d, off[:-1])
-    if info != 0:
-        _require_positive(h)    # the operator is SPD wherever h > 0: name a dry cell first
+    if info != 0:    # SPD wherever h > 0, and each step checks h > 0 before it gets here
         raise EllipticSolveError(f"dispersive operator is not positive definite (info {info})")
     w = np.zeros(n)
     w[0] = -d0
@@ -451,6 +462,14 @@ def _step_arrays(h, q, dx, g, cfl, limiter, dt_max=None):
 
 
 def _step_cells(h, q, dx, g, cfl, limiter, dt_max):
+    # the chain of length one: H(dt/2) D(dt) H(dt/2)
+    U, dt = _stage(np.array((h, q)), dx, g, cfl, limiter, 0.0, dt_max)
+    h, q = _hydro_stage(U, dx, 0.5 * dt, g, limiter)
+    return h, q, dt
+
+
+def _cfl_dt(h, q, dx, g, cfl, dt_max):
+    """cfl * dx / max(|u| + sqrt(g h)), at most dt_max; a non-finite state is named."""
     speed = q / h
     np.abs(speed, out=speed)
     c = g * h
@@ -463,11 +482,26 @@ def _step_cells(h, q, dx, g, cfl, limiter, dt_max):
             raise EllipticSolveError(f"non-finite state at cell {i}: h = {h[i]}, q = {q[i]}")
     if dt_max is not None and dt > dt_max:
         dt = dt_max
-    U = _hydro_step(np.array((h, q)), dx, 0.5 * dt, g, limiter)
+    return dt
+
+
+def _hydro_stage(U, dx, dt, g, limiter):
+    """H(dt) of U = (h, q), then the check that every depth is still positive."""
+    U = _hydro_step(U, dx, dt, g, limiter)
+    _require_positive(U[0])
+    return U
+
+
+def _stage(U, dx, g, cfl, limiter, dt_prev, dt_max):
+    """One link of a Strang chain: H((dt_prev + dt)/2), the positivity check, D(dt).
+
+    dt is the CFL step of U, at most dt_max; dt_prev = 0 opens a chain.
+    Returns the state after D(dt) and dt.
+    """
+    dt = _cfl_dt(U[0], U[1], dx, g, cfl, dt_max)
+    U = _hydro_stage(U, dx, 0.5 * (dt_prev + dt), g, limiter)
     U[1] = _dispersive_step(U[0], U[1], dx, dt, g)
-    h, q = _hydro_step(U, dx, 0.5 * dt, g, limiter)
-    _require_positive(h)
-    return h, q, dt
+    return U, dt
 
 
 def _check_step_args(cfl, limiter) -> None:
@@ -521,8 +555,8 @@ class RunResult:
     wave: CnoidalWave
     checkpoints: list            # (time, SGNField, portrait ndarray)
     diag_series: list            # (time, mass, momentum, energy)
-    h_min: float                 # envelope over every step of the run
-    h_max: float
+    h_min: float                 # depth envelope: the initial state, the state
+    h_max: float                 # after every stage of every chain, and each checkpoint
     n_steps: int
 
 
@@ -531,6 +565,64 @@ def portrait_residual(field: SGNField, wave: CnoidalWave) -> float:
     pts = phase_portrait(field)
     m = wave.constants.m
     return float(np.max(np.abs(pts[:, 1] ** 2 - m * m * oscillation_rhs(pts[:, 0], wave.constants))))
+
+
+@dataclass
+class _Run:
+    """How far a run has got: its time, the steps completed and the depth envelope."""
+
+    dx: float
+    g: float
+    cfl: float
+    limiter: str
+    dt_floor: float              # a CFL step shorter than this is a collapse
+    t: float = 0.0
+    n_steps: int = 0
+    h_min: float = math.inf
+    h_max: float = -math.inf
+
+    def observe(self, h) -> None:
+        self.h_min = min(self.h_min, float(h[h.argmin()]))
+        self.h_max = max(self.h_max, float(h[h.argmax()]))
+
+    def advance(self, h, q, t_target):
+        """Step (h, q) from self.t to t_target as one Strang chain; return the new (h, q).
+
+        H(dt0/2) D(dt0) H((dt0 + dt1)/2) D(dt1) ... D(dtk) H(dtk/2), where
+        dt(n+1) is the CFL step of the state after D(dtn), clipped onto
+        t_target.  The chain steps the shortest repeating block of (h, q),
+        found once here, and tiles it when it closes: each stage keeps a
+        tiled state tiled, so this is the block _step_arrays would step.
+        Errors name the step and the time it started from.  The merged
+        half-step opens step n + 1; the closing one belongs to the step it
+        closes, which then does not count as completed.
+        """
+        n, m = h.size, _block_length(h, q)
+        U, dt, under_way = np.array((h[:m], q[:m])), 0.0, None
+        try:
+            while self.t < t_target - 1e-12 * max(1.0, t_target):
+                under_way = (self.n_steps + 1, self.t)
+                U, dt = _stage(U, self.dx, self.g, self.cfl, self.limiter, dt, t_target - self.t)
+                # a step clipped onto a checkpoint may be short; a CFL step may not
+                if dt < self.dt_floor and dt < t_target - self.t:
+                    raise StepBudgetError(
+                        f"step {self.n_steps + 1} from t = {self.t!r} took dt = {dt!r}, below "
+                        f"1e-12 * t_end = {self.dt_floor!r}: the run would not reach t_end"
+                    )
+                self.t += dt
+                self.n_steps += 1
+                self.observe(U[0])
+            if under_way is None:
+                return h, q
+            h, q = _hydro_stage(U, self.dx, 0.5 * dt, self.g, self.limiter)
+        except (PositivityError, EllipticSolveError) as exc:
+            step_no, self.t = under_way
+            self.n_steps = step_no - 1
+            raise type(exc)(f"step {step_no} from t = {self.t!r}: {exc}") from exc
+        self.observe(h)
+        if m < n:
+            h, q = np.tile(h, n // m), np.tile(q, n // m)
+        return h, q
 
 
 def run_experiment(
@@ -545,7 +637,13 @@ def run_experiment(
 
     Checkpoints land exactly on the requested instants (the step before a
     checkpoint is clipped); each must lie in (0, t_end], and the run always
-    ends with a checkpoint at t_end.  If out_dir is given, each checkpoint
+    ends with a checkpoint at t_end.  Each stretch between two checkpoints
+    is one Strang chain H(dt0/2) D(dt0) H((dt0 + dt1)/2) ... D(dtk) H(dtk/2):
+    one hydrostatic stage between two dispersive substeps, where `step`
+    takes two.  The chain closes with a half-step at every checkpoint, so
+    a checkpoint one CFL step from t = 0 holds `step` of the initial state,
+    bit for bit.  h_min and h_max span the initial state, the state after
+    every stage and each checkpoint.  If out_dir is given, each checkpoint
     writes a field CSV (x,h,u) and a portrait CSV (h,h_hdot), and the run
     writes a diagnostics series plus a manifest; partial output survives
     failures.  Solver errors name the step and the time it started from;
@@ -572,46 +670,30 @@ def run_experiment(
 
     h, q = field.h, field.q
     dx, g = field.dx, field.g
-    t = 0.0
-    n_steps = 0
-    h_min = float(h.min())
-    h_max = float(h.max())
+    run = _Run(dx, g, cfl, limiter, dt_floor=1e-12 * t_end)
+    run.observe(h)
     checkpoints = []
     diag_series = [(0.0, *diagnostics(field))]
-    dt_floor = 1e-12 * t_end
     try:
         for idx, t_target in enumerate(times):
-            while t < t_target - 1e-12 * max(1.0, t_target):
-                h, q, dt = _step_arrays(h, q, dx, g, cfl, limiter, dt_max=t_target - t)
-                # a step clipped onto a checkpoint may be short; a CFL step may not
-                if dt < dt_floor and dt < t_target - t:
-                    raise StepBudgetError(
-                        f"step {n_steps + 1} from t = {t!r} took dt = {dt!r}, below "
-                        f"1e-12 * t_end = {dt_floor!r}: the run would not reach t_end"
-                    )
-                t += dt
-                n_steps += 1
-                h_min = min(h_min, float(h[h.argmin()]))
-                h_max = max(h_max, float(h[h.argmax()]))
-            snap = SGNField(dx=dx, g=g, h=h.copy(), q=q.copy(), t=t)
+            h, q = run.advance(h, q, t_target)
+            snap = SGNField(dx=dx, g=g, h=h.copy(), q=q.copy(), t=run.t)
             portrait = phase_portrait(snap)
-            checkpoints.append((t, snap, portrait))
-            diag_series.append((t, *diagnostics(snap)))
+            checkpoints.append((run.t, snap, portrait))
+            diag_series.append((run.t, *diagnostics(snap)))
             if out is not None:
                 write_csv(out / f"field_{idx:04d}.csv", "x,h,u", (snap.x, snap.h, snap.u))
                 write_csv(out / f"portrait_{idx:04d}.csv", "h,h_hdot", portrait.T)
-    except (PositivityError, EllipticSolveError) as exc:
-        raise type(exc)(f"step {n_steps + 1} from t = {t!r}: {exc}") from exc
     finally:
         if out is not None:
             write_csv(out / "diagnostics.csv", "t,mass,momentum,energy", np.array(diag_series).T)
             _write_manifest(
-                out / "manifest.txt", config, wave, field, t, n_steps,
-                h_min, h_max, times, cfl, limiter,
+                out / "manifest.txt", config, wave, field, run.t, run.n_steps,
+                run.h_min, run.h_max, times, cfl, limiter,
             )
     return RunResult(
         config=config, wave=wave, checkpoints=checkpoints,
-        diag_series=diag_series, h_min=h_min, h_max=h_max, n_steps=n_steps,
+        diag_series=diag_series, h_min=run.h_min, h_max=run.h_max, n_steps=run.n_steps,
     )
 
 

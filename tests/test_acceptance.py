@@ -307,29 +307,42 @@ def test_elliptic_kernel_identities():
     )
 
 
-def _advect_one_period(cells_per_wavelength: int) -> float:
+def _advect_one_period(cells_per_wavelength: int, chained: bool = False) -> float:
+    """L2 depth error of an unperturbed train after one period, stepped by
+    `step` or, chained, by `run_experiment`."""
     cfg = sw.WaveTrainConfig(roots=BASE, g=G, sign_m=-1, n_waves=5,
                              amplitude=0.0, cells_per_wavelength=cells_per_wavelength)
     field = sw.init_wavetrain(cfg)
     wave = sw.build_wave(BASE, G, -1)
     h0 = field.h.copy()
     T = wave.L / abs(wave.D)
-    while field.t < T - 1e-12:
-        field = sw.step(field, cfl=0.45, dt_max=T - field.t)
+    if chained:
+        field = sw.run_experiment(cfg, t_end=T, cfl=0.45).checkpoints[-1][1]
+    else:
+        while field.t < T - 1e-12:
+            field = sw.step(field, cfl=0.45, dt_max=T - field.t)
     return float(np.sqrt(np.sum((field.h - h0) ** 2) * field.dx))
 
 
-def test_traveling_wave_preservation():
+def _check_ladder(name: str, chained: bool) -> None:
     ladder = (100, 200, 400)
-    errors = [_advect_one_period(cpw) for cpw in ladder]
+    errors = [_advect_one_period(cpw, chained) for cpw in ladder]
     slope = -np.polyfit(np.log(ladder), np.log(errors), 1)[0]
     ok = errors[-1] <= 1e-3 and slope >= 2.0
     _report(
-        "traveling wave preservation",
+        name,
         ok,
         f"L2 errors {['%.3e' % e for e in errors]} at {list(ladder)} "
         f"cells/wavelength, observed order {slope:.4f}",
     )
+
+
+def test_traveling_wave_preservation():
+    _check_ladder("traveling wave preservation", chained=False)
+
+
+def test_traveling_wave_preservation_of_a_chained_run():
+    _check_ladder("traveling wave preservation, chained by run_experiment", chained=True)
 
 
 def test_modulational_stability_desk_scale():

@@ -310,7 +310,7 @@ def test_simulate_rejects_invalid_step_args(capsys, tmp_path, line):
 def test_simulate_exits_4_when_dt_collapses(capsys, tmp_path, monkeypatch):
     from sgnwaves import solver
 
-    monkeypatch.setattr(solver, "_step_arrays", lambda h, q, *args, **kw: (h, q, 1e-20))
+    monkeypatch.setattr(solver, "_stage", lambda U, *args: (U, 1e-20))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CONFIG)
     out_dir = tmp_path / "out"

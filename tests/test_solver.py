@@ -326,8 +326,8 @@ def test_positivity_error_names_the_first_cell(monkeypatch):
 
 
 def test_positivity_error_names_a_cell_dried_before_the_pressure_solve(monkeypatch):
-    # the opening hydrostatic half step (the first call) leaves two cells dry,
-    # so the factorization of the dispersive operator fails on them
+    # the opening hydrostatic half step (the first call) leaves two cells dry;
+    # the check after it names them before the dispersive operator is built
     hydro, calls = solver._hydro_step, []
 
     def drying_hydro(*args):
@@ -738,27 +738,27 @@ def test_run_experiment_is_deterministic(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-def _failing_step(monkeypatch, on_call, fail):
-    """Make the on_call-th _step_arrays call fail(h, q, dt_max); return the dt of the others."""
-    real, dts = solver._step_arrays, []
+def _failing_stage(monkeypatch, on_call, fail):
+    """Make the on_call-th chain stage fail(U, dt_max); return the dt of the others."""
+    real, dts = solver._stage, []
 
-    def stepping(h, q, dx, g, cfl, limiter, dt_max=None):
+    def staging(U, dx, g, cfl, limiter, dt_prev, dt_max):
         if len(dts) + 1 == on_call:
-            return fail(h, q, dt_max)
-        out = real(h, q, dx, g, cfl, limiter, dt_max)
-        dts.append(out[2])
+            return fail(U, dt_max)
+        out = real(U, dx, g, cfl, limiter, dt_prev, dt_max)
+        dts.append(out[1])
         return out
 
-    monkeypatch.setattr(solver, "_step_arrays", stepping)
+    monkeypatch.setattr(solver, "_stage", staging)
     return dts
 
 
 @pytest.mark.parametrize("error", [PositivityError, EllipticSolveError])
 def test_run_experiment_errors_name_the_step_and_time(monkeypatch, tmp_path, error):
-    def fail(h, q, dt_max):
+    def fail(U, dt_max):
         raise error("at cell 5")
 
-    dts = _failing_step(monkeypatch, 3, fail)
+    dts = _failing_stage(monkeypatch, 3, fail)
     with pytest.raises(error) as info:
         sw.run_experiment(base_config(amplitude=1e-3), t_end=0.5, out_dir=tmp_path)
     t = 0.0 + dts[0] + dts[1]
@@ -766,12 +766,66 @@ def test_run_experiment_errors_name_the_step_and_time(monkeypatch, tmp_path, err
     assert "n_steps = 2\n" in (tmp_path / "manifest.txt").read_text()
 
 
+def test_run_experiment_names_the_step_a_closing_half_step_closes(monkeypatch, tmp_path):
+    # the last hydrostatic stage of a chain closes step k: it is not step k + 1,
+    # and step k does not count as completed
+    k = sw.run_experiment(base_config(amplitude=1e-3), t_end=0.05).n_steps
+    dts = _failing_stage(monkeypatch, None, None)
+    hydro, calls = solver._hydro_stage, []
+
+    def closing_fails(*args):
+        calls.append(None)
+        if len(calls) == k + 1:    # after the stages of steps 1 .. k
+            raise PositivityError("at cell 5")
+        return hydro(*args)
+
+    monkeypatch.setattr(solver, "_hydro_stage", closing_fails)
+    with pytest.raises(PositivityError) as info:
+        sw.run_experiment(base_config(amplitude=1e-3), t_end=0.05, out_dir=tmp_path)
+    assert len(dts) == k >= 2
+    t = sum(dts[:-1], 0.0)
+    assert re.fullmatch(rf"step {k} from t = {re.escape(repr(t))}: at cell 5", str(info.value))
+    manifest = (tmp_path / "manifest.txt").read_text()
+    assert f"n_steps = {k - 1}\n" in manifest
+    assert f"t_final = {t!r}\n" in manifest
+
+
 def test_run_experiment_stops_when_dt_collapses(monkeypatch):
-    dts = _failing_step(monkeypatch, 2, lambda h, q, dt_max: (h, q, 1e-20))
+    dts = _failing_stage(monkeypatch, 2, lambda U, dt_max: (U, 1e-20))
     with pytest.raises(StepBudgetError) as info:
         sw.run_experiment(base_config(amplitude=1e-3), t_end=0.5)
     message = rf"step 2 from t = {re.escape(repr(0.0 + dts[0]))} took dt = 1e-20, below "
     assert re.match(message, str(info.value))
+
+
+@pytest.mark.parametrize("limiter", LIMITERS)
+def test_a_checkpoint_one_cfl_step_away_holds_step_bitwise(limiter):
+    # a chain of one step is H(dt/2) D(dt) H(dt/2), which is what step takes
+    cfg = base_config(amplitude=1e-3)
+    one = sw.step(sw.init_wavetrain(cfg), cfl=0.45, limiter=limiter)
+    res = sw.run_experiment(cfg, t_end=3.0 * one.t, output_times=[one.t], limiter=limiter)
+    t, snap, _ = res.checkpoints[0]
+    assert t == one.t
+    assert np.array_equal(_bits(snap.h), _bits(one.h))
+    assert np.array_equal(_bits(snap.q), _bits(one.q))
+
+
+def _chain(h, q, dx, t_end):
+    run = solver._Run(dx, G, 0.45, "mc", dt_floor=0.0)
+    h, q = run.advance(h, q, t_end)
+    return run, h, q
+
+
+@pytest.mark.parametrize("state, shift", [(_random_state, 37), (_tiled_train, 1237)],
+                         ids=["random", "tiled train"])
+def test_chained_steps_commute_with_rotation_bitwise(state, shift):
+    h, q, dx = state()
+    run, h1, q1 = _chain(h, q, dx, 0.05)
+    rotated, h2, q2 = _chain(np.roll(h, shift), np.roll(q, shift), dx, 0.05)
+    assert run.n_steps == rotated.n_steps >= 5
+    assert (run.t, run.h_min, run.h_max) == (rotated.t, rotated.h_min, rotated.h_max)
+    assert np.array_equal(_bits(np.roll(h1, shift)), _bits(h2))
+    assert np.array_equal(_bits(np.roll(q1, shift)), _bits(q2))
 
 
 def test_run_experiment_allows_a_short_step_onto_a_checkpoint():

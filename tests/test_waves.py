@@ -140,7 +140,8 @@ CN_ORACLE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("k, tol", CN_ORACLE_CASES, ids=lambda v: f"{v!r}")
+# the ids name the modulus only, so a new ceiling does not rename a case
+@pytest.mark.parametrize("k, tol", CN_ORACLE_CASES, ids=[repr(k) for k, _ in CN_ORACLE_CASES])
 def test_jacobi_cn_against_mpmath(k, tol):
     u = np.linspace(-40.0, 40.0, 401) * sw.ellip_K(k)
     with mpmath.workdps(40):
