@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import format_column, write_csv
 from .errors import (
     DegeneratePencilError,
     DomainError,
@@ -74,7 +74,7 @@ def cmd_wave(args) -> int:
     h = profile(wave, xi)
     u = velocity_from_depth(h, wave.constants, wave.D)
     out = pathlib.Path(args.out)
-    write_csv(out, "xi,h,u", (xi, h, u))
+    write_csv(out, "xi,h,u", map(format_column, (xi, h, u)))
     c = wave.constants
     print(f"wavelength L = {_fmt(wave.L)}")
     print(f"phase speed D = {_fmt(wave.D)}  (zero mean velocity frame)")
@@ -186,7 +186,7 @@ SIMULATE_KEYS = {
 def _read_config(path: pathlib.Path) -> dict:
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
-    cfg = {}
+    cfg, line_of = {}, {}
     for ln, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -197,7 +197,9 @@ def _read_config(path: pathlib.Path) -> dict:
         key = key.strip()
         if key not in SIMULATE_KEYS:
             raise DomainError(f"{path}:{ln}: unknown key {key!r}")
-        cfg[key] = val.strip()
+        if key in cfg:
+            raise DomainError(f"{path}:{ln}: key {key!r} was already set on line {line_of[key]}")
+        cfg[key], line_of[key] = val.strip(), ln
     return cfg
 
 

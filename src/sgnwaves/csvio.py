@@ -1,18 +1,22 @@
-"""The one CSV writer behind every table the package writes."""
+"""The one CSV formatter and writer behind every table the package writes."""
 
 import numpy as np
 
 
-def write_csv(path, header: str, columns) -> None:
-    """Write equal-length columns under a header line, with "\\n" line ends.
+def format_column(col) -> list:
+    """The words of one column: floats by repr, so parsing them back
+    round-trips exactly; integers as digits; booleans as true/false."""
+    col = np.asarray(col)
+    if col.dtype == bool:
+        return np.where(col, "true", "false").tolist()
+    return list(map(repr, col.tolist()))
 
-    Floats are written by repr, so parsing them back round-trips exactly;
-    integers are written as digits and booleans as true/false.
+
+def write_csv(path, header: str, columns) -> None:
+    """Write columns of words from format_column under a header line, with "\\n" line ends.
+
+    Columns of unequal length raise ValueError, and nothing is written.
     """
-    cells = []
-    for col in map(np.asarray, columns):
-        words = np.where(col, "true", "false") if col.dtype == bool else col
-        cells.append(map(str, words.tolist()))    # str(float) is repr(float)
-    lines = [header, *map(",".join, zip(*cells))]
+    lines = [header, *map(",".join, zip(*columns, strict=True))]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import format_column, write_csv
 from .elliptic import _require
 from .errors import DegeneratePencilError
 from .waves import RootTriple, averaged_h, averaged_hinv, constants_from_roots, valid_roots, wavelength
@@ -455,10 +455,11 @@ def write_scan_csv(result: ScanResult, path) -> None:
     """Serialize a scan as CSV; floats use repr so parsing round-trips."""
     c = result.classification
     max_imag = np.abs(c.roots.imag).max(axis=-1)
+    columns = (*_grid_points(result.s_values, result.tau_values), *c.roots.real.T, max_imag,
+               c.resultant, c.n_positive, c.n_negative, c.all_real, c.distinct)
     write_csv(
         path,
         "s,tau,lambda1,lambda2,lambda3,lambda4,"
         "max_imag,resultant,n_positive,n_negative,all_real,distinct",
-        (*_grid_points(result.s_values, result.tau_values), *c.roots.real.T, max_imag,
-         c.resultant, c.n_positive, c.n_negative, c.all_real, c.distinct),
+        map(format_column, columns),
     )

@@ -66,7 +66,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .csvio import write_csv
+from .csvio import format_column, write_csv
 from .errors import EllipticSolveError, PositivityError, StepBudgetError
 from .waves import (
     CnoidalWave,
@@ -667,6 +667,7 @@ def run_experiment(
 
         out = pathlib.Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        x_words = format_column(field.x)     # every checkpoint has the same cells
 
     h, q = field.h, field.q
     dx, g = field.dx, field.g
@@ -682,11 +683,15 @@ def run_experiment(
             checkpoints.append((run.t, snap, portrait))
             diag_series.append((run.t, *diagnostics(snap)))
             if out is not None:
-                write_csv(out / f"field_{idx:04d}.csv", "x,h,u", (snap.x, snap.h, snap.u))
-                write_csv(out / f"portrait_{idx:04d}.csv", "h,h_hdot", portrait.T)
+                h_words = format_column(snap.h)  # the portrait's h column is snap.h
+                write_csv(out / f"field_{idx:04d}.csv", "x,h,u",
+                          (x_words, h_words, format_column(snap.u)))
+                write_csv(out / f"portrait_{idx:04d}.csv", "h,h_hdot",
+                          (h_words, format_column(portrait[:, 1])))
     finally:
         if out is not None:
-            write_csv(out / "diagnostics.csv", "t,mass,momentum,energy", np.array(diag_series).T)
+            write_csv(out / "diagnostics.csv", "t,mass,momentum,energy",
+                      map(format_column, np.array(diag_series).T))
             _write_manifest(
                 out / "manifest.txt", config, wave, field, run.t, run.n_steps,
                 run.h_min, run.h_max, times, cfl, limiter,

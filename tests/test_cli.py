@@ -228,6 +228,13 @@ limiter = mc
 """
 
 
+def config_with(line):
+    """CONFIG with `line` in place of the line that sets the same key (a key may appear once)."""
+    key = line.partition("=")[0].strip()
+    kept = [ln for ln in CONFIG.splitlines() if ln.partition("=")[0].strip() != key]
+    return "\n".join([*kept, line]) + "\n"
+
+
 def test_simulate_runs_config(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CONFIG)
@@ -288,6 +295,16 @@ def test_simulate_rejects_unknown_key(capsys, tmp_path):
     assert "bogus" in err
 
 
+def test_simulate_rejects_a_repeated_key(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONFIG + "t_end = 0.1\n")
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, ["simulate", "--config", str(cfg), "--out-dir", str(out_dir)])
+    assert code == 2
+    assert f"{cfg}:11: key 't_end' was already set on line 8" in err
+    assert not out_dir.exists()
+
+
 def test_simulate_rejects_a_line_without_equals(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("# no separator on line 2\nroots 1,1.5,2\nt_end = 0.5\n")
@@ -299,7 +316,7 @@ def test_simulate_rejects_a_line_without_equals(capsys, tmp_path):
 @pytest.mark.parametrize("line", ["cfl = 0", "t_end = nan", "checkpoints = 0.6"])
 def test_simulate_rejects_invalid_step_args(capsys, tmp_path, line):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(CONFIG + line + "\n")
+    cfg.write_text(config_with(line))
     out_dir = tmp_path / "out"
     code, _, err = run(capsys, ["simulate", "--config", str(cfg), "--out-dir", str(out_dir)])
     assert code == 2
@@ -343,7 +360,7 @@ def test_nonfinite_gravity_or_phase_speed_is_invalid_input(capsys, tmp_path, arg
         argv = [*argv, "--out", str(out)]
     elif argv[0] == "simulate":
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(CONFIG + "g = nan\n")
+        cfg.write_text(config_with("g = nan"))
         argv = [*argv, "--config", str(cfg), "--out-dir", str(out)]
     code, stdout, err = run(capsys, argv)
     assert code == 2

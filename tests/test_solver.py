@@ -718,6 +718,32 @@ def test_run_experiment_checkpoints_and_artifacts(tmp_path):
     assert len(field_lines) == 65
 
 
+def test_run_experiment_writes_every_cell_by_repr(tmp_path):
+    out = tmp_path / "run"
+    res = sw.run_experiment(base_config(amplitude=1e-3), t_end=0.2,
+                            output_times=[0.1, 0.2], out_dir=out)
+
+    def columns(name):
+        header, *rows = (out / name).read_text().splitlines()
+        return header, list(zip(*(row.split(",") for row in rows)))
+
+    def reprs(*arrays):
+        return [tuple(map(repr, a.tolist())) for a in arrays]
+
+    x_columns = []
+    for idx, (_, snap, portrait) in enumerate(res.checkpoints):
+        field_header, field_cols = columns(f"field_{idx:04d}.csv")
+        portrait_header, portrait_cols = columns(f"portrait_{idx:04d}.csv")
+        assert (field_header, portrait_header) == ("x,h,u", "h,h_hdot")
+        assert field_cols == reprs(snap.x, snap.h, snap.u)
+        assert portrait_cols == reprs(*portrait.T)
+        assert portrait_cols[0] == field_cols[1]    # one h column in both files
+        x_columns.append(field_cols[0])
+    assert len(x_columns) == 2 and x_columns[0] == x_columns[1]
+    assert columns("diagnostics.csv") == ("t,mass,momentum,energy",
+                                          reprs(*np.array(res.diag_series).T))
+
+
 def test_run_experiment_accepts_array_output_times():
     runs = [sw.run_experiment(base_config(amplitude=1e-3), t_end=0.1, output_times=times)
             for times in ([0.05, 0.1], np.array([0.05, 0.1]))]
