@@ -31,6 +31,7 @@ scan_region is that batched case, run in chunks of SCAN_CHUNK points.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -224,13 +225,17 @@ _BY_DEGREE = [[s for s in itertools.product((False, True), repeat=4) if sum(s) =
               for d in range(5)]
 _ROUNDS = [[d for d in range(5) if j < len(_BY_DEGREE[d])] for j in range(6)]  # degrees per round
 _PICK = np.array([_BY_DEGREE[d][j] for j, degrees in enumerate(_ROUNDS) for d in degrees])[:, None, :]
+# The stack as one gather: a state's 32 entries are B's 16, then -A's 16,
+# and entry [k, i, j] of _GATHER is where subset matrix k finds its (i, j).
+_GATHER = 16 * _PICK + 4 * np.arange(4)[:, None] + np.arange(4)
 # (coefficient slice, determinant slice) of rounds 1..5: (1:4, 5:8) ... (2:3, 15:16)
 _ROUND_ADDS = [(slice(degrees[0], degrees[-1] + 1), slice(start, start + len(degrees)))
                for degrees, start in zip(_ROUNDS[1:], itertools.accumulate(map(len, _ROUNDS)))]
 
 
 def _pencil_charpoly(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    dets = np.linalg.det(np.where(_PICK, -A[..., None, :, :], B[..., None, :, :]))
+    entries = np.concatenate((B, -A), axis=-2).reshape(A.shape[:-2] + (32,))
+    dets = np.linalg.det(entries.take(_GATHER, axis=-1))
     # round 0 added to +0.0, then rounds 1..5: each coefficient sums in the
     # same fixed order for one state and for a batch, so their bits agree
     c = dets[..., :5] + 0.0
@@ -417,6 +422,8 @@ def scan_region(
     as arrays of up to SCAN_CHUNK points.  Invalid roots and degenerate
     pencils become reason codes; any exception propagates.
     """
+    if not isinstance(grid_n, numbers.Integral):  # numpy integers are Integral too
+        raise ValueError(f"grid_n must be a whole number, got {grid_n!r}")
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     window = (s_min, s_max, tau_min, tau_max)

@@ -286,7 +286,9 @@ def average(f: Callable, roots: RootTriple) -> float:
     doubled from 64 nodes until the average changes by less than
     AVERAGE_RTOL relative to the mean magnitude of f (not of the average
     itself, which can be exactly zero by cancellation, e.g. the momentum
-    of a wave in its zero-mean frame).
+    of a wave in its zero-mean frame).  A non-finite f(h) at any node
+    raises QuadratureError at once, naming the smallest such depth:
+    doubling the nodes cannot make it converge.
 
     f must accept a numpy array of depths.
     """
@@ -298,6 +300,12 @@ def average(f: Callable, roots: RootTriple) -> float:
         h = h1 + (h2 - h1) * np.sin(phi) ** 2
         weight = w / np.sqrt(h - h0)
         fv = np.asarray(f(h), dtype=float)
+        bad = np.broadcast_to(~np.isfinite(fv), h.shape)
+        if bad.any():
+            raise QuadratureError(
+                f"period average: f(h) is not finite at depth h = {float(h[bad.argmax()])!r} "
+                f"({n}-node rule)"
+            )
         wsum = float(np.sum(weight))
         val = float(np.dot(fv, weight) / wsum)
         scale = float(np.dot(np.abs(fv), weight) / wsum)

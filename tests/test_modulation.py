@@ -348,6 +348,27 @@ def test_pencil_charpoly_sums_like_the_loop_bitwise():
         assert np.array_equal(_bits(got), _bits(ref))
 
 
+@pytest.mark.parametrize("sign_m", [-1, 1])
+def test_pencil_kernel_keeps_its_bits_for_any_leading_shape(sign_m):
+    # a (3, 4) batch of states in Galilean-shifted frames: the subset-matrix
+    # gather and the root solve must give each state what it gives alone
+    rng = np.random.default_rng(13)
+    s = 1.01 + 98.99 * rng.random((3, 4))
+    tau = 0.01 + 99.99 * rng.random((3, 4))
+    rest = sw.state_at_rest(sw.RootTriple(np.ones_like(s), s, s + tau), G, sign_m)
+    batch = dataclasses.replace(rest, D=rest.D + rng.uniform(-5.0, 5.0, (3, 4)))
+    system = sw.assemble_AB(batch)
+    roots = sw.characteristic_eigenvalues(system).roots
+    assert system.charpoly.shape == (3, 4, 5) and roots.shape == (3, 4, 4)
+    assert np.array_equal(_bits(system.charpoly), _bits(_ref_pencil_charpoly(system.A, system.B)))
+    for i, j in itertools.product(range(3), range(4)):
+        one_rest = sw.state_at_rest(sw.RootTriple(1.0, float(s[i, j]), float(s[i, j] + tau[i, j])), G, sign_m)
+        one = sw.assemble_AB(dataclasses.replace(one_rest, D=float(batch.D[i, j])))
+        assert np.array_equal(_bits(system.charpoly[i, j]), _bits(one.charpoly))
+        one_roots = sw.characteristic_eigenvalues(one).roots
+        assert np.array_equal(roots[i, j].view(np.uint64), one_roots.view(np.uint64))
+
+
 # --- eigenvalues ---------------------------------------------------------------
 
 def test_base_state_eigenvalues_frozen():
@@ -457,6 +478,16 @@ def test_scan_clamps_degenerate_edges():
     for window in ((1.0, math.inf, 0.0, 5.0), (1.0, 5.0, math.nan, 5.0)):
         with pytest.raises(ValueError, match="finite"):
             sw.scan_region(*window, 4, g=G)
+
+
+def test_scan_rejects_a_grid_size_that_is_not_a_whole_number():
+    # a float size, even a whole-valued one, must fail as a ValueError that
+    # names grid_n, not as numpy's TypeError from inside linspace
+    for grid_n in (50.5, 3.0):
+        with pytest.raises(ValueError, match="grid_n must be a whole number"):
+            sw.scan_region(1.0, 100.0, 0.0, 100.0, grid_n, g=G)
+    res = sw.scan_region(1.0, 100.0, 0.0, 100.0, np.int64(3), g=G)
+    assert res.sign_pattern_grid().shape == (3, 3) and res.errors == []
 
 
 @pytest.mark.parametrize("window", [

@@ -307,6 +307,24 @@ def test_average_reports_nonconvergence():
         sw.average(lambda h: np.sin(1e8 * h), BASE)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_average_stops_at_a_nonfinite_integrand(monkeypatch, bad):
+    # no number of nodes makes a NaN or infinite integrand converge, so the
+    # first rule (64 nodes) must raise, naming the smallest bad depth
+    nodes, sizes = sw.waves._gauss_nodes, []
+
+    def counted(n):
+        sizes.append(n)
+        return nodes(n)
+
+    monkeypatch.setattr(sw.waves, "_gauss_nodes", counted)
+    with pytest.raises(QuadratureError, match=r"not finite at depth h = 1\.9[0-9]* \(64-node rule\)"):
+        sw.average(lambda h: np.where(h > 1.9, bad, h), BASE)
+    with pytest.raises(QuadratureError, match=r"not finite at depth h = 1\.50[0-9]* "):
+        sw.average(lambda h: bad, BASE)
+    assert sizes == [64, 64]
+
+
 # Worst relative weight error of numpy's leggauss, which _gauss_legendre
 # replaced, on the nodes and against the oracle of the test below
 # (numpy 2.4; leggauss takes about 5 s at n = 4096, so it is not rerun).
