@@ -43,8 +43,8 @@ conserve mass and total momentum to rounding, and a whole step or chain
 commutes bitwise with grid rotations: the Sherman-Morrison break sits at
 an anchor cell chosen by cyclic lexicographic comparison, so the choice
 itself rotates with the data even when several cells tie exactly in
-floating point.  Exact ties are resolved by rank doubling, in at most
-O(n log^2 n).
+floating point.  Exact ties are resolved by candidate elimination with
+doubling (Booth's lemma): at most ceil(log2 n) rounds of O(n) work each.
 
 An exactly periodic state (still water, or tiled copies of one wave) has
 no unique anchor, since every copy ties.  When the maximum of h is not
@@ -109,9 +109,9 @@ class SGNField:
             raise ValueError(f"a periodic field needs at least 2 cells, got {self.h.size}")
         if not (0.0 < self.dx < np.inf and 0.0 < self.g < np.inf):
             raise ValueError(f"dx and g must be finite and positive, got dx={self.dx}, g={self.g}")
-        if not (np.all(np.isfinite(self.h)) and np.all(np.isfinite(self.q))):
+        if not (_all_finite(self.h) and _all_finite(self.q)):
             raise ValueError("h and q must be finite everywhere")
-        if not np.all(self.h > 0.0):
+        if not self.h[self.h.argmin()] > 0.0:    # a NaN fails too
             raise PositivityError("initial depth must be positive everywhere")
 
     @property
@@ -297,28 +297,56 @@ def _hydro_step(U, dx, dt, g, limiter):
 def _anchor_cell(key: np.ndarray) -> int:
     """Cyclic lexicographic argmax: rotation-equivariant even under exact ties.
 
-    Returns the lowest index i whose rotation key[i], key[i+1], ... (mod n)
-    is lexicographically largest.  Exact ties are broken by rank doubling:
-    rank[i] orders the blocks of length `width` starting at i, and the pair
-    (rank[i], rank[i + width]) orders those of length 2 * width.  It stops
-    when one block of maximal rank is left, or when a doubling splits no
-    class of equal blocks: then blocks equal at one length are equal at
-    every length, as on flat or exactly periodic data.
+    Returns the lowest index i whose rotation rot(i) = key[i], key[i+1], ...
+    (mod n) of the finite key is lexicographically largest.  A unique
+    maximum is the answer.  Exact ties are resolved by candidate
+    elimination with doubling, the lemma behind Booth's least-rotation
+    algorithm (Booth 1980, Inf. Process. Lett. 10:240) applied to a whole
+    set of candidates at once.
+
+    At width w every candidate starts with the largest w-prefix of any
+    rotation.  Lemma: if i < j <= i + w both do, j is not the answer.  With
+    d = j - i <= w, both rotations start with the same d entries A, so
+    rot(i) = A rot(j) and rot(j) = A rot(j + d), and rot(j) > rot(i) holds
+    exactly when rot(j + d) > rot(j).  Either rot(j) is at most rot(i),
+    which has the lower index, or rot(j + d) beats it.  So each round
+    drops every candidate whose predecessor candidate (in linear order, no
+    wrap) lies at most w cells before it; the survivors lie more than w
+    apart and hold at most 2n entries in their next w cells.  Keeping the
+    survivors whose next w cells are the largest gives the candidates at
+    width 2w.  A round touches O(n) values and sorts nothing; once
+    w >= n - 1 one candidate is left, so there are at most ceil(log2 n)
+    rounds.
     """
-    n = key.size
     top = int(key.argmax())
-    if np.count_nonzero(key == key[top]) == 1:
+    tied = key == key[top]
+    if np.count_nonzero(tied) == 1:
         return top
-    values, rank = np.unique(key, return_inverse=True)
+    cand = np.flatnonzero(tied)
     width = 1
-    while width < n:
-        classes = values.size
-        ahead = np.concatenate((rank[width:], rank[:width]))    # rank[(i + width) % n]
-        values, rank, counts = np.unique(rank * n + ahead, return_inverse=True, return_counts=True)
-        if counts[-1] == 1 or values.size == classes:
-            break
+    while True:
+        later = cand[1:]
+        cand = np.concatenate((cand[:1], later[later - cand[:-1] > width]))
+        if cand.size == 1:
+            return int(cand[0])
+        if width == 1:
+            radix = _radix_bytes(key)
+        rows = radix.take(cand[:, None] + np.arange(width, 2 * width), mode="wrap")
+        rows = rows.view(f"S{rows.itemsize * width}").ravel()    # one byte string per row
+        cand = cand[rows == rows[rows.argmax()]]
         width *= 2
-    return int(np.argmax(rank))
+
+
+def _radix_bytes(key):
+    """Big-endian integers whose bytes order like the finite floats in key.
+
+    Byte strings of these integers compare like the float sequences they
+    encode, which makes a lexicographic maximum one argmax.  -0.0 and +0.0
+    map to the same bytes, as they compare equal.
+    """
+    b = (key + 0.0).view(np.int64)    # + 0.0 turns -0.0 into +0.0
+    # flip every bit of a negative float and the sign bit of any other
+    return (b ^ ((b >> 63) | np.int64(-(2 ** 63)))).astype(">i8")
 
 
 def _all_finite(v) -> bool:
@@ -436,17 +464,25 @@ def _block_length(h, q) -> int:
     equal copies of each of its maxima, so the number of cells tied at the
     maximum of h rules out most m before any arrays are compared.  Data
     with a unique maximum (almost every state after the first step) pays
-    one max and one compare.
+    one max and one compare.  Copies must match bit for bit, signed zeros
+    included: tiling the first block would overwrite the signs of the
+    zeros in every other copy.
     """
     n = h.size
     ties = int(np.count_nonzero(h == h[h.argmax()]))
     if ties < 2:
         return n
+    hb, qb = _bits(h), _bits(q)
     for copies in reversed(_divisors(math.gcd(n, ties))[1:]):    # m ascending, m < n
         m = n // copies
-        if m >= 2 and np.array_equal(h[m:], h[:-m]) and np.array_equal(q[m:], q[:-m]):
+        if m >= 2 and np.array_equal(hb[m:], hb[:-m]) and np.array_equal(qb[m:], qb[:-m]):
             return m
     return n
+
+
+def _bits(v):
+    """The IEEE bit pattern of each value, so that -0.0 and +0.0 differ."""
+    return np.asarray(v, dtype=np.float64).view(np.uint64)
 
 
 def _step_arrays(h, q, dx, g, cfl, limiter, dt_max=None):

@@ -11,6 +11,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 import sgnwaves as sw
@@ -56,6 +58,20 @@ def test_field_validation():
         sw.SGNField(dx=0.1, g=G, h=np.array([1.0, np.inf, 1.0]), q=np.zeros(3))
     with pytest.raises(ValueError, match="finite"):
         sw.SGNField(dx=0.1, g=G, h=np.array([1.0, np.nan, 1.0]), q=np.zeros(3))
+    # the extremes hold any NaN or infinity, wherever it sits
+    for bad in (np.inf, -np.inf, np.nan):
+        for cell in (0, 2):
+            q = np.zeros(3)
+            q[cell] = bad
+            with pytest.raises(ValueError, match="h and q must be finite everywhere"):
+                sw.SGNField(dx=0.1, g=G, h=np.ones(3), q=q)
+    for cell in (0, 2):
+        h = np.ones(3)
+        h[cell] = np.nan
+        with pytest.raises(ValueError, match="h and q must be finite everywhere"):
+            sw.SGNField(dx=0.1, g=G, h=h, q=np.zeros(3))
+    with pytest.raises(PositivityError, match="initial depth must be positive everywhere"):
+        sw.SGNField(dx=0.1, g=G, h=np.array([1.0, 1.0, 0.0]), q=np.zeros(3))
 
 
 def test_field_needs_two_cells():
@@ -229,6 +245,19 @@ def test_translation_equivariance_still_water_4000_cells():
     _assert_rotation_equivariant(np.full(4000, 2.0), np.zeros(4000), 0.05, 1237)
 
 
+@pytest.mark.parametrize("n", [6, 12])
+def test_still_water_with_one_negative_zero_is_rotation_equivariant_bitwise(n):
+    # +0.0 and -0.0 compare equal, but a copy of a block holds its own signs:
+    # q is not made of copies of its first block, so no block may be tiled
+    h, q = np.full(n, 1.5), np.zeros(n)
+    q[1] = -0.0
+    h1, q1, _ = _step_arrays(h, q, 0.05, G, 0.45, "mc")
+    for shift in range(1, n):
+        h2, q2, _ = _step_arrays(np.roll(h, shift), np.roll(q, shift), 0.05, G, 0.45, "mc")
+        assert np.array_equal(_bits(np.roll(h1, shift)), _bits(h2)), shift
+        assert np.array_equal(_bits(np.roll(q1, shift)), _bits(q2)), shift
+
+
 def test_translation_equivariance_nudged_tiled_train_4000_cells():
     # ten bitwise-identical wavelengths, one cell nudged so the anchor is unique
     one = sw.init_wavetrain(base_config(cells_per_wavelength=400))
@@ -268,6 +297,10 @@ def _period_cases():
     yield pytest.param(np.full(12, 1.5), np.zeros(12), 2, id="constant, n = 12")
     yield pytest.param(np.full(9, 1.5), np.zeros(9), 3, id="constant, n = 9")
     yield pytest.param(np.full(13, 1.5), np.zeros(13), 13, id="constant, odd prime n = 13")
+    q = np.zeros(12)
+    q[5] = -0.0
+    yield pytest.param(np.full(12, 1.5), q, 12, id="constant h, one -0.0 in q")
+    yield pytest.param(np.full(12, 1.5), np.tile([0.0, -0.0], 6), 2, id="constant h, q = 0, -0, ...")
     yield pytest.param(1.0 + rng.random(12), np.zeros(12), 12, id="unique maximum")
     q = np.tile(block_q, 4)
     q[7] += 1e-3
@@ -601,6 +634,17 @@ def _tie_heavy_keys(rng, n):
     alternating[::2] = 2.0
     yield alternating
     yield rng.integers(0, 2, n).astype(float)
+    # mirror-symmetric, as a symmetric hump's diagonal is: the two halves
+    # tie at every depth up to the middle
+    half = rng.random((n + 1) // 2)
+    yield np.concatenate((half, half[::-1]))[:n]
+    half = rng.integers(0, 3, (n + 1) // 2).astype(float)
+    yield np.concatenate((half[::-1], half))[-n:]
+    # periodic but for one entry: every copy ties until the nudge
+    period = int(rng.integers(1, n // 2 + 2))
+    nudged = np.tile(rng.integers(0, 3, period), n // period + 1)[:n].astype(float)
+    nudged[rng.integers(n)] += 0.5
+    yield nudged
 
 
 def test_anchor_matches_reference_loop_on_ties():
@@ -609,6 +653,34 @@ def test_anchor_matches_reference_loop_on_ties():
         for _ in range(5):
             for key in _tie_heavy_keys(rng, n):
                 assert _anchor_cell(key) == _ref_anchor_cell(key), key
+
+
+@given(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0]), min_size=1, max_size=64))
+@settings(max_examples=300, deadline=None)
+def test_anchor_matches_reference_loop_on_small_alphabets(values):
+    # the anchor compares values, so -0.0 ties +0.0 as in the reference
+    key = np.array(values)
+    assert _anchor_cell(key) == _ref_anchor_cell(key)
+
+
+def test_anchor_of_a_hump_at_rest_matches_reference_loop(monkeypatch):
+    # a symmetric hump at rest has a mirror-symmetric diagonal, whose two
+    # crest cells tie exactly in many stages of the run
+    keys = []
+
+    def recorded(key):
+        keys.append((key.copy(), _anchor_cell(key)))
+        return keys[-1][1]
+
+    monkeypatch.setattr(solver, "_anchor_cell", recorded)
+    x = (np.arange(400) + 0.5) / 400
+    field = sw.SGNField(dx=0.05, g=G, h=1.0 + 0.3 * np.exp(-(((x - 0.5) / 0.1) ** 2)),
+                        q=np.zeros(400))
+    for _ in range(40):
+        field = sw.step(field, cfl=0.45)
+    assert any(np.count_nonzero(key == key.max()) > 1 for key, _ in keys)
+    for key, cell in keys:
+        assert cell == _ref_anchor_cell(key)
 
 
 @pytest.mark.parametrize("period", [1, 400])
