@@ -278,7 +278,7 @@ def main(argv=None) -> int:
     except (DegeneratePencilError, QuadratureError) as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (DomainError, SgnError, FileNotFoundError, ValueError) as exc:
+    except (DomainError, SgnError, OSError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .csvio import format_column, write_csv
-from .elliptic import _require
+from .elliptic import _require, _scalar
 from .errors import DegeneratePencilError
 from .waves import RootTriple, averaged_h, averaged_hinv, constants_from_roots, valid_roots, wavelength
 
@@ -314,8 +314,7 @@ def resultant_quartic(charpoly):
         S[..., i, i:i + 5] = p
     for i in range(4):
         S[..., 3 + i, i:i + 4] = dp
-    out = np.linalg.det(S)
-    return float(out) if out.ndim == 0 else out
+    return _scalar(np.linalg.det(S))
 
 
 # index pairs (i < j) of the four roots, for the distinctness gaps
@@ -346,16 +345,12 @@ def characteristic_eigenvalues(sys: QuasilinearSystem) -> EigenClassification:
     lam = np.asarray(np.linalg.eigvals(comp), dtype=complex)
     lam.sort(axis=-1)
     re, im = lam.real, lam.imag
-    all_real = (np.abs(im) <= REAL_TOL * np.maximum(1.0, np.abs(re))).all(axis=-1)
     gaps = np.abs(lam[..., _PAIRS[0]] - lam[..., _PAIRS[1]])
-    distinct = gaps.min(axis=-1) > DISTINCT_TOL * np.abs(lam).max(axis=-1)
-    n_positive = (re > 0.0).sum(axis=-1)
-    if c.ndim == 1:
-        all_real, distinct, n_positive = bool(all_real), bool(distinct), int(n_positive)
+    n_positive = _scalar((re > 0.0).sum(axis=-1))
     return EigenClassification(
         roots=lam,
-        all_real=all_real,
-        distinct=distinct,
+        all_real=_scalar((np.abs(im) <= REAL_TOL * np.maximum(1.0, np.abs(re))).all(axis=-1)),
+        distinct=_scalar(gaps.min(axis=-1) > DISTINCT_TOL * np.abs(lam).max(axis=-1)),
         n_positive=n_positive,
         n_negative=4 - n_positive,
         resultant=resultant_quartic(c),

@@ -103,6 +103,16 @@ class SGNField:
     t: float = 0.0
 
     def __post_init__(self):
+        # h and q hold float64: a float64 array is kept as it is, other real
+        # types (and lists) are converted, so a step runs on the float64 bits
+        for name in ("h", "q"):
+            v = getattr(self, name)
+            if type(v) is np.ndarray and v.dtype == np.float64:
+                continue
+            v = np.asarray(v)
+            if v.dtype.kind not in "biuf":
+                raise ValueError(f"h and q must hold real numbers, got {name} of dtype {v.dtype}")
+            object.__setattr__(self, name, v.astype(np.float64))
         if self.h.shape != self.q.shape or self.h.ndim != 1:
             raise ValueError("h and q must be 1D arrays of equal length")
         if self.h.size < 2:
@@ -728,19 +738,14 @@ def run_experiment(
         if out is not None:
             write_csv(out / "diagnostics.csv", "t,mass,momentum,energy",
                       map(format_column, np.array(diag_series).T))
-            _write_manifest(
-                out / "manifest.txt", config, wave, field, run.t, run.n_steps,
-                run.h_min, run.h_max, times, cfl, limiter,
-            )
+            _write_manifest(out / "manifest.txt", config, wave, field, run, times)
     return RunResult(
         config=config, wave=wave, checkpoints=checkpoints,
         diag_series=diag_series, h_min=run.h_min, h_max=run.h_max, n_steps=run.n_steps,
     )
 
 
-def _write_manifest(
-    path, config, wave, field0, t_final, n_steps, h_min, h_max, times, cfl, limiter
-) -> None:
+def _write_manifest(path, config, wave, field0, run: _Run, times) -> None:
     from datetime import datetime, timezone
 
     from . import __version__
@@ -748,7 +753,7 @@ def _write_manifest(
     r = config.roots
     # crude cost gauge: cell-seconds; the paper-scale run is flagged so a
     # caller knows it was accepted as a long-running job, not a CI target
-    long_running = field0.n_cells * t_final > 1.0e6
+    long_running = field0.n_cells * run.t > 1.0e6
     rows = [
         ("code_version", __version__),
         ("written_utc", datetime.now(timezone.utc).isoformat()),
@@ -762,12 +767,12 @@ def _write_manifest(
         ("dx", repr(field0.dx)),
         ("wavelength", repr(wave.L)),
         ("phase_speed", repr(wave.D)),
-        ("cfl", repr(cfl)),
-        ("limiter", limiter),
-        ("t_final", repr(float(t_final))),
-        ("n_steps", str(n_steps)),
-        ("h_min", repr(h_min)),
-        ("h_max", repr(h_max)),
+        ("cfl", repr(run.cfl)),
+        ("limiter", run.limiter),
+        ("t_final", repr(float(run.t))),
+        ("n_steps", str(run.n_steps)),
+        ("h_min", repr(run.h_min)),
+        ("h_max", repr(run.h_max)),
         ("checkpoint_times", ";".join(repr(float(t)) for t in times)),
         ("long_running", "true" if long_running else "false"),
     ]

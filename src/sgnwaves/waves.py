@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .elliptic import ellip_K, ellip_E, ellip_Pi
+from .elliptic import _scalar, ellip_K, ellip_E, ellip_Pi
 from .errors import InvalidRootsError, QuadratureError
 
 __all__ = [
@@ -55,9 +55,8 @@ AVERAGE_RTOL = 1e-12
 
 
 def _sqrt(x):
-    """np.sqrt that keeps a scalar a Python float, as repr-ed outputs expect."""
-    out = np.sqrt(x)
-    return float(out) if out.ndim == 0 else out
+    """np.sqrt that keeps a scalar a Python float."""
+    return _scalar(np.sqrt(x))
 
 
 def valid_roots(h0, h1, h2):
@@ -156,8 +155,7 @@ def oscillation_rhs(h, constants: WaveConstants):
     """
     c = constants
     h = np.asarray(h, dtype=float)
-    out = (3.0 / c.I3) * (c.I3 - c.I2 * h + c.I1 * h * h - h ** 3)
-    return float(out) if out.ndim == 0 else out
+    return _scalar((3.0 / c.I3) * (c.I3 - c.I2 * h + c.I1 * h * h - h ** 3))
 
 
 def jacobi_cn(u, k: float):
@@ -190,8 +188,7 @@ def jacobi_cn(u, k: float):
     for r in reversed(ratios):
         s = np.clip(r * np.sin(phi), -1.0, 1.0)
         phi = 0.5 * (phi + np.arcsin(s))
-    out = np.cos(phi)
-    return float(out) if out.ndim == 0 else out
+    return _scalar(np.cos(phi))
 
 
 def wavelength(roots: RootTriple) -> float:
@@ -233,14 +230,12 @@ def profile(wave: CnoidalWave, xi):
     """Depth h(xi) = h1 + (h2-h1) cn^2(alpha xi; k); crest at xi = 0."""
     r = wave.roots
     cn = jacobi_cn(np.asarray(xi, dtype=float) * wave.alpha, wave.k)
-    out = r.h1 + (r.h2 - r.h1) * np.square(cn)
-    return float(out) if np.ndim(out) == 0 else out
+    return _scalar(r.h1 + (r.h2 - r.h1) * np.square(cn))
 
 
 def velocity_from_depth(h, constants: WaveConstants, D: float):
     """u = m/h + D from the mass constraint h(u - D) = m."""
-    out = constants.m / np.asarray(h, dtype=float) + D
-    return float(out) if out.ndim == 0 else out
+    return _scalar(constants.m / np.asarray(h, dtype=float) + D)
 
 
 def _legendre(n: int, x: np.ndarray):
@@ -290,7 +285,7 @@ def average(f: Callable, roots: RootTriple) -> float:
     raises QuadratureError at once, naming the smallest such depth:
     doubling the nodes cannot make it converge.
 
-    f must accept a numpy array of depths.
+    f must accept a numpy array of depths; it may return a constant.
     """
     h0, h1, h2 = roots.h0, roots.h1, roots.h2
     prev = None
@@ -299,8 +294,8 @@ def average(f: Callable, roots: RootTriple) -> float:
         phi, w = _gauss_nodes(n)
         h = h1 + (h2 - h1) * np.sin(phi) ** 2
         weight = w / np.sqrt(h - h0)
-        fv = np.asarray(f(h), dtype=float)
-        bad = np.broadcast_to(~np.isfinite(fv), h.shape)
+        fv = np.broadcast_to(np.asarray(f(h), dtype=float), h.shape)
+        bad = ~np.isfinite(fv)
         if bad.any():
             raise QuadratureError(
                 f"period average: f(h) is not finite at depth h = {float(h[bad.argmax()])!r} "

@@ -369,6 +369,29 @@ def test_nonfinite_gravity_or_phase_speed_is_invalid_input(capsys, tmp_path, arg
     assert not out.exists()
 
 
+# --- unwritable outputs -----------------------------------------------------------
+
+@pytest.mark.parametrize("argv, target", [
+    (["wave", *BASE_ARGS, "--out"], "dir"),
+    (["scan", "--grid", "3", "--g", "10", "--out"], "dir"),
+    (["simulate", "--out-dir"], "file"),
+], ids=["wave-out-is-a-directory", "scan-out-is-a-directory", "simulate-out-dir-is-a-file"])
+def test_an_unwritable_output_is_invalid_input(capsys, tmp_path, argv, target):
+    path = tmp_path / "taken"
+    if target == "dir":
+        path.mkdir()
+    else:
+        path.write_text("")
+    if argv[0] == "simulate":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG)
+        argv = ["simulate", "--config", str(cfg), *argv[1:]]
+    code, _, err = run(capsys, [*argv, str(path)])
+    assert code == 2
+    assert err.startswith("invalid input: ") and str(path) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # --- dispatcher ----------------------------------------------------------------
 
 def test_cli_requires_subcommand(capsys):

@@ -74,6 +74,46 @@ def test_field_validation():
         sw.SGNField(dx=0.1, g=G, h=np.array([1.0, 1.0, 0.0]), q=np.zeros(3))
 
 
+def _real_states():
+    rng = np.random.default_rng(3)
+    h, q = rng.integers(2, 4, 64), rng.integers(-1, 2, 64)
+    wave = sw.init_wavetrain(base_config(cells_per_wavelength=32))
+    return {
+        "int64": (h, q),
+        "int8 h, bool q": (h.astype(np.int8), q > 0),
+        "float32": (wave.h.astype(np.float32), wave.q.astype(np.float32)),
+        "list": (wave.h.tolist(), wave.q.tolist()),
+    }
+
+
+@pytest.mark.parametrize("name", _real_states())
+def test_field_of_any_real_dtype_steps_as_its_float64_copy(name):
+    h, q = _real_states()[name]
+    field = sw.SGNField(dx=0.1, g=G, h=h, q=q)
+    copy = sw.SGNField(dx=0.1, g=G, h=np.array(h, dtype=np.float64),
+                       q=np.array(q, dtype=np.float64))
+    assert field.h.dtype == field.q.dtype == np.float64
+    a, b = sw.step(field, cfl=0.45), sw.step(copy, cfl=0.45)
+    assert a.t == b.t
+    assert np.array_equal(_bits(a.h), _bits(b.h)) and np.array_equal(_bits(a.q), _bits(b.q))
+
+
+def test_field_keeps_float64_arrays():
+    h, q = np.ones(8), np.zeros(8)
+    field = sw.SGNField(dx=0.1, g=G, h=h, q=q)
+    assert field.h is h and field.q is q
+
+
+@pytest.mark.parametrize("h, q, dtype", [
+    (np.ones(8, dtype=complex), np.zeros(8), "complex128"),
+    (np.ones(8), np.zeros(8, dtype=object), "object"),
+    (np.ones(8), np.array(["0"] * 8), "<U1"),
+], ids=["complex", "object", "str"])
+def test_field_rejects_non_real_dtypes(h, q, dtype):
+    with pytest.raises(ValueError, match=f"must hold real numbers, got . of dtype {dtype}"):
+        sw.SGNField(dx=0.1, g=G, h=h, q=q)
+
+
 def test_field_needs_two_cells():
     # the cyclic pressure operator needs an off-diagonal: two cells at least
     for n in (0, 1):
@@ -785,6 +825,10 @@ def test_run_experiment_checkpoints_and_artifacts(tmp_path):
     assert "wavelength = " in manifest
     assert "n_cells = 64" in manifest
     assert "checkpoint_times = 0.4;1.0" in manifest
+    # the rest of the manifest is the run's own record
+    rows = dict(row.split(" = ", 1) for row in manifest.splitlines())
+    assert [rows[k] for k in ("t_final", "n_steps", "h_min", "h_max", "cfl", "limiter")] == [
+        "1.0", str(res.n_steps), repr(res.h_min), repr(res.h_max), "0.45", "mc"]
     field_lines = (out / "field_0000.csv").read_text().splitlines()
     assert field_lines[0] == "x,h,u"
     assert len(field_lines) == 65

@@ -256,6 +256,13 @@ def test_average_matches_closed_forms():
         )
 
 
+@pytest.mark.parametrize("roots", [(1.0, 1.5, 2.0), (1e-7, 1.001e-7, 1.0)])
+def test_average_of_a_constant_is_the_constant(roots):
+    # f may ignore its depths and return one number
+    average = sw.average(lambda h: 2.5, sw.RootTriple(*roots))
+    assert average == pytest.approx(2.5, rel=1e-15, abs=0.0)
+
+
 def test_mean_momentum_vanishes_in_rest_frame():
     wave = sw.build_wave(BASE, G, -1)
     c = wave.constants
