@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import pathlib
 import sys
 
@@ -148,8 +149,10 @@ def _write_plot_scripts(out_csv: pathlib.Path) -> list[pathlib.Path]:
 
 def cmd_scan(args) -> int:
     window = _float_list(args.window, 4, "--window needs smin,smax,taumin,taumax")
-    result = scan_region(*window, args.grid, args.g, args.sign)
     out = pathlib.Path(args.out)
+    if out.is_dir() or not os.access(out if out.exists() else out.parent, os.W_OK):
+        raise OSError(f"cannot write the scan to {out}")  # before the scan runs, creating nothing
+    result = scan_region(*window, args.grid, args.g, args.sign)
     write_scan_csv(result, out)
     scripts = _write_plot_scripts(out)
     n_pts = result.reason.size

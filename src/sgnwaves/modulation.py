@@ -291,9 +291,6 @@ def assemble_AB(state: ModulationState) -> QuasilinearSystem:
     return QuasilinearSystem(A=A, B=B, charpoly=_pencil_charpoly(A, B))
 
 
-_POWERS = np.array([1.0, 2.0, 3.0, 4.0])  # d/dx c_k x^k = k c_k x^(k-1), k = 1..4
-
-
 def resultant_quartic(charpoly):
     """Res(p, p') of a quartic via the 7x7 Sylvester determinant.
 
@@ -308,7 +305,7 @@ def resultant_quartic(charpoly):
         raise DegeneratePencilError("resultant_quartic needs a degree-4 polynomial")
     c = c / c[..., 4:]
     p = c[..., ::-1]                          # monic, descending: 1, c3, c2, c1, c0
-    dp = (c[..., 1:] * _POWERS)[..., ::-1]    # 4, 3 c3, 2 c2, c1
+    dp = (c[..., 1:] * np.arange(1.0, 5.0))[..., ::-1]  # 4, 3 c3, 2 c2, c1
     S = np.zeros(c.shape[:-1] + (7, 7))
     for i in range(3):
         S[..., i, i:i + 5] = p
@@ -333,7 +330,9 @@ def characteristic_eigenvalues(sys: QuasilinearSystem) -> EigenClassification:
 
     Roots are the eigenvalues of the quartic's companion matrix, laid out
     as numpy.roots lays it out; this is robust where closed-form quartic
-    solvers lose digits.  Raises DegeneratePencilError where
+    solvers lose digits.  The resultant Res(p, p'), a sign check, is
+    prod_{i<j} (lam_i - lam_j)^2 over these roots (p monic, n = 4);
+    resultant_quartic takes it from coefficients.  Raises DegeneratePencilError where
     _degenerate_pencil holds; scan_region masks those states out first.
     """
     c = sys.charpoly
@@ -345,15 +344,15 @@ def characteristic_eigenvalues(sys: QuasilinearSystem) -> EigenClassification:
     lam = np.asarray(np.linalg.eigvals(comp), dtype=complex)
     lam.sort(axis=-1)
     re, im = lam.real, lam.imag
-    gaps = np.abs(lam[..., _PAIRS[0]] - lam[..., _PAIRS[1]])
+    diff = lam[..., _PAIRS[0]] - lam[..., _PAIRS[1]]
     n_positive = _scalar((re > 0.0).sum(axis=-1))
     return EigenClassification(
         roots=lam,
         all_real=_scalar((np.abs(im) <= REAL_TOL * np.maximum(1.0, np.abs(re))).all(axis=-1)),
-        distinct=_scalar(gaps.min(axis=-1) > DISTINCT_TOL * np.abs(lam).max(axis=-1)),
+        distinct=_scalar(np.abs(diff).min(axis=-1) > DISTINCT_TOL * np.abs(lam).max(axis=-1)),
         n_positive=n_positive,
         n_negative=4 - n_positive,
-        resultant=resultant_quartic(c),
+        resultant=_scalar((diff * diff).prod(axis=-1).real),
     )
 
 

@@ -392,6 +392,19 @@ def test_an_unwritable_output_is_invalid_input(capsys, tmp_path, argv, target):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_scan_checks_its_output_before_it_scans(capsys, tmp_path, monkeypatch):
+    # an unwritable --out must exit 2 before any scan point is computed
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan_region ran before the output was checked")
+
+    monkeypatch.setattr("sgnwaves.cli.scan_region", no_scan)
+    code, _, err = run(capsys, ["scan", "--out", str(tmp_path)])
+    assert code == 2
+    assert err.startswith("invalid input: ") and str(tmp_path) in err
+    code, _, err = run(capsys, ["scan", "--out", str(tmp_path / "missing" / "s.csv")])
+    assert code == 2 and not (tmp_path / "missing").exists()
+
+
 # --- dispatcher ----------------------------------------------------------------
 
 def test_cli_requires_subcommand(capsys):

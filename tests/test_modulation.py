@@ -8,6 +8,9 @@ Oracles:
     for the pencil polynomial;
   * the product formula Res(p, p') = prod p'(r_i) over the roots, and
     hand-factored quartics, for the resultant;
+  * the 60-digit mpmath discriminant of the same float64 charpoly, by
+    the closed-form quartic formula, for the resultant taken from the
+    roots; and the Sylvester resultant_quartic for its sign;
   * 60-digit mpmath eigenvalues of A^-1 B, from the same float64 A and B,
     for the charpoly and root layer at points of the 50x50 scan grid;
   * exact symmetries (Galilean shift, depth scaling, sign flip) that the
@@ -450,6 +453,34 @@ def test_resultant_matches_product_formula():
         )
 
 
+def test_resultant_from_roots_has_the_sign_of_the_sylvester_resultant():
+    # characteristic_eigenvalues takes the resultant from its roots; the
+    # Sylvester determinant of the same charpoly must agree in sign at every
+    # point, the corner (1.001, 0.001) included, and in value off the
+    # tau = SCAN_MARGIN row, where both stay far from a double root
+    res = sw.scan_region(1.0, 20.0, 0.0, 20.0, 12, g=G)
+    assert res.s_values[0] == pytest.approx(1.001) and res.tau_values[0] == pytest.approx(0.001)
+    s, tau = (a.ravel() for a in np.meshgrid(res.s_values, res.tau_values, indexing="ij"))
+    system = sw.assemble_AB(sw.state_at_rest(sw.RootTriple(np.ones_like(s), s, s + tau), G))
+    sylvester = sw.resultant_quartic(system.charpoly)
+    got = res.classification.resultant
+    assert np.array_equal(np.sign(got), np.sign(sylvester))
+    off = tau != SCAN_MARGIN
+    assert off.sum() == 132
+    assert np.max(np.abs(got[off] - sylvester[off]) / np.abs(sylvester[off])) <= 1e-9
+
+
+def test_resultant_of_complex_roots_is_negative():
+    # inside the scan margin the two middle roots are a conjugate pair, so
+    # prod (lam_i - lam_j)^2 is negative; a single state gives a Python float
+    state = sw.state_at_rest(sw.RootTriple(1.0, 1.0001, 1.0001 + 1e-4), G)
+    system = sw.assemble_AB(state)
+    cls = sw.characteristic_eigenvalues(system)
+    assert not cls.all_real and np.max(np.abs(cls.roots.imag)) > 1e-4
+    assert type(cls.resultant) is float and cls.resultant < 0.0
+    assert sw.resultant_quartic(system.charpoly) < 0.0
+
+
 # --- parameter-plane scan -------------------------------------------------------
 
 def test_scan_region_structure():
@@ -523,6 +554,35 @@ def test_scan_eigenvalues_match_a_60_digit_oracle(ij):
         assert max(abs(mpmath.im(e)) for e in ev) < 1e-40
         ref = np.sort([float(mpmath.re(e)) for e in ev])
     assert np.max(np.abs(lam - ref)) <= ORACLE_CEILINGS[ij] * np.max(np.abs(ref))
+
+
+def _discriminant_60(charpoly) -> float:
+    """Discriminant of the monic quartic x^4 + b x^3 + c x^2 + d x + e, to 60 digits."""
+    with mpmath.workdps(60):
+        e, d, c, b = (mpmath.mpf(float(x)) / mpmath.mpf(float(charpoly[4])) for x in charpoly[:4])
+        return float(
+            256 * e**3 - 192 * b * d * e**2 - 128 * c**2 * e**2 + 144 * c * d**2 * e
+            - 27 * d**4 + 144 * b**2 * c * e**2 - 6 * b**2 * d**2 * e - 80 * b * c**2 * d * e
+            + 18 * b * c * d**3 + 16 * c**4 * e - 4 * c**3 * d**2 - 27 * b**4 * e**2
+            + 18 * b**3 * c * d * e - 4 * b**3 * d**3 - 4 * b**2 * c**3 * e + b**2 * c**2 * d**2
+        )
+
+
+# Points (i, j) of the 50x50 scan grid and a ceiling on the relative error
+# of the resultant taken from the roots, against the 60-digit discriminant:
+# twice the error at the time of writing.  Over the whole grid the largest
+# error was 2.1e-6, at (91.92, 0.001); the corner's was 5.9e-7 and the
+# median 2.9e-15.  The tau = 0.001 row loses the most, as its roots crowd.
+RESULTANT_CEILINGS = {(0, 0): 1.2e-6, (45, 0): 4.2e-6, (24, 24): 1.6e-14}
+
+
+@pytest.mark.parametrize("ij", RESULTANT_CEILINGS, ids=lambda ij: f"s{ij[0]}-tau{ij[1]}")
+def test_resultant_matches_a_60_digit_discriminant(ij):
+    s, tau = S50[ij[0]], TAU50[ij[1]]
+    system = sw.assemble_AB(sw.state_at_rest(sw.RootTriple(1.0, s, s + tau), G))
+    ref = _discriminant_60(system.charpoly)
+    got = sw.characteristic_eigenvalues(system).resultant
+    assert abs(got - ref) <= RESULTANT_CEILINGS[ij] * abs(ref)
 
 
 def test_scan_points_equal_single_state_bitwise():
