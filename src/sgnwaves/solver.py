@@ -6,9 +6,8 @@ Unknowns are the cell values of depth h and momentum q = h u.  The system
     (h u)_t + (h u^2 + p)_x = 0,   p = g h^2/2 + (1/3) h^2 (D^2 h / D t^2)
 
 is advanced by Strang splitting between a hydrostatic shallow-water step
-H and a dispersive momentum correction D.  `step` takes one step
-H(dt/2) D(dt) H(dt/2).  `run_experiment` advances each stretch between two
-checkpoints as one chain
+H and a dispersive momentum correction D.  `run_experiment` advances each
+stretch between two checkpoints as one chain
 
     H(dt0/2) D(dt0) H((dt0 + dt1)/2) D(dt1) ... D(dtk) H(dtk/2),
 
@@ -16,10 +15,10 @@ the "first same as last" form of Strang splitting (Strang 1968): the
 closing half-step of one step and the opening half-step of the next are
 one hydrostatic stage, so a run pays for one H per step, not two.  Each
 dt is the CFL step of the state after the previous D, and the chain
-closes with a half-step at every checkpoint.  A chain of length one is
-`step`, bit for bit.  Each hydrostatic stage ends with a check that every
-depth is positive, so the dispersive operator is only built on positive
-h.  The two substeps are:
+closes with a half-step at every checkpoint.  `step` is the same driver,
+`_Run.advance`, cut after one stage: H(dt/2) D(dt) H(dt/2).  Each
+hydrostatic stage ends with a check that every depth is positive, so the
+dispersive operator is only built on positive h.  The two substeps are:
 
   * hydrostatic: MUSCL-Hancock finite volumes with an HLL flux and a
     configurable slope limiter (default monotonized-central, which keeps
@@ -123,6 +122,8 @@ class SGNField:
             raise ValueError("h and q must be finite everywhere")
         if not self.h[self.h.argmin()] > 0.0:    # a NaN fails too
             raise PositivityError("initial depth must be positive everywhere")
+        if not (isinstance(self.t, numbers.Real) and math.isfinite(self.t)):
+            raise ValueError(f"t must be a finite real number, got t={self.t!r}")
 
     @property
     def n_cells(self) -> int:
@@ -495,25 +496,6 @@ def _bits(v):
     return np.asarray(v, dtype=np.float64).view(np.uint64)
 
 
-def _step_arrays(h, q, dx, g, cfl, limiter, dt_max=None):
-    # n/m identical blocks step identically: step one and tile it.  The
-    # block has the same maximum wave speed, so dt is unchanged, and a
-    # rotation of the whole state is a rotation of the block, which the
-    # step commutes with even where the full state has no unique anchor.
-    n, m = h.size, _block_length(h, q)
-    h, q, dt = _step_cells(h[:m], q[:m], dx, g, cfl, limiter, dt_max)
-    if m < n:
-        h, q = np.tile(h, n // m), np.tile(q, n // m)
-    return h, q, dt
-
-
-def _step_cells(h, q, dx, g, cfl, limiter, dt_max):
-    # the chain of length one: H(dt/2) D(dt) H(dt/2)
-    U, dt = _stage(np.array((h, q)), dx, g, cfl, limiter, 0.0, dt_max)
-    h, q = _hydro_stage(U, dx, 0.5 * dt, g, limiter)
-    return h, q, dt
-
-
 def _cfl_dt(h, q, dx, g, cfl, dt_max):
     """cfl * dx / max(|u| + sqrt(g h)), at most dt_max; a non-finite state is named."""
     speed = q / h
@@ -558,12 +540,13 @@ def _check_step_args(cfl, limiter) -> None:
 
 
 def step(field: SGNField, cfl: float, limiter: str = "mc", dt_max: float | None = None) -> SGNField:
-    """Advance one time step of size cfl * dx / max(|u| + sqrt(g h)), at most dt_max."""
+    """One step of size cfl * dx / max(|u| + sqrt(g h)), at most dt_max: a chain of one stage."""
     _check_step_args(cfl, limiter)
     if dt_max is not None and not dt_max > 0.0:    # NaN fails the comparison too
         raise ValueError(f"dt_max must be positive, got {dt_max}")
-    h, q, dt = _step_arrays(field.h, field.q, field.dx, field.g, cfl, limiter, dt_max)
-    return replace(field, h=h, q=q, t=field.t + dt)
+    run = _Run(field.dx, field.g, cfl, limiter, dt_floor=0.0, t0=field.t)
+    h, q = run.advance(field.h, field.q, math.inf if dt_max is None else dt_max, max_steps=1)
+    return replace(field, h=h, q=q, t=field.t + run.t)
 
 
 def _hdot(h, q, dx):
@@ -622,6 +605,7 @@ class _Run:
     cfl: float
     limiter: str
     dt_floor: float              # a CFL step shorter than this is a collapse
+    t0: float = 0.0              # the run's clock t counts from t0; errors name t0 + t
     t: float = 0.0
     n_steps: int = 0
     h_min: float = math.inf
@@ -631,40 +615,46 @@ class _Run:
         self.h_min = min(self.h_min, float(h[h.argmin()]))
         self.h_max = max(self.h_max, float(h[h.argmax()]))
 
-    def advance(self, h, q, t_target):
-        """Step (h, q) from self.t to t_target as one Strang chain; return the new (h, q).
+    def advance(self, h, q, t_target, max_steps=math.inf):
+        """Step (h, q) from self.t towards t_target as one Strang chain; return the new (h, q).
 
         H(dt0/2) D(dt0) H((dt0 + dt1)/2) D(dt1) ... D(dtk) H(dtk/2), where
         dt(n+1) is the CFL step of the state after D(dtn), clipped onto
-        t_target.  The chain steps the shortest repeating block of (h, q),
-        found once here, and tiles it when it closes: each stage keeps a
-        tiled state tiled, so this is the block _step_arrays would step.
+        t_target.  A chain from before t_target takes its first stage however
+        close t_target is; it takes another while it is more than
+        1e-12 * max(1, t_target) short and the run has taken fewer than
+        max_steps steps.  `step` is a run with max_steps = 1.  The chain
+        steps the shortest repeating block of (h, q), found once here, and
+        tiles it when it closes: each stage keeps a tiled state tiled.
         Errors name the step and the time it started from.  The merged
         half-step opens step n + 1; the closing one belongs to the step it
         closes, which then does not count as completed.
         """
         n, m = h.size, _block_length(h, q)
         U, dt, under_way = np.array((h[:m], q[:m])), 0.0, None
+        near = t_target - 1e-12 * max(1.0, t_target)    # NaN for t_target = inf: one stage
         try:
-            while self.t < t_target - 1e-12 * max(1.0, t_target):
+            while self.t < t_target:
                 under_way = (self.n_steps + 1, self.t)
                 U, dt = _stage(U, self.dx, self.g, self.cfl, self.limiter, dt, t_target - self.t)
                 # a step clipped onto a checkpoint may be short; a CFL step may not
                 if dt < self.dt_floor and dt < t_target - self.t:
                     raise StepBudgetError(
-                        f"step {self.n_steps + 1} from t = {self.t!r} took dt = {dt!r}, below "
-                        f"1e-12 * t_end = {self.dt_floor!r}: the run would not reach t_end"
+                        f"step {self.n_steps + 1} from t = {self.t0 + self.t!r} took dt = {dt!r}, "
+                        f"below 1e-12 * t_end = {self.dt_floor!r}: the run would not reach t_end"
                     )
                 self.t += dt
                 self.n_steps += 1
                 self.observe(U[0])
+                if self.n_steps == max_steps or not self.t < near:
+                    break
             if under_way is None:
                 return h, q
             h, q = _hydro_stage(U, self.dx, 0.5 * dt, self.g, self.limiter)
         except (PositivityError, EllipticSolveError) as exc:
             step_no, self.t = under_way
             self.n_steps = step_no - 1
-            raise type(exc)(f"step {step_no} from t = {self.t!r}: {exc}") from exc
+            raise type(exc)(f"step {step_no} from t = {self.t0 + self.t!r}: {exc}") from exc
         self.observe(h)
         if m < n:
             h, q = np.tile(h, n // m), np.tile(q, n // m)
@@ -681,13 +671,14 @@ def run_experiment(
 ) -> RunResult:
     """Integrate a wave train to t_end, checkpointing at the requested times.
 
-    Checkpoints land exactly on the requested instants (the step before a
-    checkpoint is clipped); each must lie in (0, t_end], and the run always
-    ends with a checkpoint at t_end.  Each stretch between two checkpoints
-    is one Strang chain H(dt0/2) D(dt0) H((dt0 + dt1)/2) ... D(dtk) H(dtk/2):
-    one hydrostatic stage between two dispersive substeps, where `step`
-    takes two.  The chain closes with a half-step at every checkpoint, so
-    a checkpoint one CFL step from t = 0 holds `step` of the initial state,
+    Checkpoints land exactly on the requested instants, even an ulp apart
+    (the step before a checkpoint is clipped, and a chain takes at least
+    one stage); each must lie in (0, t_end], and the run always ends with a
+    checkpoint at t_end.  Each stretch between two checkpoints is one
+    Strang chain H(dt0/2) D(dt0) H((dt0 + dt1)/2) ... D(dtk) H(dtk/2): one
+    hydrostatic stage between two dispersive substeps, where `step` takes
+    two.  The chain closes with a half-step at every checkpoint, so a
+    checkpoint one CFL step from t = 0 holds `step` of the initial state,
     bit for bit.  h_min and h_max span the initial state, the state after
     every stage and each checkpoint.  If out_dir is given, each checkpoint
     writes a field CSV (x,h,u) and a portrait CSV (h,h_hdot), and the run

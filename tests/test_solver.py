@@ -7,6 +7,7 @@ measured from the phase drift of a small sinusoid.  Accuracy against
 the exact traveling wave is covered by the convergence tests.
 """
 
+import math
 import re
 
 import numpy as np
@@ -22,10 +23,10 @@ from sgnwaves.solver import (
     LIMITERS,
     _anchor_cell,
     _block_length,
+    _hydro_stage,
     _nonhydro_pressure,
     _pressure_operator,
-    _step_arrays,
-    _step_cells,
+    _stage,
 )
 
 BASE = sw.RootTriple(1.0, 1.5, 2.0)
@@ -37,6 +38,13 @@ def base_config(**kw):
                 amplitude=0.0, cells_per_wavelength=64)
     args.update(kw)
     return sw.WaveTrainConfig(**args)
+
+
+def _one_stage(h, q, dx, g, cfl, limiter, dt_max=math.inf):
+    """`step` on bare arrays: a run's chain stopped after one stage; returns h, q and dt."""
+    run = solver._Run(dx, g, cfl, limiter, dt_floor=0.0)
+    h, q = run.advance(h, q, dt_max, max_steps=1)
+    return h, q, run.t
 
 
 # --- validation ---------------------------------------------------------------
@@ -58,6 +66,10 @@ def test_field_validation():
         sw.SGNField(dx=0.1, g=G, h=np.array([1.0, np.inf, 1.0]), q=np.zeros(3))
     with pytest.raises(ValueError, match="finite"):
         sw.SGNField(dx=0.1, g=G, h=np.array([1.0, np.nan, 1.0]), q=np.zeros(3))
+    for t in (np.nan, np.inf, "0", None):
+        # a NaN time used to step on as NaN, a string to fail inside step
+        with pytest.raises(ValueError, match=re.escape(f"got t={t!r}")):
+            sw.SGNField(dx=0.1, g=G, h=np.ones(3), q=np.zeros(3), t=t)
     # the extremes hold any NaN or infinity, wherever it sits
     for bad in (np.inf, -np.inf, np.nan):
         for cell in (0, 2):
@@ -168,9 +180,41 @@ def test_step_validation():
 def test_step_rejects_a_non_positive_or_nan_dt_max(dt_max, monkeypatch):
     # these used to step back in time, return a zero step, or be ignored
     field = sw.SGNField(dx=0.1, g=G, h=1.0 + 0.1 * np.cos(np.arange(64) / 4.0), q=np.zeros(64))
-    monkeypatch.setattr(solver, "_step_arrays", lambda *args: pytest.fail("stepped"))
+    monkeypatch.setattr(solver, "_stage", lambda *args: pytest.fail("stepped"))
     with pytest.raises(ValueError, match=rf"dt_max must be positive, got {dt_max}"):
         sw.step(field, cfl=0.45, dt_max=dt_max)
+
+
+def _random_field(t):
+    h, q, dx = _random_state()
+    return sw.SGNField(dx=dx, g=G, h=h, q=q, t=t)
+
+
+def test_step_takes_a_dt_max_below_the_chain_tolerance():
+    # a chain stops within 1e-12 of its target, but always takes its first stage
+    field = _random_field(0.0)
+    stepped = sw.step(field, cfl=0.45, dt_max=1e-13)
+    assert stepped.t == 1e-13
+    assert not np.array_equal(stepped.q, field.q)
+
+
+@pytest.mark.parametrize("dt_max", [np.inf, 1.0])
+def test_step_with_a_dt_max_above_the_cfl_step_is_step_without_one_bitwise(dt_max):
+    # one stage, not a chain on to t + dt_max
+    field = _random_field(3.25)
+    free, capped = sw.step(field, cfl=0.45), sw.step(field, cfl=0.45, dt_max=dt_max)
+    assert free.t == capped.t > 3.25
+    assert np.array_equal(_bits(free.h), _bits(capped.h))
+    assert np.array_equal(_bits(free.q), _bits(capped.q))
+
+
+def test_step_errors_name_the_time_of_the_field(monkeypatch):
+    def dried(*args):
+        raise PositivityError("at cell 5")
+
+    monkeypatch.setattr(solver, "_hydro_step", dried)
+    with pytest.raises(PositivityError, match=r"^step 1 from t = 3\.25: at cell 5$"):
+        sw.step(_random_field(3.25), cfl=0.45)
 
 
 # --- initialization --------------------------------------------------------------
@@ -255,8 +299,8 @@ def test_translation_equivariance_generic_bitwise():
     h = 1.0 + 0.3 * rng.random(200)
     q = 0.2 * rng.standard_normal(200)
     shift = 37
-    h1, q1, _ = _step_arrays(h, q, 0.05, G, 0.4, "mc")
-    h2, q2, _ = _step_arrays(np.roll(h, shift), np.roll(q, shift), 0.05, G, 0.4, "mc")
+    h1, q1, _ = _one_stage(h, q, 0.05, G, 0.4, "mc")
+    h2, q2, _ = _one_stage(np.roll(h, shift), np.roll(q, shift), 0.05, G, 0.4, "mc")
     assert np.array_equal(np.roll(h1, shift), h2)
     assert np.array_equal(np.roll(q1, shift), q2)
 
@@ -266,16 +310,16 @@ def test_translation_equivariance_tiled_bitwise():
     # positional tie-breaking inside the cyclic solve would show up here
     field = sw.init_wavetrain(base_config(n_waves=3))
     shift = 64  # exactly one wavelength
-    h1, q1, _ = _step_arrays(field.h, field.q, field.dx, G, 0.45, "mc")
-    h2, q2, _ = _step_arrays(np.roll(field.h, shift), np.roll(field.q, shift),
-                             field.dx, G, 0.45, "mc")
+    h1, q1, _ = _one_stage(field.h, field.q, field.dx, G, 0.45, "mc")
+    h2, q2, _ = _one_stage(np.roll(field.h, shift), np.roll(field.q, shift),
+                           field.dx, G, 0.45, "mc")
     assert np.array_equal(np.roll(h1, shift), h2)
     assert np.array_equal(np.roll(q1, shift), q2)
 
 
 def _assert_rotation_equivariant(h, q, dx, shift, limiter="mc"):
-    h1, q1, _ = _step_arrays(h, q, dx, G, 0.45, limiter)
-    h2, q2, _ = _step_arrays(np.roll(h, shift), np.roll(q, shift), dx, G, 0.45, limiter)
+    h1, q1, _ = _one_stage(h, q, dx, G, 0.45, limiter)
+    h2, q2, _ = _one_stage(np.roll(h, shift), np.roll(q, shift), dx, G, 0.45, limiter)
     assert np.array_equal(np.roll(h1, shift), h2)
     assert np.array_equal(np.roll(q1, shift), q2)
 
@@ -291,9 +335,9 @@ def test_still_water_with_one_negative_zero_is_rotation_equivariant_bitwise(n):
     # q is not made of copies of its first block, so no block may be tiled
     h, q = np.full(n, 1.5), np.zeros(n)
     q[1] = -0.0
-    h1, q1, _ = _step_arrays(h, q, 0.05, G, 0.45, "mc")
+    h1, q1, _ = _one_stage(h, q, 0.05, G, 0.45, "mc")
     for shift in range(1, n):
-        h2, q2, _ = _step_arrays(np.roll(h, shift), np.roll(q, shift), 0.05, G, 0.45, "mc")
+        h2, q2, _ = _one_stage(np.roll(h, shift), np.roll(q, shift), 0.05, G, 0.45, "mc")
         assert np.array_equal(_bits(np.roll(h1, shift)), _bits(h2)), shift
         assert np.array_equal(_bits(np.roll(q1, shift)), _bits(q2)), shift
 
@@ -323,8 +367,10 @@ def test_translation_equivariance_exactly_tiled_train_4000_cells(shift, limiter)
 @pytest.mark.parametrize("limiter", LIMITERS)
 def test_tiled_train_block_step_matches_full_length_step(limiter):
     h, q, dx = _tiled_train()
-    hb, qb, dt = _step_arrays(h, q, dx, G, 0.45, limiter)
-    hf, qf, dt_full = _step_cells(h, q, dx, G, 0.45, limiter, None)
+    hb, qb, dt = _one_stage(h, q, dx, G, 0.45, limiter)
+    # the full-length reference: one stage and the closing half-step on all n cells
+    U, dt_full = _stage(np.array((h, q)), dx, G, 0.45, limiter, 0.0, math.inf)
+    hf, qf = _hydro_stage(U, dx, 0.5 * dt_full, G, limiter)
     assert dt == dt_full
     assert np.max(np.abs(hb - hf)) <= 1e-14 * np.max(np.abs(hf))
     assert np.max(np.abs(qb - qf)) <= 1e-14 * np.max(np.abs(qf))
@@ -361,10 +407,10 @@ def test_block_length(h, q, m):
 
 def test_reflection_symmetry():
     field = sw.init_wavetrain(base_config(amplitude=1e-2))
-    h1, q1, _ = _step_arrays(field.h, field.q, field.dx, G, 0.45, "mc")
+    h1, q1, _ = _one_stage(field.h, field.q, field.dx, G, 0.45, "mc")
     hr = field.h[::-1].copy()
     qr = -field.q[::-1].copy()
-    h2, q2, _ = _step_arrays(hr, qr, field.dx, G, 0.45, "mc")
+    h2, q2, _ = _one_stage(hr, qr, field.dx, G, 0.45, "mc")
     assert np.max(np.abs(h2 - h1[::-1])) <= 1e-12
     assert np.max(np.abs(q2 + q1[::-1])) <= 1e-12
 
@@ -377,7 +423,7 @@ def test_positivity_guard_raises():
     q[33:] = 5.0
     message = r"face depth lost positivity at cell 32 \(h = -152\.86"
     with pytest.raises(PositivityError, match=message):
-        _step_arrays(h, q, 0.01, G, 0.9, "mc")
+        _one_stage(h, q, 0.01, G, 0.9, "mc")
 
 
 def test_positivity_error_names_the_first_cell(monkeypatch):
@@ -395,7 +441,7 @@ def test_positivity_error_names_the_first_cell(monkeypatch):
     monkeypatch.setattr(solver, "_hydro_step", drying_hydro)
     h = 1.0 + 0.01 * np.random.default_rng(3).random(64)    # aperiodic: all 64 cells step
     with pytest.raises(PositivityError, match=r"at cell 9 \(h = -0\.25\)"):
-        _step_arrays(h, np.zeros(64), 0.05, G, 0.45, "mc")
+        _one_stage(h, np.zeros(64), 0.05, G, 0.45, "mc")
 
 
 def test_positivity_error_names_a_cell_dried_before_the_pressure_solve(monkeypatch):
@@ -414,7 +460,7 @@ def test_positivity_error_names_a_cell_dried_before_the_pressure_solve(monkeypat
     monkeypatch.setattr(solver, "_hydro_step", drying_hydro)
     h = 1.0 + 0.01 * np.random.default_rng(3).random(64)    # aperiodic: all 64 cells step
     with pytest.raises(PositivityError, match=r"at cell 9 \(h = -0\.25\)"):
-        _step_arrays(h, np.zeros(64), 0.05, G, 0.45, "mc")
+        _one_stage(h, np.zeros(64), 0.05, G, 0.45, "mc")
     assert len(calls) == 1
 
 
@@ -429,7 +475,7 @@ def test_nonfinite_depth_is_an_elliptic_solve_error():
     h = np.full(64, 1.0)
     h[17] = np.nan
     with pytest.raises(EllipticSolveError, match=r"cell 17"):
-        _step_arrays(h, np.zeros(64), 0.05, G, 0.45, "mc")
+        _one_stage(h, np.zeros(64), 0.05, G, 0.45, "mc")
 
 
 @pytest.mark.parametrize("field, value", [("h", np.inf), ("q", np.nan), ("q", -np.inf)])
@@ -439,7 +485,7 @@ def test_nonfinite_state_names_its_first_cell(field, value):
     state[field][40] = value
     h, q = (repr(float(state[k][40])) for k in "hq")
     with pytest.raises(EllipticSolveError, match=rf"non-finite state at cell 40: h = {h}, q = {q}$"):
-        _step_arrays(state["h"], state["q"], 0.05, G, 0.45, "mc")
+        _one_stage(state["h"], state["q"], 0.05, G, 0.45, "mc")
 
 
 def test_nonfinite_diagonal_names_its_first_cell():
@@ -590,7 +636,7 @@ def _ref_dispersive_step(h, q, dx, dt, g):
     return q + 0.5 * dt * (k1 + k2)
 
 
-def _ref_step_arrays(h, q, dx, g, cfl, limiter):
+def _ref_step(h, q, dx, g, cfl, limiter):
     dt = cfl * dx / float(np.max(np.abs(q / h) + np.sqrt(g * h)))
     h, q = _ref_hydro_step(h, q, dx, 0.5 * dt, g, limiter)
     q = _ref_dispersive_step(h, q, dx, dt, g)
@@ -655,8 +701,8 @@ def test_step_matches_roll_reference_bitwise(state, limiter):
     h, q, dx = state()
     ref_h, ref_q = h, q
     for _ in range(20):
-        h, q, dt = _step_arrays(h, q, dx, G, 0.45, limiter)
-        ref_h, ref_q, ref_dt = _ref_step_arrays(ref_h, ref_q, dx, G, 0.45, limiter)
+        h, q, dt = _one_stage(h, q, dx, G, 0.45, limiter)
+        ref_h, ref_q, ref_dt = _ref_step(ref_h, ref_q, dx, G, 0.45, limiter)
         assert _bits(dt) == _bits(ref_dt)
         assert np.array_equal(_bits(h), _bits(ref_h))
         assert np.array_equal(_bits(q), _bits(ref_q))
@@ -752,7 +798,7 @@ def test_linear_dispersion_relation(kappa_H):
     T = lam / (4.0 * c_exact)
     t = 0.0
     while t < T - 1e-14:
-        h, q, dt = _step_arrays(h, q, dx, g, 0.4, "mc", dt_max=T - t)
+        h, q, dt = _one_stage(h, q, dx, g, 0.4, "mc", dt_max=T - t)
         t += dt
     ph0 = np.angle(np.fft.rfft(np.cos(kappa * x))[1])
     ph1 = np.angle(np.fft.rfft(h - H)[1])
@@ -976,6 +1022,17 @@ def test_run_experiment_allows_a_short_step_onto_a_checkpoint():
     times = [1.0, 1.0 + 1.5e-12, 2.0]
     res = sw.run_experiment(base_config(amplitude=1e-3), t_end=2.0, output_times=times)
     assert [t for t, _, _ in res.checkpoints] == times
+
+
+@pytest.mark.parametrize("gap", [5e-13, np.spacing(1.0)], ids=["5e-13", "one ulp"])
+def test_a_checkpoint_within_the_chain_tolerance_lands_on_its_own_instant(gap):
+    # the chain to 1 + gap starts less than 1e-12 short of it and used to take
+    # no stage, recording the state at t = 1 under the time 1 again
+    times = [1.0, 1.0 + gap, 2.0]
+    res = sw.run_experiment(base_config(amplitude=1e-3, cells_per_wavelength=32),
+                            t_end=2.0, output_times=times)
+    assert [t for t, _, _ in res.checkpoints] == times
+    assert res.n_steps == 96    # 95 without the stage onto 1 + gap
 
 
 def test_run_experiment_validation(tmp_path):
