@@ -14,10 +14,11 @@ stretch between two checkpoints as one chain
 the "first same as last" form of Strang splitting (Strang 1968): the
 closing half-step of one step and the opening half-step of the next are
 one hydrostatic stage, so a run pays for one H per step, not two.  Each
-dt is the CFL step of the state after the previous D, and the chain
-closes with a half-step at every checkpoint.  `step` is the same driver,
-`_Run.advance`, cut after one stage: H(dt/2) D(dt) H(dt/2).  Each
-hydrostatic stage ends with a check that every depth is positive, so the
+dt is the CFL step of the state after the previous D.  The chain takes
+stages while t < the next checkpoint, and the step clipped onto it lands
+on it exactly; a half-step closes the chain there.  `step` is the same
+driver, `_Run.advance`, cut after one stage: H(dt/2) D(dt) H(dt/2).
+Each hydrostatic stage checks that every depth is positive, so the
 dispersive operator is only built on positive h.  The two substeps are:
 
   * hydrostatic: MUSCL-Hancock finite volumes with an HLL flux and a
@@ -508,9 +509,7 @@ def _cfl_dt(h, q, dx, g, cfl, dt_max):
         if bad.any():
             i = int(np.argmax(bad))
             raise EllipticSolveError(f"non-finite state at cell {i}: h = {h[i]}, q = {q[i]}")
-    if dt_max is not None and dt > dt_max:
-        dt = dt_max
-    return dt
+    return min(dt, dt_max)
 
 
 def _hydro_stage(U, dx, dt, g, limiter):
@@ -616,14 +615,13 @@ class _Run:
         self.h_max = max(self.h_max, float(h[h.argmax()]))
 
     def advance(self, h, q, t_target, max_steps=math.inf):
-        """Step (h, q) from self.t towards t_target as one Strang chain; return the new (h, q).
+        """Step (h, q) from self.t < t_target as one Strang chain; return new (h, q) arrays.
 
         H(dt0/2) D(dt0) H((dt0 + dt1)/2) D(dt1) ... D(dtk) H(dtk/2), where
         dt(n+1) is the CFL step of the state after D(dtn), clipped onto
-        t_target.  A chain from before t_target takes its first stage however
-        close t_target is; it takes another while it is more than
-        1e-12 * max(1, t_target) short and the run has taken fewer than
-        max_steps steps.  `step` is a run with max_steps = 1.  The chain
+        t_target.  The chain takes stages while t < t_target and the run
+        has taken fewer than max_steps steps; a step clipped onto t_target
+        ends exactly on it.  `step` is a run with max_steps = 1.  The chain
         steps the shortest repeating block of (h, q), found once here, and
         tiles it when it closes: each stage keeps a tiled state tiled.
         Errors name the step and the time it started from.  The merged
@@ -631,25 +629,24 @@ class _Run:
         closes, which then does not count as completed.
         """
         n, m = h.size, _block_length(h, q)
-        U, dt, under_way = np.array((h[:m], q[:m])), 0.0, None
-        near = t_target - 1e-12 * max(1.0, t_target)    # NaN for t_target = inf: one stage
+        U, dt = np.array((h[:m], q[:m])), 0.0
         try:
             while self.t < t_target:
                 under_way = (self.n_steps + 1, self.t)
-                U, dt = _stage(U, self.dx, self.g, self.cfl, self.limiter, dt, t_target - self.t)
+                rest = t_target - self.t
+                U, dt = _stage(U, self.dx, self.g, self.cfl, self.limiter, dt, rest)
                 # a step clipped onto a checkpoint may be short; a CFL step may not
-                if dt < self.dt_floor and dt < t_target - self.t:
+                if dt < self.dt_floor and dt < rest:
                     raise StepBudgetError(
                         f"step {self.n_steps + 1} from t = {self.t0 + self.t!r} took dt = {dt!r}, "
                         f"below 1e-12 * t_end = {self.dt_floor!r}: the run would not reach t_end"
                     )
-                self.t += dt
+                # a clipped step lands on t_target, which t + rest may round off
+                self.t = self.t + dt if dt < rest else t_target
                 self.n_steps += 1
                 self.observe(U[0])
-                if self.n_steps == max_steps or not self.t < near:
+                if self.n_steps == max_steps:
                     break
-            if under_way is None:
-                return h, q
             h, q = _hydro_stage(U, self.dx, 0.5 * dt, self.g, self.limiter)
         except (PositivityError, EllipticSolveError) as exc:
             step_no, self.t = under_way
@@ -671,20 +668,20 @@ def run_experiment(
 ) -> RunResult:
     """Integrate a wave train to t_end, checkpointing at the requested times.
 
-    Checkpoints land exactly on the requested instants, even an ulp apart
-    (the step before a checkpoint is clipped, and a chain takes at least
-    one stage); each must lie in (0, t_end], and the run always ends with a
-    checkpoint at t_end.  Each stretch between two checkpoints is one
-    Strang chain H(dt0/2) D(dt0) H((dt0 + dt1)/2) ... D(dtk) H(dtk/2): one
-    hydrostatic stage between two dispersive substeps, where `step` takes
-    two.  The chain closes with a half-step at every checkpoint, so a
-    checkpoint one CFL step from t = 0 holds `step` of the initial state,
-    bit for bit.  h_min and h_max span the initial state, the state after
-    every stage and each checkpoint.  If out_dir is given, each checkpoint
-    writes a field CSV (x,h,u) and a portrait CSV (h,h_hdot), and the run
-    writes a diagnostics series plus a manifest; partial output survives
-    failures.  Solver errors name the step and the time it started from;
-    a CFL step shorter than 1e-12 * t_end raises StepBudgetError.
+    Checkpoints land exactly on the requested instants, even an ulp apart:
+    a chain takes stages while t is short of its checkpoint, and the step
+    clipped onto it ends there.  Each must lie in (0, t_end], and the run
+    always ends with a checkpoint at t_end.  Each stretch between two
+    checkpoints is one Strang chain H(dt0/2) D(dt0) H((dt0 + dt1)/2) ...
+    D(dtk) H(dtk/2): one hydrostatic stage between two dispersive substeps,
+    where `step` takes two.  The chain closes with a half-step at every
+    checkpoint, so a checkpoint one CFL step from t = 0 holds `step` of the
+    initial state, bit for bit.  h_min and h_max span the initial state, the
+    state after every stage and each checkpoint.  If out_dir is given, each
+    checkpoint writes a field CSV (x,h,u) and a portrait CSV (h,h_hdot), and
+    the run writes a diagnostics series plus a manifest; partial output
+    survives failures.  Solver errors name the step and the time it started
+    from; a CFL step shorter than 1e-12 * t_end raises StepBudgetError.
     """
     _check_step_args(cfl, limiter)
     if not 0.0 < t_end < math.inf:
@@ -715,7 +712,7 @@ def run_experiment(
     try:
         for idx, t_target in enumerate(times):
             h, q = run.advance(h, q, t_target)
-            snap = SGNField(dx=dx, g=g, h=h.copy(), q=q.copy(), t=run.t)
+            snap = SGNField(dx=dx, g=g, h=h, q=q, t=run.t)
             portrait = phase_portrait(snap)
             checkpoints.append((run.t, snap, portrait))
             diag_series.append((run.t, *diagnostics(snap)))

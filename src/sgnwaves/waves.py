@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .elliptic import _scalar, ellip_K, ellip_E, ellip_Pi
+from .elliptic import _require, _scalar, ellip_K, ellip_E, ellip_Pi
 from .errors import InvalidRootsError, QuadratureError
 
 __all__ = [
@@ -219,6 +219,7 @@ def build_wave(
     constants = constants_from_roots(roots, g, sign_m)
     if D is None:
         D = -constants.m / averaged_h(roots)
+    _require(math.isfinite(D), "phase speed D must be finite", "D", D)
     alpha = math.sqrt(0.75 * (roots.h2 - roots.h0) / constants.I3)
     return CnoidalWave(
         roots=roots, constants=constants, alpha=alpha,

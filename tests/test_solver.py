@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpttrf, dpttrs
 
@@ -191,7 +191,8 @@ def _random_field(t):
 
 
 def test_step_takes_a_dt_max_below_the_chain_tolerance():
-    # a chain stops within 1e-12 of its target, but always takes its first stage
+    # a chain takes stages while t < t_target, however close t_target is: this
+    # one takes its stage clipped onto t = 1e-13 and lands there
     field = _random_field(0.0)
     stepped = sw.step(field, cfl=0.45, dt_max=1e-13)
     assert stepped.t == 1e-13
@@ -1033,6 +1034,43 @@ def test_a_checkpoint_within_the_chain_tolerance_lands_on_its_own_instant(gap):
                             t_end=2.0, output_times=times)
     assert [t for t, _, _ in res.checkpoints] == times
     assert res.n_steps == 96    # 95 without the stage onto 1 + gap
+
+
+# checkpoints (a, b) inside the first CFL step of one 32-cell wave whose b was
+# recorded an ulp off: the step clipped onto b gave t + (b - t), and that sum
+# rounds off b when t < b/2
+DRIFT_PAIRS = [
+    (0.0014770729511274392, 0.015604305626689794),
+    (0.005384596456808122, 0.014693263889661896),
+    (0.005466855125324715, 0.014483631772913152),
+]
+
+
+def _assert_recorded_at(res, times):
+    assert [t for t, _, _ in res.checkpoints] == times
+    assert [snap.t for _, snap, _ in res.checkpoints] == times
+    assert [t for t, *_ in res.diag_series[1:]] == times
+
+
+@pytest.mark.parametrize("a, b", DRIFT_PAIRS)
+def test_a_step_clipped_onto_a_checkpoint_lands_on_it(a, b, tmp_path):
+    res = sw.run_experiment(base_config(amplitude=1e-3, cells_per_wavelength=32),
+                            t_end=b, output_times=[a, b], out_dir=tmp_path)
+    _assert_recorded_at(res, [a, b])    # each snapshot's t too
+    rows = dict(row.split(" = ", 1) for row in (tmp_path / "manifest.txt").read_text().splitlines())
+    assert rows["t_final"] == repr(b)
+    last = (tmp_path / "diagnostics.csv").read_text().splitlines()[-1]
+    assert last.split(",")[0] == repr(b)
+
+
+@given(st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 1.0, exclude_min=True))
+@settings(max_examples=100, deadline=None)
+def test_checkpoints_within_one_cfl_step_land_on_their_own_instants(u, v):
+    cfg = base_config(amplitude=1e-3, cells_per_wavelength=32)
+    dt = sw.step(sw.init_wavetrain(cfg), cfl=0.45).t
+    a, b = sorted((u * dt, v * dt))
+    assume(0.0 < a < b)
+    _assert_recorded_at(sw.run_experiment(cfg, t_end=b, output_times=[a, b]), [a, b])
 
 
 def test_run_experiment_validation(tmp_path):

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgnwaves as sw
-from sgnwaves.errors import InvalidRootsError, QuadratureError
+from sgnwaves.errors import DomainError, InvalidRootsError, QuadratureError
 
 mpmath.mp.dps = 30
 
@@ -172,6 +172,13 @@ def test_build_wave_base_values():
     assert wave.D == pytest.approx(PHASE_SPEED, rel=1e-14)
     # explicit D is passed through untouched
     assert sw.build_wave(BASE, G, -1, D=0.0).D == 0.0
+
+
+@pytest.mark.parametrize("D", [np.nan, np.inf, -np.inf])
+def test_build_wave_rejects_a_nonfinite_phase_speed(D):
+    # the same rule as ModulationState; a wave with D = nan used to be returned
+    with pytest.raises(DomainError, match=f"phase speed D must be finite, got D={D}"):
+        sw.build_wave(BASE, G, -1, D=D)
 
 
 def test_wavelength_matches_singular_quadrature():
