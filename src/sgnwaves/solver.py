@@ -17,15 +17,15 @@ one hydrostatic stage, so a run pays for one H per step, not two.  Each
 dt is the CFL step of the state after the previous D.  The chain takes
 stages while t < the next checkpoint, and the step clipped onto it lands
 on it exactly; a half-step closes the chain there.  `step` is the same
-driver, `_Run.advance`, cut after one stage: H(dt/2) D(dt) H(dt/2).
+driver, `_Run.advance`, cut after one stage: H(dt/2) D(dt) H(dt/2).  A
+run stacks U = (h, q) once and holds it, (2, n), to its last stage.
 Each hydrostatic stage checks that every depth is positive, so the
 dispersive operator is only built on positive h.  The two substeps are:
 
   * hydrostatic: MUSCL-Hancock finite volumes with an HLL flux and a
     configurable slope limiter (default monotonized-central, which keeps
-    the scheme at second order on smooth data), on the stacked (2, n)
-    state U = (h, q) so that each slope, face-state and flux expression
-    runs once for both fields;
+    the scheme at second order on smooth data), on U, so that each slope,
+    face-state and flux expression runs once for both fields;
   * dispersive: the non-hydrostatic pressure part satisfies the linear
     elliptic problem
 
@@ -49,7 +49,7 @@ doubling (Booth's lemma): at most ceil(log2 n) rounds of O(n) work each.
 An exactly periodic state (still water, or tiled copies of one wave) has
 no unique anchor, since every copy ties.  When the maximum of h is not
 unique, the step looks for the shortest block of at least two cells whose
-copies make up (h, q); the count of cells tied at the maximum rules out
+copies make up U; the count of cells tied at the maximum rules out
 most block lengths before any arrays are compared.  If there is one, the
 step advances that block alone and tiles it: O(block) work, the same dt,
 rotation equivariance on these states too, and a result within rounding
@@ -119,10 +119,14 @@ class SGNField:
             raise ValueError(f"a periodic field needs at least 2 cells, got {self.h.size}")
         if not (0.0 < self.dx < np.inf and 0.0 < self.g < np.inf):
             raise ValueError(f"dx and g must be finite and positive, got dx={self.dx}, g={self.g}")
-        if not (_all_finite(self.h) and _all_finite(self.q)):
-            raise ValueError("h and q must be finite everywhere")
-        if not self.h[self.h.argmin()] > 0.0:    # a NaN fails too
-            raise PositivityError("initial depth must be positive everywhere")
+        for name, v in (("h", self.h), ("q", self.q)):
+            if not _all_finite(v):
+                i = int(np.argmin(np.isfinite(v)))    # first non-finite cell
+                raise ValueError(f"h and q must be finite everywhere, got {name}[{i}] = {v[i]}")
+        h = self.h
+        if not h[h.argmin()] > 0.0:
+            i = int(np.argmin(h > 0.0))    # first cell that is not positive
+            raise PositivityError(f"initial depth must be positive everywhere, got h[{i}] = {h[i]}")
         if not (isinstance(self.t, numbers.Real) and math.isfinite(self.t)):
             raise ValueError(f"t must be a finite real number, got t={self.t!r}")
 
@@ -469,32 +473,27 @@ def _divisors(k: int) -> list[int]:
     return sorted(set(small + [k // d for d in small]))
 
 
-def _block_length(h, q) -> int:
-    """Shortest block of at least 2 cells whose copies make up (h, q), or n.
+def _block_length(U) -> int:
+    """Shortest block of at least 2 cells whose copies make up U = (h, q), or n.
 
     Only a block length m that divides n can repeat; then h holds (n/m)
     equal copies of each of its maxima, so the number of cells tied at the
     maximum of h rules out most m before any arrays are compared.  Data
     with a unique maximum (almost every state after the first step) pays
-    one max and one compare.  Copies must match bit for bit, signed zeros
-    included: tiling the first block would overwrite the signs of the
-    zeros in every other copy.
+    one max and one compare.  A candidate m compares both rows at once, bit
+    for bit, signed zeros included: tiling the first block would overwrite
+    the signs of the zeros in every other copy.
     """
-    n = h.size
+    h, n = U[0], U.shape[1]
     ties = int(np.count_nonzero(h == h[h.argmax()]))
     if ties < 2:
         return n
-    hb, qb = _bits(h), _bits(q)
+    bits = U.view(np.uint64)    # -0.0 and +0.0 differ
     for copies in reversed(_divisors(math.gcd(n, ties))[1:]):    # m ascending, m < n
         m = n // copies
-        if m >= 2 and np.array_equal(hb[m:], hb[:-m]) and np.array_equal(qb[m:], qb[:-m]):
+        if m >= 2 and np.array_equal(bits[:, m:], bits[:, :-m]):
             return m
     return n
-
-
-def _bits(v):
-    """The IEEE bit pattern of each value, so that -0.0 and +0.0 differ."""
-    return np.asarray(v, dtype=np.float64).view(np.uint64)
 
 
 def _cfl_dt(h, q, dx, g, cfl, dt_max):
@@ -539,13 +538,15 @@ def _check_step_args(cfl, limiter) -> None:
 
 
 def step(field: SGNField, cfl: float, limiter: str = "mc", dt_max: float | None = None) -> SGNField:
-    """One step of size cfl * dx / max(|u| + sqrt(g h)), at most dt_max: a chain of one stage."""
+    """One step of size cfl * dx / max(|u| + sqrt(g h)), at most dt_max: a chain of one stage
+    on U = (field.h, field.q), stacked anew, whose result's rows are the new h and q."""
     _check_step_args(cfl, limiter)
     if dt_max is not None and not dt_max > 0.0:    # NaN fails the comparison too
         raise ValueError(f"dt_max must be positive, got {dt_max}")
     run = _Run(field.dx, field.g, cfl, limiter, dt_floor=0.0, t0=field.t)
-    h, q = run.advance(field.h, field.q, math.inf if dt_max is None else dt_max, max_steps=1)
-    return replace(field, h=h, q=q, t=field.t + run.t)
+    U = np.array((field.h, field.q))
+    U = run.advance(U, math.inf if dt_max is None else dt_max, max_steps=1)
+    return replace(field, h=U[0], q=U[1], t=field.t + run.t)
 
 
 def _hdot(h, q, dx):
@@ -614,22 +615,22 @@ class _Run:
         self.h_min = min(self.h_min, float(h[h.argmin()]))
         self.h_max = max(self.h_max, float(h[h.argmax()]))
 
-    def advance(self, h, q, t_target, max_steps=math.inf):
-        """Step (h, q) from self.t < t_target as one Strang chain; return new (h, q) arrays.
+    def advance(self, U, t_target, max_steps=math.inf):
+        """Step U = (h, q) from self.t < t_target as one Strang chain; return a new U.
 
         H(dt0/2) D(dt0) H((dt0 + dt1)/2) D(dt1) ... D(dtk) H(dtk/2), where
         dt(n+1) is the CFL step of the state after D(dtn), clipped onto
         t_target.  The chain takes stages while t < t_target and the run
         has taken fewer than max_steps steps; a step clipped onto t_target
         ends exactly on it.  `step` is a run with max_steps = 1.  The chain
-        steps the shortest repeating block of (h, q), found once here, and
-        tiles it when it closes: each stage keeps a tiled state tiled.
+        steps a view of the shortest repeating block of U, found once here,
+        and tiles it when it closes; no stage writes the U it is given.
         Errors name the step and the time it started from.  The merged
         half-step opens step n + 1; the closing one belongs to the step it
         closes, which then does not count as completed.
         """
-        n, m = h.size, _block_length(h, q)
-        U, dt = np.array((h[:m], q[:m])), 0.0
+        n, m = U.shape[1], _block_length(U)
+        U, dt = U[:, :m], 0.0
         try:
             while self.t < t_target:
                 under_way = (self.n_steps + 1, self.t)
@@ -647,15 +648,13 @@ class _Run:
                 self.observe(U[0])
                 if self.n_steps == max_steps:
                     break
-            h, q = _hydro_stage(U, self.dx, 0.5 * dt, self.g, self.limiter)
+            U = _hydro_stage(U, self.dx, 0.5 * dt, self.g, self.limiter)
         except (PositivityError, EllipticSolveError) as exc:
             step_no, self.t = under_way
             self.n_steps = step_no - 1
             raise type(exc)(f"step {step_no} from t = {self.t0 + self.t!r}: {exc}") from exc
-        self.observe(h)
-        if m < n:
-            h, q = np.tile(h, n // m), np.tile(q, n // m)
-        return h, q
+        self.observe(U[0])
+        return U if m == n else np.tile(U, (1, n // m))
 
 
 def run_experiment(
@@ -703,16 +702,16 @@ def run_experiment(
         out.mkdir(parents=True, exist_ok=True)
         x_words = format_column(field.x)     # every checkpoint has the same cells
 
-    h, q = field.h, field.q
+    U = np.array((field.h, field.q))
     dx, g = field.dx, field.g
     run = _Run(dx, g, cfl, limiter, dt_floor=1e-12 * t_end)
-    run.observe(h)
+    run.observe(U[0])
     checkpoints = []
     diag_series = [(0.0, *diagnostics(field))]
     try:
         for idx, t_target in enumerate(times):
-            h, q = run.advance(h, q, t_target)
-            snap = SGNField(dx=dx, g=g, h=h, q=q, t=run.t)
+            U = run.advance(U, t_target)
+            snap = SGNField(dx=dx, g=g, h=U[0], q=U[1], t=run.t)
             portrait = phase_portrait(snap)
             checkpoints.append((run.t, snap, portrait))
             diag_series.append((run.t, *diagnostics(snap)))

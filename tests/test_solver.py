@@ -43,7 +43,7 @@ def base_config(**kw):
 def _one_stage(h, q, dx, g, cfl, limiter, dt_max=math.inf):
     """`step` on bare arrays: a run's chain stopped after one stage; returns h, q and dt."""
     run = solver._Run(dx, g, cfl, limiter, dt_floor=0.0)
-    h, q = run.advance(h, q, dt_max, max_steps=1)
+    h, q = run.advance(np.array((h, q)), dt_max, max_steps=1)
     return h, q, run.t
 
 
@@ -84,6 +84,37 @@ def test_field_validation():
             sw.SGNField(dx=0.1, g=G, h=h, q=np.zeros(3))
     with pytest.raises(PositivityError, match="initial depth must be positive everywhere"):
         sw.SGNField(dx=0.1, g=G, h=np.array([1.0, 1.0, 0.0]), q=np.zeros(3))
+
+
+def _with(n, cells, base=1.0):
+    """n cells of value base, except at the given {cell: value} entries."""
+    v = np.full(n, base)
+    for i, value in cells.items():
+        v[i] = value
+    return v
+
+
+@pytest.mark.parametrize("h, q, error, message", [
+    (np.ones(20), _with(20, {17: np.nan}, 0.0), ValueError,
+     "h and q must be finite everywhere, got q[17] = nan"),
+    (_with(12, {1: np.inf, 4: np.nan}), np.zeros(12), ValueError,
+     "h and q must be finite everywhere, got h[1] = inf"),
+    (_with(12, {6: np.nan}), _with(12, {2: -np.inf}, 0.0), ValueError,
+     "h and q must be finite everywhere, got h[6] = nan"),
+    (np.ones(5), _with(5, {0: -np.inf}, 0.0), ValueError,
+     "h and q must be finite everywhere, got q[0] = -inf"),
+    (_with(11, {9: -0.25, 10: -1.0}), np.zeros(11), PositivityError,
+     "initial depth must be positive everywhere, got h[9] = -0.25"),
+    (_with(3, {2: 0.0}), np.zeros(3), PositivityError,
+     "initial depth must be positive everywhere, got h[2] = 0.0"),
+    (_with(4, {3: -0.0}), np.zeros(4), PositivityError,
+     "initial depth must be positive everywhere, got h[3] = -0.0"),
+], ids=["nan in q", "inf then nan in h", "h before q", "-inf in q", "negative h", "zero h",
+        "-0.0 h"])
+def test_field_errors_name_the_first_bad_cell(h, q, error, message):
+    with pytest.raises(error) as info:
+        sw.SGNField(dx=0.1, g=G, h=h, q=q)
+    assert str(info.value) == message
 
 
 def _real_states():
@@ -190,7 +221,7 @@ def _random_field(t):
     return sw.SGNField(dx=dx, g=G, h=h, q=q, t=t)
 
 
-def test_step_takes_a_dt_max_below_the_chain_tolerance():
+def test_step_takes_a_stage_however_small_dt_max_is():
     # a chain takes stages while t < t_target, however close t_target is: this
     # one takes its stage clipped onto t = 1e-13 and lands there
     field = _random_field(0.0)
@@ -403,7 +434,7 @@ def _period_cases():
 
 @pytest.mark.parametrize("h, q, m", _period_cases())
 def test_block_length(h, q, m):
-    assert _block_length(h, q) == m
+    assert _block_length(np.array((h, q))) == m
 
 
 def test_reflection_symmetry():
@@ -1001,7 +1032,7 @@ def test_a_checkpoint_one_cfl_step_away_holds_step_bitwise(limiter):
 
 def _chain(h, q, dx, t_end):
     run = solver._Run(dx, G, 0.45, "mc", dt_floor=0.0)
-    h, q = run.advance(h, q, t_end)
+    h, q = run.advance(np.array((h, q)), t_end)
     return run, h, q
 
 
@@ -1017,6 +1048,30 @@ def test_chained_steps_commute_with_rotation_bitwise(state, shift):
     assert np.array_equal(_bits(np.roll(q1, shift)), _bits(q2))
 
 
+def test_the_driver_leaves_its_input_untouched():
+    # a chain's first stage reads a view of the caller's array (of its
+    # repeating block, on the tiled train); no stage may write through it
+    h, q, dx = _tiled_train()
+    U = np.array((h, q))
+    before = U.copy()
+    assert _block_length(U) == 400 < U.shape[1]
+    run = solver._Run(dx, G, 0.45, "mc", dt_floor=0.0)
+    out = run.advance(U, math.inf, max_steps=4)
+    assert run.n_steps == 4 and out.shape == U.shape
+    assert np.array_equal(_bits(U), _bits(before))
+    fields = [
+        sw.SGNField(dx=dx, g=G, h=np.full(4000, 2.0), q=np.zeros(4000)),
+        sw.SGNField(dx=dx, g=G, h=h, q=q),
+        _random_field(3.25),
+    ]
+    for field in fields:
+        h0, q0 = field.h.copy(), field.q.copy()
+        stepped = sw.step(field, cfl=0.45)
+        assert stepped.t > field.t
+        assert np.array_equal(_bits(field.h), _bits(h0))
+        assert np.array_equal(_bits(field.q), _bits(q0))
+
+
 def test_run_experiment_allows_a_short_step_onto_a_checkpoint():
     # the step clipped onto t = 1 + 1.5e-12 is shorter than 1e-12 * t_end
     # but was asked for; only a CFL step that short counts as a collapse
@@ -1026,7 +1081,7 @@ def test_run_experiment_allows_a_short_step_onto_a_checkpoint():
 
 
 @pytest.mark.parametrize("gap", [5e-13, np.spacing(1.0)], ids=["5e-13", "one ulp"])
-def test_a_checkpoint_within_the_chain_tolerance_lands_on_its_own_instant(gap):
+def test_a_checkpoint_however_close_to_the_last_takes_its_own_stage(gap):
     # the chain to 1 + gap starts less than 1e-12 short of it and used to take
     # no stage, recording the state at t = 1 under the time 1 again
     times = [1.0, 1.0 + gap, 2.0]
