@@ -187,6 +187,7 @@ SIMULATE_KEYS = {
 
 
 def _read_config(path: pathlib.Path) -> dict:
+    """Each key's value text and where it was set: {key: (text, "file:line: key 'k'")}."""
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
     cfg, line_of = {}, {}
@@ -202,20 +203,23 @@ def _read_config(path: pathlib.Path) -> dict:
             raise DomainError(f"{path}:{ln}: unknown key {key!r}")
         if key in cfg:
             raise DomainError(f"{path}:{ln}: key {key!r} was already set on line {line_of[key]}")
-        cfg[key], line_of[key] = val.strip(), ln
+        cfg[key], line_of[key] = (val.strip(), f"{path}:{ln}: key {key!r}"), ln
     return cfg
 
 
 def cmd_simulate(args) -> int:
     text = _read_config(pathlib.Path(args.config))
-    # flags override file values
-    if args.t_end is not None:
-        text["t_end"] = repr(args.t_end)
-    if args.checkpoints is not None:
-        text["checkpoints"] = args.checkpoints
+    for key, flag in (("t_end", "--t-end"), ("checkpoints", "--checkpoints")):
+        if getattr(args, key) is not None:  # flags override file values
+            text[key] = (getattr(args, key), flag)
     if "roots" not in text or "t_end" not in text:
         raise DomainError("config must define at least 'roots' and 't_end'")
-    kw = {key: parse(text[key]) for key, parse in SIMULATE_KEYS.items() if key in text}
+    kw = {}
+    for key, (value, origin) in text.items():
+        try:
+            kw[key] = SIMULATE_KEYS[key](value)
+        except ValueError as exc:  # DomainError is a ValueError too
+            raise DomainError(f"{origin}: {exc}") from None
     train = {f.name for f in dataclasses.fields(WaveTrainConfig)}
     config = WaveTrainConfig(**{key: kw.pop(key) for key in train & kw.keys()})
     if "checkpoints" in kw:
@@ -264,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("simulate", help="run a wave-train experiment from a config file")
     m.add_argument("--config", required=True)
-    m.add_argument("--t-end", type=float, default=None, dest="t_end")
+    m.add_argument("--t-end", default=None, dest="t_end")
     m.add_argument("--checkpoints", default=None, help="comma-separated times")
     m.add_argument("--out-dir", default="run_out", dest="out_dir")
     m.set_defaults(func=cmd_simulate)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import numbers
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -124,11 +125,15 @@ class DifferentialCoefficients:
 
 @dataclass(frozen=True)
 class QuasilinearSystem:
-    """Matrices of A U_T + B U_X = 0 and the pencil polynomial det(B - lam A)."""
+    """The pencil (A, B) of A U_T + B U_X = 0; its polynomial is derived from A and B."""
 
-    A: np.ndarray         # (..., 4, 4); a batch of states adds its shape in front
-    B: np.ndarray         # (..., 4, 4)
-    charpoly: np.ndarray  # (..., 5): c0..c4, ascending powers
+    A: np.ndarray  # (..., 4, 4); a batch of states adds its shape in front
+    B: np.ndarray  # (..., 4, 4)
+
+    @cached_property
+    def charpoly(self) -> np.ndarray:
+        """(..., 5): c0..c4 of det(B - lam A), ascending powers; computed on first read."""
+        return _pencil_charpoly(self.A, self.B)
 
 
 @dataclass(frozen=True)
@@ -214,34 +219,21 @@ def differential_coefficients(roots: RootTriple) -> DifferentialCoefficients:
 
 
 # Column subsets for det(B - lam A): picking S columns from -A and the rest
-# from B contributes det * lam^|S|; summing over all 16 subsets gives the
-# exact polynomial coefficients.  Coefficient d sums its subsets of size d
-# in itertools.product order, starting from +0.0.  The stack holds them
-# round by round: round j is the j-th subset of every degree that has one,
-# degrees ascending, so each round adds one contiguous run of determinants
-# to one contiguous run of coefficients.  _PICK broadcasts each subset over
-# the rows.
-_BY_DEGREE = [[s for s in itertools.product((False, True), repeat=4) if sum(s) == d]
-              for d in range(5)]
-_ROUNDS = [[d for d in range(5) if j < len(_BY_DEGREE[d])] for j in range(6)]  # degrees per round
-_PICK = np.array([_BY_DEGREE[d][j] for j, degrees in enumerate(_ROUNDS) for d in degrees])[:, None, :]
+# from B contributes det * lam^|S|.  A running sum down column d of _TABLE
+# adds +0.0 (index 16), then the subsets of size d in itertools.product order.
+_SUBSETS = list(itertools.product((False, True), repeat=4))
+_TABLE = np.array(list(itertools.zip_longest(
+    *([16] + [k for k, s in enumerate(_SUBSETS) if sum(s) == d] for d in range(5)), fillvalue=16)))
 # The stack as one gather: a state's 32 entries are B's 16, then -A's 16,
 # and entry [k, i, j] of _GATHER is where subset matrix k finds its (i, j).
-_GATHER = 16 * _PICK + 4 * np.arange(4)[:, None] + np.arange(4)
-# (coefficient slice, determinant slice) of rounds 1..5: (1:4, 5:8) ... (2:3, 15:16)
-_ROUND_ADDS = [(slice(degrees[0], degrees[-1] + 1), slice(start, start + len(degrees)))
-               for degrees, start in zip(_ROUNDS[1:], itertools.accumulate(map(len, _ROUNDS)))]
+_GATHER = 16 * np.array(_SUBSETS)[:, None, :] + 4 * np.arange(4)[:, None] + np.arange(4)
 
 
 def _pencil_charpoly(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     entries = np.concatenate((B, -A), axis=-2).reshape(A.shape[:-2] + (32,))
     dets = np.linalg.det(entries.take(_GATHER, axis=-1))
-    # round 0 added to +0.0, then rounds 1..5: each coefficient sums in the
-    # same fixed order for one state and for a batch, so their bits agree
-    c = dets[..., :5] + 0.0
-    for coefficients, determinants in _ROUND_ADDS:
-        c[..., coefficients] += dets[..., determinants]
-    return c
+    grid = np.concatenate((dets, np.zeros(dets.shape[:-1] + (1,))), axis=-1).take(_TABLE, axis=-1)
+    return np.add.accumulate(grid, axis=-2)[..., -1, :]
 
 
 def assemble_AB(state: ModulationState) -> QuasilinearSystem:
@@ -288,7 +280,7 @@ def assemble_AB(state: ModulationState) -> QuasilinearSystem:
             + 0.75 * m / h * D * D + 0.25 * g * m * c.I1 / h + 0.5 * g * m
         )
     B[..., 1, :] = A[..., 2, :]  # the mass flux is the momentum density
-    return QuasilinearSystem(A=A, B=B, charpoly=_pencil_charpoly(A, B))
+    return QuasilinearSystem(A=A, B=B)
 
 
 def resultant_quartic(charpoly):
@@ -342,6 +334,11 @@ def characteristic_eigenvalues(sys: QuasilinearSystem) -> EigenClassification:
     c = sys.charpoly
     if _degenerate_pencil(c).any():
         raise DegeneratePencilError(f"leading charpoly coefficient is negligible in {c!r}")
+    return _classify(c)
+
+
+def _classify(c: np.ndarray) -> EigenClassification:
+    """Roots and classification of the quartics c (..., 5), none of them degenerate."""
     comp = np.empty(c.shape[:-1] + (4, 4))
     comp[...] = _SUBDIAGONAL
     comp[..., 0, :] = -c[..., 3::-1] / c[..., 4:]
@@ -415,10 +412,10 @@ def scan_region(
     Each grid point builds the wave with roots (1, s, s+tau) in the U = 0
     frame (D = -m/h_bar).  The s = 1 and tau = 0 edges are degenerate
     waves, so the grid is clamped away from them by SCAN_MARGIN, and a
-    window that lies wholly inside the margin is rejected.  Points
-    go through state_at_rest, assemble_AB and characteristic_eigenvalues
-    as arrays of up to SCAN_CHUNK points.  Invalid roots and degenerate
-    pencils become reason codes; any exception propagates.
+    window that lies wholly inside the margin is rejected.  Chunks of
+    SCAN_CHUNK points go through state_at_rest and assemble_AB, and each
+    chunk's one polynomial masks degenerate pencils (a reason code, as are
+    invalid roots) and classifies the rest; any exception propagates.
     """
     if not isinstance(grid_n, numbers.Integral):  # numpy integers are Integral too
         raise ValueError(f"grid_n must be a whole number, got {grid_n!r}")
@@ -442,12 +439,10 @@ def scan_region(
     todo = np.flatnonzero(reason == 0)
     for start in range(0, todo.size, SCAN_CHUNK):
         idx = todo[start:start + SCAN_CHUNK]
-        sys = assemble_AB(state_at_rest(RootTriple(h0[idx], s[idx], h2[idx]), g, sign_m))
-        bad = _degenerate_pencil(sys.charpoly)
+        c = assemble_AB(state_at_rest(RootTriple(h0[idx], s[idx], h2[idx]), g, sign_m)).charpoly
+        bad = _degenerate_pencil(c)
         reason[idx[bad]] = _DEGENERATE_PENCIL
-        cls = characteristic_eigenvalues(
-            QuasilinearSystem(A=sys.A[~bad], B=sys.B[~bad], charpoly=sys.charpoly[~bad])
-        )
+        cls = _classify(c[~bad])
         for f in fields(cls):
             getattr(out, f.name)[idx[~bad]] = getattr(cls, f.name)
     return ScanResult(

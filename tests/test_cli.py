@@ -324,6 +324,27 @@ def test_simulate_rejects_invalid_step_args(capsys, tmp_path, line):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("line, flags, named", [
+    ("g = 10 # gravity", [], "{cfg}:10: key 'g': could not convert string to float: '10 # gravity'"),
+    ("checkpoints = 0.05,,0.07", [], "{cfg}:11: key 'checkpoints': could not convert string to float: ''"),
+    ("n_waves = 2.5", [], "{cfg}:10: key 'n_waves': invalid literal for int() with base 10: '2.5'"),
+    ("roots = 1,2,1.5", [], "{cfg}:10: key 'roots': "),
+    ("g = 10", ["--t-end", "1/2"], "--t-end: could not convert string to float: '1/2'"),
+    ("g = 10", ["--checkpoints", "0.1;0.2,"], "--checkpoints: could not convert string to float: ''"),
+], ids=["comment-after-value", "empty-checkpoint", "fractional-int", "unordered-roots",
+        "t-end-flag", "checkpoints-flag"])
+def test_simulate_names_where_a_bad_value_was_set(capsys, tmp_path, line, flags, named):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config_with(line))
+    out_dir = tmp_path / "out"
+    code, stdout, err = run(capsys, ["simulate", "--config", str(cfg), *flags,
+                                     "--out-dir", str(out_dir)])
+    assert code == 2
+    assert err.startswith("invalid input: " + named.format(cfg=cfg))
+    assert err.count("\n") == 1 and stdout == ""
+    assert not out_dir.exists()
+
+
 def test_simulate_exits_4_when_dt_collapses(capsys, tmp_path, monkeypatch):
     from sgnwaves import solver
 

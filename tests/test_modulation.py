@@ -414,11 +414,30 @@ def test_sign_flip_negates_eigenvalues():
 
 
 def test_degenerate_pencil_is_reported():
-    sys = sw.QuasilinearSystem(
-        A=np.eye(4), B=np.eye(4), charpoly=np.array([1.0, 2.0, 3.0, 4.0, 1e-15])
-    )
+    # A = 0 leaves det(B - lam A) = det(B) = 1 for every lam: c4 = 0
+    sys = sw.QuasilinearSystem(A=np.zeros((4, 4)), B=np.eye(4))
+    assert sys.charpoly.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
     with pytest.raises(DegeneratePencilError):
         sw.characteristic_eigenvalues(sys)
+
+
+def test_the_pencil_polynomial_is_derived_from_A_and_B_on_first_read(monkeypatch):
+    rng = np.random.default_rng(21)
+    A, B = rng.standard_normal((2, 3, 4, 4))
+    sys = sw.QuasilinearSystem(A, B)
+    first = sys.charpoly
+    assert np.array_equal(_bits(first), _bits(_ref_pencil_charpoly(A, B)))
+    assert sys.charpoly is first
+
+    def no_charpoly(A, B):
+        raise AssertionError("the pencil polynomial was computed")
+
+    # assemble_AB builds the matrices only: the polynomial waits for a reader
+    monkeypatch.setattr(sw.modulation, "_pencil_charpoly", no_charpoly)
+    assembled = sw.assemble_AB(rest_state())
+    assert assembled.A.shape == assembled.B.shape == (4, 4)
+    with pytest.raises(AssertionError, match="was computed"):
+        assembled.charpoly
 
 
 # --- resultant -----------------------------------------------------------------
