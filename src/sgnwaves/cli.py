@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 validation failure, 3 numerical degeneracy,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import pathlib
@@ -57,7 +58,16 @@ def _float_list(text: str, count: int | None = None, usage: str = "") -> list[fl
 
 
 def _parse_roots(text: str) -> RootTriple:
-    return RootTriple(*_float_list(text, 3, "--roots needs three comma-separated depths"))
+    return RootTriple(*_float_list(text, 3, "expected three comma-separated depths"))
+
+
+@contextlib.contextmanager
+def _set_by(origin: str):
+    """Raise a ValueError of the block as invalid input named by where its value was set."""
+    try:
+        yield
+    except ValueError as exc:  # DomainError is a ValueError too
+        raise DomainError(f"{origin}: {exc}") from None
 
 
 def _fmt(x: float) -> str:
@@ -67,7 +77,8 @@ def _fmt(x: float) -> str:
 # --- wave ------------------------------------------------------------------
 
 def cmd_wave(args) -> int:
-    roots = _parse_roots(args.roots)
+    with _set_by("--roots"):
+        roots = _parse_roots(args.roots)
     if args.samples < 16:
         raise DomainError(f"--samples must be >= 16, got {args.samples}")
     wave = build_wave(roots, args.g, args.sign)
@@ -93,7 +104,8 @@ def cmd_wave(args) -> int:
 # --- eigen -----------------------------------------------------------------
 
 def cmd_eigen(args) -> int:
-    roots = _parse_roots(args.roots)
+    with _set_by("--roots"):
+        roots = _parse_roots(args.roots)
     if args.D is not None and args.galilean_U is not None:
         raise DomainError("give at most one of --D and --galilean-U")
     state = state_at_rest(roots, args.g, args.sign)
@@ -214,14 +226,19 @@ def cmd_simulate(args) -> int:
             text[key] = (getattr(args, key), flag)
     if "roots" not in text or "t_end" not in text:
         raise DomainError("config must define at least 'roots' and 't_end'")
-    kw = {}
+    # the train is built from its roots, then takes the other keys in file
+    # order, so a value WaveTrainConfig rejects is named like one that does not parse
+    value, origin = text.pop("roots")
+    with _set_by(origin):
+        config = WaveTrainConfig(roots=_parse_roots(value))
+    train, kw = {f.name for f in dataclasses.fields(WaveTrainConfig)}, {}
     for key, (value, origin) in text.items():
-        try:
-            kw[key] = SIMULATE_KEYS[key](value)
-        except ValueError as exc:  # DomainError is a ValueError too
-            raise DomainError(f"{origin}: {exc}") from None
-    train = {f.name for f in dataclasses.fields(WaveTrainConfig)}
-    config = WaveTrainConfig(**{key: kw.pop(key) for key in train & kw.keys()})
+        with _set_by(origin):
+            value = SIMULATE_KEYS[key](value)
+            if key in train:
+                config = dataclasses.replace(config, **{key: value})
+            else:
+                kw[key] = value
     if "checkpoints" in kw:
         kw["output_times"] = kw.pop("checkpoints")
     result = run_experiment(config, out_dir=args.out_dir, **kw)

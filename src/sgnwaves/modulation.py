@@ -40,7 +40,15 @@ import numpy as np
 from .csvio import format_column, write_csv
 from .elliptic import _require, _scalar
 from .errors import DegeneratePencilError
-from .waves import RootTriple, averaged_h, averaged_hinv, constants_from_roots, valid_roots, wavelength
+from .waves import (
+    RootTriple,
+    _sqrt,
+    averaged_h,
+    averaged_hinv,
+    constants_from_roots,
+    valid_roots,
+    wavelength,
+)
 
 __all__ = [
     "ModulationState",
@@ -177,7 +185,7 @@ def conserved_vector(state: ModulationState):
     return densities, fluxes
 
 
-_TWO_OVER_SQRT3 = 2.0 / np.sqrt(3.0)
+_TWO_OVER_SQRT3 = 2.0 / _sqrt(3.0)
 
 
 def differential_coefficients(roots: RootTriple) -> DifferentialCoefficients:
@@ -207,8 +215,8 @@ def differential_coefficients(roots: RootTriple) -> DifferentialCoefficients:
         -1 / (2 * h2 * d21) + EK / (2 * h2 * d21)
         + h1 * PK / (2 * h2 * h2 * d21) - PK * EK / (2 * h2 * d21),
     )
-    sI3 = np.sqrt(roots.vieta[2])
-    s20 = np.sqrt(d20)
+    sI3 = _sqrt(roots.vieta[2])
+    s20 = _sqrt(d20)
     pre = _TWO_OVER_SQRT3
     Lambda = (
         pre * (sI3 / (d10 * s20) * E + h1 * h2 / (s20 * sI3) * K),

@@ -19,8 +19,8 @@ stages while t < the next checkpoint, and the step clipped onto it lands
 on it exactly; a half-step closes the chain there.  `step` is the same
 driver, `_Run.advance`, cut after one stage: H(dt/2) D(dt) H(dt/2).  A
 run stacks U = (h, q) once and holds it, (2, n), to its last stage.
-Each hydrostatic stage checks that every depth is positive, so the
-dispersive operator is only built on positive h.  The two substeps are:
+The run checks the depths of each hydrostatic stage once, as it records
+the depth envelope, so D is only built on positive h.  The two substeps are:
 
   * hydrostatic: MUSCL-Hancock finite volumes with an HLL flux and a
     configurable slope limiter (default monotonized-central, which keeps
@@ -371,12 +371,6 @@ def _all_finite(v) -> bool:
     return math.isfinite(v[v.argmax()]) and math.isfinite(v[v.argmin()])
 
 
-def _require_positive(h) -> None:
-    if not h[h.argmin()] > 0.0:    # a NaN fails too
-        i = int(np.argmin(h > 0.0))    # first cell that is not positive
-        raise PositivityError(f"depth lost positivity at cell {i} (h = {float(h[i])!r})")
-
-
 def _pressure_operator(h, dx, g):
     """Build, anchor and factor the operator -(p'/h)' + 3 p/h^3 of one frozen h.
 
@@ -511,21 +505,16 @@ def _cfl_dt(h, q, dx, g, cfl, dt_max):
     return min(dt, dt_max)
 
 
-def _hydro_stage(U, dx, dt, g, limiter):
-    """H(dt) of U = (h, q), then the check that every depth is still positive."""
-    U = _hydro_step(U, dx, dt, g, limiter)
-    _require_positive(U[0])
-    return U
-
-
-def _stage(U, dx, g, cfl, limiter, dt_prev, dt_max):
-    """One link of a Strang chain: H((dt_prev + dt)/2), the positivity check, D(dt).
+def _stage(U, run, dt_prev, dt_max):
+    """One link of a Strang chain of the _Run `run`: H((dt_prev + dt)/2), run.observe, D(dt).
 
     dt is the CFL step of U, at most dt_max; dt_prev = 0 opens a chain.
-    Returns the state after D(dt) and dt.
+    Returns the state after D(dt), whose h is the one observed, and dt.
     """
-    dt = _cfl_dt(U[0], U[1], dx, g, cfl, dt_max)
-    U = _hydro_stage(U, dx, 0.5 * (dt_prev + dt), g, limiter)
+    dx, g = run.dx, run.g
+    dt = _cfl_dt(U[0], U[1], dx, g, run.cfl, dt_max)
+    U = _hydro_step(U, dx, 0.5 * (dt_prev + dt), g, run.limiter)
+    run.observe(U[0])
     U[1] = _dispersive_step(U[0], U[1], dx, dt, g)
     return U, dt
 
@@ -612,7 +601,12 @@ class _Run:
     h_max: float = -math.inf
 
     def observe(self, h) -> None:
-        self.h_min = min(self.h_min, float(h[h.argmin()]))
+        """Check that every depth of h is positive, then widen the envelope to h."""
+        h_min = float(h[h.argmin()])
+        if not h_min > 0.0:    # a NaN fails too
+            i = int(np.argmin(h > 0.0))    # first cell that is not positive
+            raise PositivityError(f"depth lost positivity at cell {i} (h = {float(h[i])!r})")
+        self.h_min = min(self.h_min, h_min)
         self.h_max = max(self.h_max, float(h[h.argmax()]))
 
     def advance(self, U, t_target, max_steps=math.inf):
@@ -635,7 +629,7 @@ class _Run:
             while self.t < t_target:
                 under_way = (self.n_steps + 1, self.t)
                 rest = t_target - self.t
-                U, dt = _stage(U, self.dx, self.g, self.cfl, self.limiter, dt, rest)
+                U, dt = _stage(U, self, dt, rest)
                 # a step clipped onto a checkpoint may be short; a CFL step may not
                 if dt < self.dt_floor and dt < rest:
                     raise StepBudgetError(
@@ -645,15 +639,14 @@ class _Run:
                 # a clipped step lands on t_target, which t + rest may round off
                 self.t = self.t + dt if dt < rest else t_target
                 self.n_steps += 1
-                self.observe(U[0])
                 if self.n_steps == max_steps:
                     break
-            U = _hydro_stage(U, self.dx, 0.5 * dt, self.g, self.limiter)
+            U = _hydro_step(U, self.dx, 0.5 * dt, self.g, self.limiter)
+            self.observe(U[0])
         except (PositivityError, EllipticSolveError) as exc:
             step_no, self.t = under_way
             self.n_steps = step_no - 1
             raise type(exc)(f"step {step_no} from t = {self.t0 + self.t!r}: {exc}") from exc
-        self.observe(U[0])
         return U if m == n else np.tile(U, (1, n // m))
 
 

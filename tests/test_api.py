@@ -43,6 +43,12 @@ def _eigen(field):
     return call
 
 
+def _gradient(field, i):
+    def call(h1):
+        return getattr(sgnwaves.differential_coefficients(sgnwaves.RootTriple(1.0, h1, 2.5)), field)[i]
+    return call
+
+
 # ascending coefficients c0..c4; (x - 1)(x - 2)(x - 3)(x - 4) first
 _QUARTICS = np.array([[24.0, -50.0, 35.0, -10.0, 1.0], [0.5, -1.25, -2.0, 0.75, 3.0],
                       [1.0, 0.0, 0.0, 0.0, 2.0]])
@@ -62,6 +68,8 @@ SCALAR_CASES = {
     "wavelength": (lambda h1: sgnwaves.wavelength(sgnwaves.RootTriple(1.0, h1, 2.5)), 1.5,
                    np.array([1.25, 1.5, 2.0]), float),
     "resultant_quartic": (sgnwaves.resultant_quartic, _QUARTICS[1].tolist(), _QUARTICS, float),
+    **{f"differential_coefficients.{f}[{i}]": (_gradient(f, i), 1.5, np.array([1.25, 1.5, 2.0]), float)
+       for f in ("Phi", "Psi", "Lambda") for i in range(3)},
     **{f"eigen.{f}": (_eigen(f), 1.5, np.array([1.25, 1.5, 2.0]), t)
        for f, t in (("all_real", bool), ("distinct", bool), ("n_positive", int),
                     ("n_negative", int), ("resultant", float))},

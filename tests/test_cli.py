@@ -66,8 +66,10 @@ def test_wave_rejects_too_few_samples(capsys):
 
 
 def test_wave_rejects_malformed_roots(capsys):
-    code, _, err = run(capsys, ["wave", "--roots", "1,2"])
-    assert code == 2
+    for command in ("wave", "eigen"):
+        code, _, err = run(capsys, [command, "--roots", "1,2"])
+        assert code == 2
+        assert err == "invalid input: --roots: expected three comma-separated depths, got '1,2'\n"
 
 
 # --- eigen ----------------------------------------------------------------
@@ -329,9 +331,15 @@ def test_simulate_rejects_invalid_step_args(capsys, tmp_path, line):
     ("checkpoints = 0.05,,0.07", [], "{cfg}:11: key 'checkpoints': could not convert string to float: ''"),
     ("n_waves = 2.5", [], "{cfg}:10: key 'n_waves': invalid literal for int() with base 10: '2.5'"),
     ("roots = 1,2,1.5", [], "{cfg}:10: key 'roots': "),
+    ("roots = 1,2", [], "{cfg}:10: key 'roots': expected three comma-separated depths, got '1,2'"),
+    ("n_waves = 0", [], "{cfg}:10: key 'n_waves': n_waves must be >= 1, got 0"),
+    ("amplitude = 1.5", [], "{cfg}:10: key 'amplitude': amplitude must be in [0, 1), got 1.5"),
+    ("cells_per_wavelength = 8", [],
+     "{cfg}:10: key 'cells_per_wavelength': cells_per_wavelength must be >= 16, got 8"),
     ("g = 10", ["--t-end", "1/2"], "--t-end: could not convert string to float: '1/2'"),
     ("g = 10", ["--checkpoints", "0.1;0.2,"], "--checkpoints: could not convert string to float: ''"),
 ], ids=["comment-after-value", "empty-checkpoint", "fractional-int", "unordered-roots",
+        "two-roots", "no-waves", "amplitude-out-of-range", "too-few-cells",
         "t-end-flag", "checkpoints-flag"])
 def test_simulate_names_where_a_bad_value_was_set(capsys, tmp_path, line, flags, named):
     cfg = tmp_path / "bad.cfg"

@@ -23,7 +23,7 @@ from sgnwaves.solver import (
     LIMITERS,
     _anchor_cell,
     _block_length,
-    _hydro_stage,
+    _hydro_step,
     _nonhydro_pressure,
     _pressure_operator,
     _stage,
@@ -401,8 +401,9 @@ def test_tiled_train_block_step_matches_full_length_step(limiter):
     h, q, dx = _tiled_train()
     hb, qb, dt = _one_stage(h, q, dx, G, 0.45, limiter)
     # the full-length reference: one stage and the closing half-step on all n cells
-    U, dt_full = _stage(np.array((h, q)), dx, G, 0.45, limiter, 0.0, math.inf)
-    hf, qf = _hydro_stage(U, dx, 0.5 * dt_full, G, limiter)
+    run = solver._Run(dx, G, 0.45, limiter, dt_floor=0.0)
+    U, dt_full = _stage(np.array((h, q)), run, 0.0, math.inf)
+    hf, qf = _hydro_step(U, dx, 0.5 * dt_full, G, limiter)
     assert dt == dt_full
     assert np.max(np.abs(hb - hf)) <= 1e-14 * np.max(np.abs(hf))
     assert np.max(np.abs(qb - qf)) <= 1e-14 * np.max(np.abs(qf))
@@ -962,10 +963,10 @@ def _failing_stage(monkeypatch, on_call, fail):
     """Make the on_call-th chain stage fail(U, dt_max); return the dt of the others."""
     real, dts = solver._stage, []
 
-    def staging(U, dx, g, cfl, limiter, dt_prev, dt_max):
+    def staging(U, run, dt_prev, dt_max):
         if len(dts) + 1 == on_call:
             return fail(U, dt_max)
-        out = real(U, dx, g, cfl, limiter, dt_prev, dt_max)
+        out = real(U, run, dt_prev, dt_max)
         dts.append(out[1])
         return out
 
@@ -986,12 +987,34 @@ def test_run_experiment_errors_name_the_step_and_time(monkeypatch, tmp_path, err
     assert "n_steps = 2\n" in (tmp_path / "manifest.txt").read_text()
 
 
+def test_a_failed_depth_check_is_not_recorded_in_the_envelope(monkeypatch, tmp_path):
+    # the run checks a stage's depths before it widens the envelope to them:
+    # the manifest's h_min is the least depth of the states before the failure
+    hydro, h_mins = solver._hydro_step, []
+
+    def drying_hydro(*args):
+        U = hydro(*args)
+        if len(h_mins) == 2:    # the third stage leaves two cells dry
+            U = U.copy()
+            U[0, [9, 40]] = -0.25
+        h_mins.append(float(U[0].min()))
+        return U
+
+    monkeypatch.setattr(solver, "_hydro_step", drying_hydro)
+    cfg = base_config(amplitude=1e-3)
+    with pytest.raises(PositivityError, match=r"^step 3 from t = .*: .* at cell 9 \(h = -0\.25\)$"):
+        sw.run_experiment(cfg, t_end=0.5, out_dir=tmp_path)
+    h_min = min(float(sw.init_wavetrain(cfg).h.min()), *h_mins[:2])
+    assert 0.0 < h_min
+    assert f"h_min = {h_min!r}\n" in (tmp_path / "manifest.txt").read_text()
+
+
 def test_run_experiment_names_the_step_a_closing_half_step_closes(monkeypatch, tmp_path):
     # the last hydrostatic stage of a chain closes step k: it is not step k + 1,
     # and step k does not count as completed
     k = sw.run_experiment(base_config(amplitude=1e-3), t_end=0.05).n_steps
     dts = _failing_stage(monkeypatch, None, None)
-    hydro, calls = solver._hydro_stage, []
+    hydro, calls = solver._hydro_step, []
 
     def closing_fails(*args):
         calls.append(None)
@@ -999,7 +1022,7 @@ def test_run_experiment_names_the_step_a_closing_half_step_closes(monkeypatch, t
             raise PositivityError("at cell 5")
         return hydro(*args)
 
-    monkeypatch.setattr(solver, "_hydro_stage", closing_fails)
+    monkeypatch.setattr(solver, "_hydro_step", closing_fails)
     with pytest.raises(PositivityError) as info:
         sw.run_experiment(base_config(amplitude=1e-3), t_end=0.05, out_dir=tmp_path)
     assert len(dts) == k >= 2
