@@ -33,7 +33,13 @@ from .modulation import (
     state_at_rest,
     write_scan_csv,
 )
-from .solver import WaveTrainConfig, run_experiment
+from .solver import (
+    WaveTrainConfig,
+    _check_cfl,
+    _check_limiter,
+    _checkpoint_times,
+    run_experiment,
+)
 from .waves import (
     RootTriple,
     averaged_h,
@@ -196,6 +202,13 @@ SIMULATE_KEYS = {
     "t_end": float, "checkpoints": lambda text: _float_list(text.replace(";", ",")),
     "cfl": float, "limiter": str,
 }
+# The solver's rule for each run key, given the run values read so far.
+_RUN_RULES = {
+    "t_end": lambda kw: _checkpoint_times(kw["t_end"], None),
+    "checkpoints": lambda kw: _checkpoint_times(kw["t_end"], kw["checkpoints"]),
+    "cfl": lambda kw: _check_cfl(kw["cfl"]),
+    "limiter": lambda kw: _check_limiter(kw["limiter"]),
+}
 
 
 def _read_config(path: pathlib.Path) -> dict:
@@ -226,19 +239,22 @@ def cmd_simulate(args) -> int:
             text[key] = (getattr(args, key), flag)
     if "roots" not in text or "t_end" not in text:
         raise DomainError("config must define at least 'roots' and 't_end'")
-    # the train is built from its roots, then takes the other keys in file
-    # order, so a value WaveTrainConfig rejects is named like one that does not parse
+    # roots come first, as the train is built from them, and t_end second,
+    # as each checkpoint is checked against it; the other keys follow in file
+    # order, so a value that WaveTrainConfig or a run rule rejects is named
+    # like one that does not parse
     value, origin = text.pop("roots")
     with _set_by(origin):
         config = WaveTrainConfig(roots=_parse_roots(value))
     train, kw = {f.name for f in dataclasses.fields(WaveTrainConfig)}, {}
-    for key, (value, origin) in text.items():
+    for key, (value, origin) in {"t_end": text.pop("t_end"), **text}.items():
         with _set_by(origin):
             value = SIMULATE_KEYS[key](value)
             if key in train:
                 config = dataclasses.replace(config, **{key: value})
             else:
                 kw[key] = value
+                _RUN_RULES[key](kw)
     if "checkpoints" in kw:
         kw["output_times"] = kw.pop("checkpoints")
     result = run_experiment(config, out_dir=args.out_dir, **kw)

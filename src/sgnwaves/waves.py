@@ -77,7 +77,7 @@ class RootTriple:
 
     def __post_init__(self):
         ok = valid_roots(self.h0, self.h1, self.h2)
-        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        if not (ok.all() if isinstance(ok, np.ndarray) else ok):    # a bool skips np.all, see _require
             raise InvalidRootsError(
                 f"roots must be finite with 0 < h0 < h1 < h2 and gaps of at least "
                 f"{DEGENERACY_TOL} * h2, got ({self.h0}, {self.h1}, {self.h2})"

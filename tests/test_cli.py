@@ -315,17 +315,6 @@ def test_simulate_rejects_a_line_without_equals(capsys, tmp_path):
     assert f"{cfg}:2: expected 'key = value', got 'roots 1,1.5,2'" in err
 
 
-@pytest.mark.parametrize("line", ["cfl = 0", "t_end = nan", "checkpoints = 0.6"])
-def test_simulate_rejects_invalid_step_args(capsys, tmp_path, line):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(config_with(line))
-    out_dir = tmp_path / "out"
-    code, _, err = run(capsys, ["simulate", "--config", str(cfg), "--out-dir", str(out_dir)])
-    assert code == 2
-    assert "invalid input" in err
-    assert not out_dir.exists()
-
-
 @pytest.mark.parametrize("line, flags, named", [
     ("g = 10 # gravity", [], "{cfg}:10: key 'g': could not convert string to float: '10 # gravity'"),
     ("checkpoints = 0.05,,0.07", [], "{cfg}:11: key 'checkpoints': could not convert string to float: ''"),
@@ -336,11 +325,19 @@ def test_simulate_rejects_invalid_step_args(capsys, tmp_path, line):
     ("amplitude = 1.5", [], "{cfg}:10: key 'amplitude': amplitude must be in [0, 1), got 1.5"),
     ("cells_per_wavelength = 8", [],
      "{cfg}:10: key 'cells_per_wavelength': cells_per_wavelength must be >= 16, got 8"),
+    ("g = 0", [], "{cfg}:10: key 'g': gravity must be finite and positive, got g=0.0"),
+    ("sign_m = 2", [], "{cfg}:10: key 'sign_m': sign_m must be -1 or +1, got 2"),
+    ("cfl = 0", [], "{cfg}:10: key 'cfl': cfl must be in (0, 0.9], got 0.0"),
+    ("limiter = superbee", [], "{cfg}:10: key 'limiter': unknown limiter 'superbee'; "),
+    ("t_end = nan", [], "{cfg}:10: key 't_end': t_end must be positive and finite, got nan"),
+    ("checkpoints = 0.6", [],
+     "{cfg}:11: key 'checkpoints': checkpoint time 0.6 is outside (0, t_end = 0.5]"),
     ("g = 10", ["--t-end", "1/2"], "--t-end: could not convert string to float: '1/2'"),
     ("g = 10", ["--checkpoints", "0.1;0.2,"], "--checkpoints: could not convert string to float: ''"),
 ], ids=["comment-after-value", "empty-checkpoint", "fractional-int", "unordered-roots",
-        "two-roots", "no-waves", "amplitude-out-of-range", "too-few-cells",
-        "t-end-flag", "checkpoints-flag"])
+        "two-roots", "no-waves", "amplitude-out-of-range", "too-few-cells", "zero-g",
+        "sign-m-out-of-range", "zero-cfl", "unknown-limiter", "nan-t-end",
+        "checkpoint-after-t-end", "t-end-flag", "checkpoints-flag"])
 def test_simulate_names_where_a_bad_value_was_set(capsys, tmp_path, line, flags, named):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(config_with(line))
@@ -350,6 +347,18 @@ def test_simulate_names_where_a_bad_value_was_set(capsys, tmp_path, line, flags,
     assert code == 2
     assert err.startswith("invalid input: " + named.format(cfg=cfg))
     assert err.count("\n") == 1 and stdout == ""
+    assert not out_dir.exists()
+
+
+def test_simulate_checks_checkpoints_against_a_later_t_end(capsys, tmp_path):
+    # t_end is read before the other run keys, wherever the file sets it
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("roots = 1,1.5,2\ncheckpoints = 0.6\nt_end = 0.5\n")
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, ["simulate", "--config", str(cfg), "--out-dir", str(out_dir)])
+    assert code == 2
+    assert err.startswith(f"invalid input: {cfg}:2: key 'checkpoints': checkpoint time 0.6 is "
+                          "outside (0, t_end = 0.5]")
     assert not out_dir.exists()
 
 

@@ -177,6 +177,10 @@ def test_config_validation():
         base_config(amplitude=-0.1)
     with pytest.raises(ValueError):
         base_config(cells_per_wavelength=15)
+    with pytest.raises(InvalidRootsError, match="got g=0.0"):
+        base_config(g=0.0)
+    with pytest.raises(InvalidRootsError, match="got 2"):
+        base_config(sign_m=2)
 
 
 @pytest.mark.parametrize("size, value", [("n_waves", 2.5), ("cells_per_wavelength", 400.5)])
@@ -802,10 +806,13 @@ def test_anchor_of_a_hump_at_rest_matches_reference_loop(monkeypatch):
         assert cell == _ref_anchor_cell(key)
 
 
-@pytest.mark.parametrize("period", [1, 400])
+@pytest.mark.parametrize("period", [1, 400, 4000])
 def test_anchor_matches_reference_loop_on_4000_cells(period):
     rng = np.random.default_rng(period)
-    key = np.tile(1.0 + rng.integers(0, 4, period), 4000 // period)
+    # periods 1 and 400 tie every copy; random reals give one copy with a unique maximum
+    block = rng.random(period) if period == 4000 else 1.0 + rng.integers(0, 4, period)
+    key = np.tile(block, 4000 // period)
+    assert (np.count_nonzero(key == key.max()) == 1) == (period == 4000)
     assert _anchor_cell(key) == _ref_anchor_cell(key) < period    # lowest tied copy
     rotated = np.roll(key, 1234)
     assert _anchor_cell(rotated) == _ref_anchor_cell(rotated)
