@@ -237,6 +237,7 @@ _TABLE = np.array(list(itertools.zip_longest(
 _GATHER = 16 * np.array(_SUBSETS)[:, None, :] + 4 * np.arange(4)[:, None] + np.arange(4)
 
 
+@np.errstate(over="ignore", invalid="ignore")    # an overflow is a non-finite coefficient
 def _pencil_charpoly(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     entries = np.concatenate((B, -A), axis=-2).reshape(A.shape[:-2] + (32,))
     dets = np.linalg.det(entries.take(_GATHER, axis=-1))
@@ -244,13 +245,16 @@ def _pencil_charpoly(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.add.accumulate(grid, axis=-2)[..., -1, :]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def assemble_AB(state: ModulationState) -> QuasilinearSystem:
     """Fill A and B of A U_T + B U_X = 0, U = (D, h0, h1, h2).
 
     Row order: wavelength, mass, momentum, energy.  Rows mass..energy are
     the exact Jacobians of the conservative densities/fluxes; the
     wavelength row carries the extra -L^2 factor (see module docstring).
-    A batched state runs the same arithmetic, entry for entry.
+    A batched state runs the same arithmetic, entry for entry.  An entry
+    that overflows is left inf or NaN, without a warning; the charpoly
+    carries it to a non-finite coefficient, a degenerate pencil.
     """
     r = state.roots
     c = constants_from_roots(r, state.g, state.sign_m)
@@ -337,10 +341,14 @@ def characteristic_eigenvalues(sys: QuasilinearSystem) -> EigenClassification:
     solvers lose digits.  The resultant Res(p, p'), a sign check, is
     prod_{i<j} (lam_i - lam_j)^2 over these roots (p monic, n = 4);
     resultant_quartic takes it from coefficients.  Raises DegeneratePencilError where
-    _degenerate_pencil holds; scan_region masks those states out first.
+    _degenerate_pencil holds, saying whether the pencil overflowed or its
+    c4 is negligible; scan_region masks those states out first.
     """
     c = sys.charpoly
     if _degenerate_pencil(c).any():
+        if not np.isfinite(c).all():
+            raise DegeneratePencilError(
+                f"the pencil overflows the float range: charpoly coefficients {c!r}")
         raise DegeneratePencilError(f"leading charpoly coefficient is negligible in {c!r}")
     return _classify(c)
 
@@ -406,6 +414,7 @@ class ScanResult:
         return self.classification.n_positive.reshape(len(self.s_values), len(self.tau_values))
 
 
+@np.errstate(over="ignore", invalid="ignore")    # an overflowing point is invalid or degenerate
 def scan_region(
     s_min: float,
     s_max: float,

@@ -72,7 +72,6 @@ from .waves import (
     CnoidalWave,
     RootTriple,
     build_wave,
-    constants_from_roots,
     oscillation_rhs,
     profile,
     velocity_from_depth,
@@ -166,7 +165,7 @@ class WaveTrainConfig:
             raise ValueError(
                 f"cells_per_wavelength must be >= 16, got {self.cells_per_wavelength}"
             )
-        constants_from_roots(self.roots, self.g, self.sign_m)    # checks g and sign_m
+        build_wave(self.roots, self.g, self.sign_m)    # checks g, sign_m and the wave's float range
 
 
 def init_wavetrain(config: WaveTrainConfig) -> SGNField:
@@ -734,17 +733,11 @@ def run_experiment(
 
 
 def _write_manifest(path, config, wave, field0, run: _Run, times) -> None:
-    from datetime import datetime, timezone
-
     from . import __version__
 
     r = config.roots
-    # crude cost gauge: cell-seconds; the paper-scale run is flagged so a
-    # caller knows it was accepted as a long-running job, not a CI target
-    long_running = field0.n_cells * run.t > 1.0e6
     rows = [
         ("code_version", __version__),
-        ("written_utc", datetime.now(timezone.utc).isoformat()),
         ("roots", f"{r.h0!r},{r.h1!r},{r.h2!r}"),
         ("g", repr(config.g)),
         ("sign_m", str(config.sign_m)),
@@ -762,7 +755,6 @@ def _write_manifest(path, config, wave, field0, run: _Run, times) -> None:
         ("h_min", repr(run.h_min)),
         ("h_max", repr(run.h_max)),
         ("checkpoint_times", ";".join(repr(float(t)) for t in times)),
-        ("long_running", "true" if long_running else "false"),
     ]
     with open(path, "w", newline="\n") as fh:
         for key, val in rows:

@@ -21,6 +21,7 @@ h (u - D) = m, so u = m/h + D.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -59,10 +60,28 @@ def _sqrt(x):
     return _scalar(np.sqrt(x))
 
 
+def _all(ok) -> bool:
+    """Whether `ok` holds for every element; a bool skips np.all (see _require)."""
+    return ok.all() if isinstance(ok, np.ndarray) else ok
+
+
+def _text(roots, ok=True) -> str:
+    """The triple (h0, h1, h2) as text; of a batch, the first triple where `ok` fails."""
+    h = (roots.h0, roots.h1, roots.h2)
+    if isinstance(ok, np.ndarray):
+        h = [np.extract(~ok, np.broadcast_to(x, ok.shape))[0] for x in h]
+    return "({}, {}, {})".format(*h)
+
+
 def valid_roots(h0, h1, h2):
-    """Elementwise 0 < h0 < h1 < h2 < inf (NaN fails) with both gaps >= DEGENERACY_TOL * h2."""
+    """Elementwise 0 < h0 < h1 < h2 (NaN fails) with both gaps >= DEGENERACY_TOL * h2.
+
+    The product h0 h1 h2 must be a positive normal float, which also keeps
+    all three roots finite: the Vieta constants divide by it.
+    """
+    I3 = h0 * h1 * h2
     return (
-        (0.0 < h0) & (h0 < h1) & (h1 < h2) & (h2 < np.inf)
+        (0.0 < h0) & (h0 < h1) & (h1 < h2) & (sys.float_info.min <= I3) & (I3 < np.inf)
         & (h1 - h0 >= DEGENERACY_TOL * h2) & (h2 - h1 >= DEGENERACY_TOL * h2)
     )
 
@@ -77,10 +96,10 @@ class RootTriple:
 
     def __post_init__(self):
         ok = valid_roots(self.h0, self.h1, self.h2)
-        if not (ok.all() if isinstance(ok, np.ndarray) else ok):    # a bool skips np.all, see _require
+        if not _all(ok):
             raise InvalidRootsError(
-                f"roots must be finite with 0 < h0 < h1 < h2 and gaps of at least "
-                f"{DEGENERACY_TOL} * h2, got ({self.h0}, {self.h1}, {self.h2})"
+                f"roots must satisfy 0 < h0 < h1 < h2 with gaps of at least {DEGENERACY_TOL} * h2 "
+                f"and a normal float product h0*h1*h2, got {_text(self, ok)}"
             )
 
     @property
@@ -133,15 +152,29 @@ class CnoidalWave:
 
 
 def constants_from_roots(roots: RootTriple, g: float, sign_m: int) -> WaveConstants:
-    """Derive (m, i, eps, I1, I2, I3) from the roots via Vieta's formulas."""
+    """Derive (m, i, eps, I1, I2, I3) from the roots via Vieta's formulas.
+
+    A constant outside the float range raises InvalidRootsError, which
+    names g when g I3 or g I2 overflows and the roots otherwise.
+    """
     if not 0.0 < g < math.inf:
         raise InvalidRootsError(f"gravity must be finite and positive, got g={g}")
     if sign_m not in (-1, 1):
         raise InvalidRootsError(f"sign_m must be -1 or +1, got {sign_m}")
     I1, I2, I3 = roots.vieta
-    m = sign_m * _sqrt(g * I3)
+    gI3, gI2, epsilon = g * I3, g * I2, I1 / (2.0 * I3)
+    ok = (I2 < math.inf) & (epsilon < math.inf)
+    if not _all(ok):
+        raise InvalidRootsError(
+            f"roots {_text(roots, ok)} give I2 or epsilon = I1/(2 h0 h1 h2) outside the float range"
+        )
+    ok = (gI3 < math.inf) & (gI2 < math.inf)
+    if not _all(ok):
+        raise InvalidRootsError(
+            f"g*h0*h1*h2 or g*I2 overflows the float range, got g={g} with roots {_text(roots, ok)}"
+        )
     return WaveConstants(
-        g=g, m=m, i=g * I2 / 2.0, epsilon=I1 / (2.0 * I3),
+        g=g, m=sign_m * _sqrt(gI3), i=gI2 / 2.0, epsilon=epsilon,
         I1=I1, I2=I2, I3=I3, sign_m=sign_m,
     )
 
@@ -221,6 +254,8 @@ def build_wave(
         D = -constants.m / averaged_h(roots)
     _require(math.isfinite(D), "phase speed D must be finite", "D", D)
     alpha = math.sqrt(0.75 * (roots.h2 - roots.h0) / constants.I3)
+    if not alpha < math.inf:    # alpha^2 is up to 1.5 epsilon, which may still be finite
+        raise InvalidRootsError(f"roots {_text(roots)} give alpha = inf, outside the float range")
     return CnoidalWave(
         roots=roots, constants=constants, alpha=alpha,
         k=roots.modulus, L=wavelength(roots), D=float(D),

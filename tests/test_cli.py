@@ -326,6 +326,10 @@ def test_simulate_rejects_a_line_without_equals(capsys, tmp_path):
     ("cells_per_wavelength = 8", [],
      "{cfg}:10: key 'cells_per_wavelength': cells_per_wavelength must be >= 16, got 8"),
     ("g = 0", [], "{cfg}:10: key 'g': gravity must be finite and positive, got g=0.0"),
+    ("g = 1e308", [], "{cfg}:10: key 'g': g*h0*h1*h2 or g*I2 overflows the float range, got g=1e+308"),
+    ("roots = 1e-200,2e-200,3e-200", [], "{cfg}:10: key 'roots': roots must satisfy "),
+    ("roots = 2e-310,10,20", [], "{cfg}:10: key 'roots': roots (2e-310, 10.0, 20.0) give I2 or "),
+    ("roots = 3.8e-301,1e-8,100", [], "{cfg}:10: key 'roots': roots (3.8e-301, 1e-08, 100.0) give alpha"),
     ("sign_m = 2", [], "{cfg}:10: key 'sign_m': sign_m must be -1 or +1, got 2"),
     ("cfl = 0", [], "{cfg}:10: key 'cfl': cfl must be in (0, 0.9], got 0.0"),
     ("limiter = superbee", [], "{cfg}:10: key 'limiter': unknown limiter 'superbee'; "),
@@ -336,6 +340,7 @@ def test_simulate_rejects_a_line_without_equals(capsys, tmp_path):
     ("g = 10", ["--checkpoints", "0.1;0.2,"], "--checkpoints: could not convert string to float: ''"),
 ], ids=["comment-after-value", "empty-checkpoint", "fractional-int", "unordered-roots",
         "two-roots", "no-waves", "amplitude-out-of-range", "too-few-cells", "zero-g",
+        "overflowing-g", "roots-product-underflows", "roots-epsilon-overflows", "roots-alpha-overflows",
         "sign-m-out-of-range", "zero-cfl", "unknown-limiter", "nan-t-end",
         "checkpoint-after-t-end", "t-end-flag", "checkpoints-flag"])
 def test_simulate_names_where_a_bad_value_was_set(capsys, tmp_path, line, flags, named):
@@ -391,7 +396,14 @@ def test_simulate_requires_roots_and_t_end(capsys, tmp_path):
     (["eigen", *BASE_ARGS, "--D", "nan"], "got D=nan"),
     (["eigen", *BASE_ARGS, "--galilean-U", "nan"], "got D=nan"),
     (["simulate"], "got g=nan"),
-], ids=["wave-g", "eigen-g", "eigen-D", "eigen-galilean-U", "simulate-g"])
+    # roots whose Vieta constants leave the float range
+    (["wave", "--roots", "1e-200,2e-200,3e-200", "--g", "10"], "--roots: roots must satisfy"),
+    (["eigen", "--roots", "1e-200,2e-200,3e-200", "--g", "10"], "--roots: roots must satisfy"),
+    (["eigen", "--roots", "1e110,2e110,3e110"], "--roots: roots must satisfy"),
+    (["wave", "--roots", "2e-310,10,20", "--g", "10"], "roots (2e-310, 10.0, 20.0) give I2 or"),
+    (["eigen", "--roots", "1,1.5,2", "--g", "1e308"], "got g=1e+308"),
+], ids=["wave-g", "eigen-g", "eigen-D", "eigen-galilean-U", "simulate-g", "wave-tiny-roots",
+        "eigen-tiny-roots", "eigen-huge-roots", "wave-epsilon-overflows", "eigen-g-overflows"])
 def test_nonfinite_gravity_or_phase_speed_is_invalid_input(capsys, tmp_path, argv, named):
     out = tmp_path / "out"
     if argv[0] == "wave":
@@ -405,6 +417,22 @@ def test_nonfinite_gravity_or_phase_speed_is_invalid_input(capsys, tmp_path, arg
     assert err.startswith("invalid input: ") and named in err
     assert stdout == ""
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv,named", [
+    (["eigen", *BASE_ARGS, "--D", "1e60"],
+     "numerical degeneracy: the pencil overflows the float range: charpoly coefficients"),
+    (["eigen", "--roots", "1,1.5,2", "--g", "1e300"],
+     "numerical degeneracy: the pencil overflows the float range: charpoly coefficients"),
+    (["scan", "--grid", "4", "--g", "1e300"], "error: 16/16 points failed"),
+], ids=["eigen-D", "eigen-g", "scan-g"])
+def test_an_overflowing_pencil_is_numerical_degeneracy(capsys, tmp_path, argv, named):
+    if argv[0] == "scan":
+        argv = [*argv, "--out", str(tmp_path / "scan.csv")]
+    code, _, err = run(capsys, argv)
+    assert code == 3
+    assert named in err
 
 
 # --- unwritable outputs -----------------------------------------------------------

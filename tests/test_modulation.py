@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 import sgnwaves as sw
 from conftest import reemit_csv
-from sgnwaves.errors import DegeneratePencilError, DomainError, InvalidRootsError
+from sgnwaves.errors import DegeneratePencilError, DomainError, InvalidRootsError, SgnError
 from sgnwaves.modulation import SCAN_MARGIN
 
 BASE = sw.RootTriple(1.0, 1.5, 2.0)
@@ -655,6 +655,19 @@ def test_scan_marks_degenerate_pencils(monkeypatch):
             assert np.isnan(got.roots[i]).all() and np.isnan(got.resultant[i])
 
 
+@pytest.mark.filterwarnings("error")    # no numpy RuntimeWarning escapes the scan
+def test_scan_outside_the_float_range():
+    # past s = 1.001 the product h0 h1 h2 = s (s + tau) overflows: invalid roots
+    res = sw.scan_region(1.0, 1e200, 0.0, 1.0, 4, g=G)
+    assert [e[2] for e in res.errors] == ["invalid_roots"] * 12
+    assert (res.reason[:4] == 0).all()
+    # finite wave constants whose pencils overflow: degenerate pencils
+    res = sw.scan_region(1.0, 5.0, 0.0, 5.0, 3, g=1e300)
+    assert [e[2] for e in res.errors] == ["degenerate_pencil"] * 9
+    with pytest.raises(InvalidRootsError, match=r"got g=1e\+308 with roots \(1.0, 1.001, "):
+        sw.scan_region(1.0, 5.0, 0.0, 5.0, 3, g=1e308)
+
+
 def test_scan_propagates_kernel_errors(monkeypatch):
     # a programming error inside the kernel must surface, not turn into
     # failed scan points
@@ -691,3 +704,37 @@ def test_hyperbolicity_property(s, tau):
     assert cls.all_real
     assert cls.distinct
     assert cls.n_positive in (2, 3)
+
+
+_LOG_RATIO = st.floats(min_value=math.log10(1.0 + 1e-6), max_value=6.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")    # no numpy warning on the way
+@given(
+    log_h0=st.floats(min_value=-320.0, max_value=300.0),
+    log_r1=_LOG_RATIO,
+    log_r2=_LOG_RATIO,
+    log_g=st.floats(min_value=-300.0, max_value=300.0),
+    dD=st.floats(min_value=-1e300, max_value=1e300),
+)
+@settings(max_examples=300, deadline=None)
+def test_float_range_property(log_h0, log_r1, log_r2, log_g, dD):
+    # across the float range a wave and a pencil are finite, or an SgnError says why not
+    h0 = 10.0 ** log_h0
+    h1 = h0 * 10.0 ** log_r1
+    h2 = h1 * 10.0 ** log_r2
+    g = 10.0 ** log_g
+    try:
+        wave = sw.build_wave(sw.RootTriple(h0, h1, h2), g, -1)
+    except SgnError:
+        pass
+    else:
+        c = wave.constants
+        assert all(map(math.isfinite, (wave.alpha, wave.k, wave.L, wave.D, c.m, c.i, c.epsilon)))
+    try:
+        rest = sw.state_at_rest(sw.RootTriple(h0, h1, h2), g)
+        cls = sw.characteristic_eigenvalues(
+            sw.assemble_AB(dataclasses.replace(rest, D=rest.D + dD)))
+    except SgnError:
+        return
+    assert np.isfinite(cls.roots).all()

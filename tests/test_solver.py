@@ -911,8 +911,12 @@ def test_run_experiment_checkpoints_and_artifacts(tmp_path):
     assert "wavelength = " in manifest
     assert "n_cells = 64" in manifest
     assert "checkpoint_times = 0.4;1.0" in manifest
-    # the rest of the manifest is the run's own record
+    # the rest of the manifest is the run's own record, row by row
     rows = dict(row.split(" = ", 1) for row in manifest.splitlines())
+    assert list(rows) == [
+        "code_version", "roots", "g", "sign_m", "n_waves", "amplitude", "cells_per_wavelength",
+        "n_cells", "dx", "wavelength", "phase_speed", "cfl", "limiter", "t_final", "n_steps",
+        "h_min", "h_max", "checkpoint_times"]
     assert [rows[k] for k in ("t_final", "n_steps", "h_min", "h_max", "cfl", "limiter")] == [
         "1.0", str(res.n_steps), repr(res.h_min), repr(res.h_max), "0.45", "mc"]
     field_lines = (out / "field_0000.csv").read_text().splitlines()
@@ -962,8 +966,11 @@ def test_run_experiment_is_deterministic(tmp_path):
         sw.run_experiment(base_config(amplitude=1e-3), t_end=0.8,
                           output_times=[0.8], out_dir=out)
         outs.append(out)
-    for name in ("field_0000.csv", "portrait_0000.csv", "diagnostics.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    # every file a run writes, its manifest included, depends only on the config
+    files = [{p.name: p.read_bytes() for p in out.iterdir()} for out in outs]
+    assert sorted(files[0]) == ["diagnostics.csv", "field_0000.csv", "manifest.txt",
+                                "portrait_0000.csv"]
+    assert files[0] == files[1]
 
 
 def _failing_stage(monkeypatch, on_call, fail):
