@@ -31,9 +31,19 @@ SINGULAR_TOL = 1e-12
 
 
 def _require(ok, rule: str, name: str, value) -> None:
-    """Raise DomainError unless `ok` holds for every element (a bool skips np.all, 40x its cost)."""
-    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+    """Raise DomainError unless `ok` holds for every element."""
+    if not _all(ok):
         raise DomainError(f"{rule}, got {name}={np.extract(np.logical_not(ok), value)[0]}")
+
+
+def _all(ok) -> bool:
+    """Whether `ok` holds for every element of an array, or `ok` itself for a bool.
+
+    The fork keeps the scalar path fast: np.all of a bool takes about 2.8 us
+    against 0.07 us, and perfbench's single_state setup, which builds 2000
+    float states, ran 17 % slower through np.all (shared 2-vCPU x86_64 host).
+    """
+    return ok.all() if isinstance(ok, np.ndarray) else ok
 
 
 # the numpy scalars the package returns: calling the Python type costs about

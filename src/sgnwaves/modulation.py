@@ -156,6 +156,7 @@ class EigenClassification:
     resultant: float
 
 
+@np.errstate(over="ignore", invalid="ignore")    # overflow gives inf; a Python float's ** raises
 def conserved_vector(state: ModulationState):
     """Densities and fluxes of the four averaged conservation laws.
 
@@ -179,7 +180,7 @@ def conserved_vector(state: ModulationState):
         D / L,
         m + hb * D,
         hb * D * D + 0.5 * g * c.I2 + 2.0 * m * D,
-        0.5 * hb * D ** 3 + 0.5 * g * c.I1 * hb * D + g * c.I3 * hi * D
+        0.5 * hb * np.float64(D) ** 3 + 0.5 * g * c.I1 * hb * D + g * c.I3 * hi * D
         + 1.5 * m * D * D + 0.5 * m * g * c.I1,
     ])
     return densities, fluxes

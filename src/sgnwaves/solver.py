@@ -165,7 +165,7 @@ class WaveTrainConfig:
             raise ValueError(
                 f"cells_per_wavelength must be >= 16, got {self.cells_per_wavelength}"
             )
-        build_wave(self.roots, self.g, self.sign_m)    # checks g, sign_m and the wave's float range
+        build_wave(self.roots, self.g, self.sign_m)    # checks g and sign_m; g I3 and g I2 finite
 
 
 def init_wavetrain(config: WaveTrainConfig) -> SGNField:

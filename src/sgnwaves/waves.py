@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .elliptic import _require, _scalar, ellip_K, ellip_E, ellip_Pi
+from .elliptic import _all, _require, _scalar, ellip_K, ellip_E, ellip_Pi
 from .errors import InvalidRootsError, QuadratureError
 
 __all__ = [
@@ -60,12 +60,7 @@ def _sqrt(x):
     return _scalar(np.sqrt(x))
 
 
-def _all(ok) -> bool:
-    """Whether `ok` holds for every element; a bool skips np.all (see _require)."""
-    return ok.all() if isinstance(ok, np.ndarray) else ok
-
-
-def _text(roots, ok=True) -> str:
+def _text(roots, ok) -> str:
     """The triple (h0, h1, h2) as text; of a batch, the first triple where `ok` fails."""
     h = (roots.h0, roots.h1, roots.h2)
     if isinstance(ok, np.ndarray):
@@ -73,17 +68,21 @@ def _text(roots, ok=True) -> str:
     return "({}, {}, {})".format(*h)
 
 
+@np.errstate(all="ignore")    # a batch outside the float range fails here, unwarned
 def valid_roots(h0, h1, h2):
     """Elementwise 0 < h0 < h1 < h2 (NaN fails) with both gaps >= DEGENERACY_TOL * h2.
 
-    The product h0 h1 h2 must be a positive normal float, which also keeps
-    all three roots finite: the Vieta constants divide by it.
+    The one float-range rule of a triple: I3 = h0 h1 h2 is a positive normal
+    float, and I2, epsilon = I1/(2 I3) and alpha^2 = 0.75 (h2 - h0)/I3 are finite.
     """
-    I3 = h0 * h1 * h2
-    return (
+    I1, I2, I3 = h0 + h1 + h2, h0 * h1 + h1 * h2 + h0 * h2, h0 * h1 * h2
+    ok = (
         (0.0 < h0) & (h0 < h1) & (h1 < h2) & (sys.float_info.min <= I3) & (I3 < np.inf)
         & (h1 - h0 >= DEGENERACY_TOL * h2) & (h2 - h1 >= DEGENERACY_TOL * h2)
     )
+    if ok is False:    # a float triple stops here, before a zero I3 divides
+        return ok
+    return ok & (I2 < np.inf) & (I1 / (2.0 * I3) < np.inf) & (0.75 * (h2 - h0) / I3 < np.inf)
 
 
 @dataclass(frozen=True)
@@ -98,8 +97,9 @@ class RootTriple:
         ok = valid_roots(self.h0, self.h1, self.h2)
         if not _all(ok):
             raise InvalidRootsError(
-                f"roots must satisfy 0 < h0 < h1 < h2 with gaps of at least {DEGENERACY_TOL} * h2 "
-                f"and a normal float product h0*h1*h2, got {_text(self, ok)}"
+                f"roots must satisfy 0 < h0 < h1 < h2 with gaps of at least {DEGENERACY_TOL} * h2, "
+                "finite I2, epsilon = I1/(2 I3) and alpha^2 = 0.75 (h2 - h0)/I3 (I1, I2, I3 the "
+                f"Vieta sums), and a normal float product h0*h1*h2, got {_text(self, ok)}"
             )
 
     @property
@@ -151,30 +151,25 @@ class CnoidalWave:
     D: float      # phase speed (m/s)
 
 
+@np.errstate(over="ignore")    # a batch's overflowing g I3 or g I2 is checked below, unwarned
 def constants_from_roots(roots: RootTriple, g: float, sign_m: int) -> WaveConstants:
     """Derive (m, i, eps, I1, I2, I3) from the roots via Vieta's formulas.
 
-    A constant outside the float range raises InvalidRootsError, which
-    names g when g I3 or g I2 overflows and the roots otherwise.
+    A g for which g I3 or g I2 overflows raises InvalidRootsError naming g.
     """
     if not 0.0 < g < math.inf:
         raise InvalidRootsError(f"gravity must be finite and positive, got g={g}")
     if sign_m not in (-1, 1):
         raise InvalidRootsError(f"sign_m must be -1 or +1, got {sign_m}")
     I1, I2, I3 = roots.vieta
-    gI3, gI2, epsilon = g * I3, g * I2, I1 / (2.0 * I3)
-    ok = (I2 < math.inf) & (epsilon < math.inf)
-    if not _all(ok):
-        raise InvalidRootsError(
-            f"roots {_text(roots, ok)} give I2 or epsilon = I1/(2 h0 h1 h2) outside the float range"
-        )
+    gI3, gI2 = g * I3, g * I2
     ok = (gI3 < math.inf) & (gI2 < math.inf)
     if not _all(ok):
         raise InvalidRootsError(
             f"g*h0*h1*h2 or g*I2 overflows the float range, got g={g} with roots {_text(roots, ok)}"
         )
     return WaveConstants(
-        g=g, m=sign_m * _sqrt(gI3), i=gI2 / 2.0, epsilon=epsilon,
+        g=g, m=sign_m * _sqrt(gI3), i=gI2 / 2.0, epsilon=I1 / (2.0 * I3),
         I1=I1, I2=I2, I3=I3, sign_m=sign_m,
     )
 
@@ -254,8 +249,6 @@ def build_wave(
         D = -constants.m / averaged_h(roots)
     _require(math.isfinite(D), "phase speed D must be finite", "D", D)
     alpha = math.sqrt(0.75 * (roots.h2 - roots.h0) / constants.I3)
-    if not alpha < math.inf:    # alpha^2 is up to 1.5 epsilon, which may still be finite
-        raise InvalidRootsError(f"roots {_text(roots)} give alpha = inf, outside the float range")
     return CnoidalWave(
         roots=roots, constants=constants, alpha=alpha,
         k=roots.modulus, L=wavelength(roots), D=float(D),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import sgnwaves
+from sgnwaves.errors import InvalidRootsError
 
 MODULES = ["sgnwaves"] + [f"sgnwaves.{m.name}" for m in pkgutil.iter_modules(sgnwaves.__path__)]
 
@@ -89,3 +90,41 @@ def test_scalar_in_scalar_out_array_in_array_out(name):
     for i, xi in enumerate(flat_in):
         xi = xi.tolist()   # back to Python scalars (or a list of them)
         assert np.asarray(func(xi), dtype=batch.dtype).tobytes() == batch.reshape(-1)[i].tobytes()
+
+
+# At the float range's edge one state and a batch fail alike: each case's bad
+# input gives the same outcome as a float and as the second element of a batch
+# whose first element is good, with no numpy RuntimeWarning and no OverflowError.
+def _triple(h0):
+    return sgnwaves.RootTriple(h0, 2.0 * h0, 3.0 * h0)
+
+
+def _energy_flux(D):
+    one = np.ones_like(D) if isinstance(D, np.ndarray) else 1.0
+    state = sgnwaves.ModulationState(D=D, h0=one, h1=1.5 * one, h2=2.0 * one, g=10.0)
+    return sgnwaves.conserved_vector(state)[1][3]
+
+
+RANGE_CASES = {
+    # name: (function of one argument, a good input, a bad input, the bad input's outcome)
+    "RootTriple": (_triple, 1.0, 1e110, InvalidRootsError),
+    "constants_from_roots": (lambda h0: sgnwaves.constants_from_roots(_triple(h0), 1e308, -1),
+                             1e-5, 1.0, InvalidRootsError),
+    "conserved_vector": (_energy_flux, 2.0, 1e110, np.inf),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", RANGE_CASES)
+def test_one_state_and_a_batch_leave_the_float_range_alike(name):
+    func, good, bad, outcome = RANGE_CASES[name]
+    batch = np.array([good, bad])
+    func(good)
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            func(bad)
+        with pytest.raises(outcome):
+            func(batch)
+    else:
+        assert func(bad) == outcome
+        assert func(batch).tolist() == [func(good), outcome]

@@ -18,6 +18,10 @@ from sgnwaves import WaveTrainConfig, run_experiment
 from sgnwaves.cli import main
 
 BASE_ARGS = ["--roots", "1,1.5,2", "--g", "10"]
+# RootTriple's message for a triple outside the range rule, up to the triple it names
+ROOTS_RULE = ("roots must satisfy 0 < h0 < h1 < h2 with gaps of at least 1e-10 * h2, finite I2, "
+              "epsilon = I1/(2 I3) and alpha^2 = 0.75 (h2 - h0)/I3 (I1, I2, I3 the Vieta sums), "
+              "and a normal float product h0*h1*h2, got ")
 
 
 def run(capsys, argv):
@@ -328,8 +332,8 @@ def test_simulate_rejects_a_line_without_equals(capsys, tmp_path):
     ("g = 0", [], "{cfg}:10: key 'g': gravity must be finite and positive, got g=0.0"),
     ("g = 1e308", [], "{cfg}:10: key 'g': g*h0*h1*h2 or g*I2 overflows the float range, got g=1e+308"),
     ("roots = 1e-200,2e-200,3e-200", [], "{cfg}:10: key 'roots': roots must satisfy "),
-    ("roots = 2e-310,10,20", [], "{cfg}:10: key 'roots': roots (2e-310, 10.0, 20.0) give I2 or "),
-    ("roots = 3.8e-301,1e-8,100", [], "{cfg}:10: key 'roots': roots (3.8e-301, 1e-08, 100.0) give alpha"),
+    ("roots = 2e-310,10,20", [], "{cfg}:10: key 'roots': " + ROOTS_RULE + "(2e-310, 10.0, 20.0)"),
+    ("roots = 3.8e-301,1e-8,100", [], "{cfg}:10: key 'roots': " + ROOTS_RULE + "(3.8e-301, 1e-08, 100.0)"),
     ("sign_m = 2", [], "{cfg}:10: key 'sign_m': sign_m must be -1 or +1, got 2"),
     ("cfl = 0", [], "{cfg}:10: key 'cfl': cfl must be in (0, 0.9], got 0.0"),
     ("limiter = superbee", [], "{cfg}:10: key 'limiter': unknown limiter 'superbee'; "),
@@ -400,10 +404,16 @@ def test_simulate_requires_roots_and_t_end(capsys, tmp_path):
     (["wave", "--roots", "1e-200,2e-200,3e-200", "--g", "10"], "--roots: roots must satisfy"),
     (["eigen", "--roots", "1e-200,2e-200,3e-200", "--g", "10"], "--roots: roots must satisfy"),
     (["eigen", "--roots", "1e110,2e110,3e110"], "--roots: roots must satisfy"),
-    (["wave", "--roots", "2e-310,10,20", "--g", "10"], "roots (2e-310, 10.0, 20.0) give I2 or"),
+    (["wave", "--roots", "2e-310,10,20", "--g", "10"], "--roots: " + ROOTS_RULE + "(2e-310, 10.0, 20.0)"),
+    # wave and eigen apply one rule: eigen once printed a false "strictly hyperbolic: no" here
+    (["wave", "--roots", "3.8e-301,1e-8,100", "--g", "10"],
+     "--roots: " + ROOTS_RULE + "(3.8e-301, 1e-08, 100.0)"),
+    (["eigen", "--roots", "3.8e-301,1e-8,100", "--g", "10"],
+     "--roots: " + ROOTS_RULE + "(3.8e-301, 1e-08, 100.0)"),
     (["eigen", "--roots", "1,1.5,2", "--g", "1e308"], "got g=1e+308"),
 ], ids=["wave-g", "eigen-g", "eigen-D", "eigen-galilean-U", "simulate-g", "wave-tiny-roots",
-        "eigen-tiny-roots", "eigen-huge-roots", "wave-epsilon-overflows", "eigen-g-overflows"])
+        "eigen-tiny-roots", "eigen-huge-roots", "wave-epsilon-overflows", "wave-alpha-overflows",
+        "eigen-alpha-overflows", "eigen-g-overflows"])
 def test_nonfinite_gravity_or_phase_speed_is_invalid_input(capsys, tmp_path, argv, named):
     out = tmp_path / "out"
     if argv[0] == "wave":

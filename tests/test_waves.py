@@ -65,24 +65,26 @@ def test_root_triple_validation():
     # h0 h1 h2 is zero, subnormal or inf, and the Vieta constants divide by it
     for roots in ((1e-200, 2e-200, 3e-200), (1e-110, 2e-110, 3e-110), (5e-324, 1.0, 2.0),
                   (1e110, 2e110, 3e110)):
-        with pytest.raises(InvalidRootsError, match=r"normal float product h0\*h1\*h2, got \("):
+        named = re.escape(f"normal float product h0*h1*h2, got {roots}")
+        with pytest.raises(InvalidRootsError, match=named):
             sw.RootTriple(*roots)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("roots, g, named", [
-    ((2e-310, 10.0, 20.0), G, "roots (2e-310, 10.0, 20.0) give I2 or epsilon"),
-    ((1e-300, 1e300, 1.5e300), G, "roots (1e-300, 1e+300, 1.5e+300) give I2 or epsilon"),
-    ((3.8e-301, 1e-8, 100.0), G, "roots (3.8e-301, 1e-08, 100.0) give alpha = inf"),
+    # the product h0 h1 h2 is normal, but epsilon, I2 or alpha^2 overflows:
+    # valid_roots holds these rules, so RootTriple itself refuses the triple
+    ((2e-310, 10.0, 20.0), G, "normal float product h0*h1*h2, got (2e-310, 10.0, 20.0)"),
+    ((1e-300, 1e300, 1.5e300), G, "normal float product h0*h1*h2, got (1e-300, 1e+300, 1.5e+300)"),
+    ((3.8e-301, 1e-8, 100.0), G, "normal float product h0*h1*h2, got (3.8e-301, 1e-08, 100.0)"),
     ((1.0, 1.5, 2.0), 1e308, "got g=1e+308 with roots (1.0, 1.5, 2.0)"),
     ((1e-10, 1.0, 2.0), 1e308, "got g=1e+308"),    # g I2 overflows, g I3 does not
 ], ids=["epsilon", "I2", "alpha", "g-I3", "g-I2"])
 def test_a_wave_outside_the_float_range_is_invalid_roots(roots, g, named):
-    roots = sw.RootTriple(*roots)
     with pytest.raises(InvalidRootsError, match=re.escape(named)):
-        sw.build_wave(roots, g, -1)
+        sw.build_wave(sw.RootTriple(*roots), g, -1)
     with pytest.raises(InvalidRootsError, match=re.escape(named)):
-        sw.WaveTrainConfig(roots=roots, g=g)
+        sw.WaveTrainConfig(roots=sw.RootTriple(*roots), g=g)
 
 
 def test_modulus_and_characteristic():
