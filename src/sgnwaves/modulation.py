@@ -25,7 +25,10 @@ for the factor explicitly.
 One code path serves one state and many: fed a state of floats it
 returns (4, 4) matrices and Python scalars, fed (N,) arrays it returns
 (N, 4, 4) stacks and per-state arrays, bit for bit the same values.
-scan_region is that batched case, run in chunks of SCAN_CHUNK points.
+That holds for any real input type, because every number that enters
+the package first becomes float64 by one rule (elliptic._float; README,
+"one numeric rule").  scan_region is that batched case, run in chunks
+of SCAN_CHUNK points.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .csvio import format_column, write_csv
-from .elliptic import _require, _scalar
+from .elliptic import _float, _require, _scalar
 from .errors import DegeneratePencilError
 from .waves import (
     RootTriple,
@@ -79,13 +82,14 @@ _INVALID_ROOTS, _DEGENERATE_PENCIL = 1, 2
 
 @dataclass(frozen=True)
 class ModulationState:
-    """Phase speed plus root triple: floats for one state, equal-shape arrays for a batch.
+    """Phase speed plus root triple: floats for one state, same-shape arrays (or a float D) for a batch.
 
     `roots` is the validated RootTriple of (h0, h1, h2), so every call on
     the state shares its cached K, E, Pi.  A triple handed in is kept when
     it holds these very h0, h1, h2 objects, as it does from state_at_rest
     and from dataclasses.replace of D, g or sign_m; otherwise the state
-    builds and validates its own.
+    builds and validates its own.  D, g, h0, h1 and h2 are made float64
+    first, so a triple handed in is compared with the converted depths.
     """
 
     D: float
@@ -97,10 +101,15 @@ class ModulationState:
     roots: RootTriple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("D", "h0", "h1", "h2", "g"):
+            object.__setattr__(self, name, _float(getattr(self, name), name))
         _require(np.isfinite(self.D), "phase speed D must be finite", "D", self.D)
         r = self.roots
         if not (isinstance(r, RootTriple) and r.h0 is self.h0 and r.h1 is self.h1 and r.h2 is self.h2):
             object.__setattr__(self, "roots", RootTriple(self.h0, self.h1, self.h2))
+        shape = np.broadcast(self.h0, self.h1, self.h2).shape
+        if np.shape(self.D) not in ((), shape):    # a float D serves a batch too
+            raise ValueError(f"D has shape {self.D.shape}, but the roots have shape {shape}")
 
     @property
     def U(self) -> float:
@@ -156,7 +165,7 @@ class EigenClassification:
     resultant: float
 
 
-@np.errstate(over="ignore", invalid="ignore")    # overflow gives inf; a Python float's ** raises
+@np.errstate(over="ignore", invalid="ignore")    # a batch overflows to inf unwarned, as a float does
 def conserved_vector(state: ModulationState):
     """Densities and fluxes of the four averaged conservation laws.
 
@@ -180,7 +189,7 @@ def conserved_vector(state: ModulationState):
         D / L,
         m + hb * D,
         hb * D * D + 0.5 * g * c.I2 + 2.0 * m * D,
-        0.5 * hb * np.float64(D) ** 3 + 0.5 * g * c.I1 * hb * D + g * c.I3 * hi * D
+        0.5 * hb * D * D * D + 0.5 * g * c.I1 * hb * D + g * c.I3 * hi * D
         + 1.5 * m * D * D + 0.5 * m * g * c.I1,
     ])
     return densities, fluxes
@@ -439,6 +448,8 @@ def scan_region(
         raise ValueError(f"grid_n must be a whole number, got {grid_n!r}")
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
+    s_min, s_max, tau_min, tau_max, g = (_float(x, name) for x, name in zip(
+        (s_min, s_max, tau_min, tau_max, g), ("s_min", "s_max", "tau_min", "tau_max", "g")))
     window = (s_min, s_max, tau_min, tau_max)
     s_lo, tau_lo = max(s_min, 1.0 + SCAN_MARGIN), max(tau_min, SCAN_MARGIN)
     if not (np.isfinite(window).all() and s_lo < s_max and tau_lo < tau_max):

@@ -67,6 +67,7 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .csvio import format_column, write_csv
+from .elliptic import _float
 from .errors import EllipticSolveError, PositivityError, StepBudgetError
 from .waves import (
     CnoidalWave,
@@ -103,14 +104,9 @@ class SGNField:
     t: float = 0.0
 
     def __post_init__(self):
-        # h and q hold float64: a float64 array is kept as it is, other real
-        # types (and lists) are converted, so a step runs on the float64 bits
-        for name in ("h", "q"):
-            v = np.asarray(getattr(self, name))
-            if v.dtype.kind not in "biuf":
-                raise ValueError(f"h and q must hold real numbers, got {name} of dtype {v.dtype}")
-            object.__setattr__(self, name, v.astype(np.float64, copy=False))
-        if self.h.shape != self.q.shape or self.h.ndim != 1:
+        for name in ("dx", "g", "h", "q", "t"):
+            object.__setattr__(self, name, _float(getattr(self, name), name))
+        if np.ndim(self.h) != 1 or np.shape(self.h) != np.shape(self.q):
             raise ValueError("h and q must be 1D arrays of equal length")
         if self.h.size < 2:
             raise ValueError(f"a periodic field needs at least 2 cells, got {self.h.size}")
@@ -124,7 +120,7 @@ class SGNField:
         if not h[h.argmin()] > 0.0:
             i = int(np.argmin(h > 0.0))    # first cell that is not positive
             raise PositivityError(f"initial depth must be positive everywhere, got h[{i}] = {h[i]}")
-        if not (isinstance(self.t, numbers.Real) and math.isfinite(self.t)):
+        if not (isinstance(self.t, float) and math.isfinite(self.t)):
             raise ValueError(f"t must be a finite real number, got t={self.t!r}")
 
     @property
@@ -152,6 +148,8 @@ class WaveTrainConfig:
     cells_per_wavelength: int = 400
 
     def __post_init__(self):
+        for name in ("g", "amplitude"):
+            object.__setattr__(self, name, _float(getattr(self, name), name))
         # a fractional size would leave a jump at the periodic wrap or a grid
         # longer than the train; numpy integers are Integral too
         for name in ("n_waves", "cells_per_wavelength"):
@@ -515,9 +513,11 @@ def _stage(U, run, dt_prev, dt_max):
     return U, dt
 
 
-def _check_cfl(cfl) -> None:
+def _check_cfl(cfl) -> float:
+    cfl = _float(cfl, "cfl")
     if not 0.0 < cfl <= 0.9:
         raise ValueError(f"cfl must be in (0, 0.9], got {cfl}")
+    return cfl
 
 
 def _check_limiter(limiter) -> None:
@@ -528,13 +528,14 @@ def _check_limiter(limiter) -> None:
 def step(field: SGNField, cfl: float, limiter: str = "mc", dt_max: float | None = None) -> SGNField:
     """One step of size cfl * dx / max(|u| + sqrt(g h)), at most dt_max: a chain of one stage
     on U = (field.h, field.q), stacked anew, whose result's rows are the new h and q."""
-    _check_cfl(cfl)
+    cfl = _check_cfl(cfl)
     _check_limiter(limiter)
-    if dt_max is not None and not dt_max > 0.0:    # NaN fails the comparison too
+    dt_max = math.inf if dt_max is None else _float(dt_max, "dt_max")
+    if not dt_max > 0.0:    # NaN fails the comparison too
         raise ValueError(f"dt_max must be positive, got {dt_max}")
     run = _Run(field.dx, field.g, cfl, limiter, dt_floor=0.0, t0=field.t)
     U = np.array((field.h, field.q))
-    U = run.advance(U, math.inf if dt_max is None else dt_max, max_steps=1)
+    U = run.advance(U, dt_max, max_steps=1)
     return replace(field, h=U[0], q=U[1], t=field.t + run.t)
 
 
@@ -659,7 +660,7 @@ def _checkpoint_times(t_end, output_times) -> list[float]:
         if not 0.0 < t <= t_end:
             raise ValueError(f"checkpoint time {t!r} is outside (0, t_end = {t_end!r}]")
     if not times or times[-1] < t_end:
-        times.append(float(t_end))
+        times.append(t_end)
     return times
 
 
@@ -688,7 +689,7 @@ def run_experiment(
     survives failures.  Solver errors name the step and the time it started
     from; a CFL step shorter than 1e-12 * t_end raises StepBudgetError.
     """
-    _check_cfl(cfl)
+    cfl, t_end = _check_cfl(cfl), _float(t_end, "t_end")
     _check_limiter(limiter)
     times = _checkpoint_times(t_end, output_times)
     wave = build_wave(config.roots, config.g, config.sign_m)
@@ -750,11 +751,11 @@ def _write_manifest(path, config, wave, field0, run: _Run, times) -> None:
         ("phase_speed", repr(wave.D)),
         ("cfl", repr(run.cfl)),
         ("limiter", run.limiter),
-        ("t_final", repr(float(run.t))),
+        ("t_final", repr(run.t)),
         ("n_steps", str(run.n_steps)),
         ("h_min", repr(run.h_min)),
         ("h_max", repr(run.h_max)),
-        ("checkpoint_times", ";".join(repr(float(t)) for t in times)),
+        ("checkpoint_times", ";".join(map(repr, times))),
     ]
     with open(path, "w", newline="\n") as fh:
         for key, val in rows:

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .elliptic import _all, _require, _scalar, ellip_K, ellip_E, ellip_Pi
+from .elliptic import _all, _float, _require, _scalar, ellip_K, ellip_E, ellip_Pi
 from .errors import InvalidRootsError, QuadratureError
 
 __all__ = [
@@ -75,6 +75,7 @@ def valid_roots(h0, h1, h2):
     The one float-range rule of a triple: I3 = h0 h1 h2 is a positive normal
     float, and I2, epsilon = I1/(2 I3) and alpha^2 = 0.75 (h2 - h0)/I3 are finite.
     """
+    h0, h1, h2 = _float(h0, "h0"), _float(h1, "h1"), _float(h2, "h2")
     I1, I2, I3 = h0 + h1 + h2, h0 * h1 + h1 * h2 + h0 * h2, h0 * h1 * h2
     ok = (
         (0.0 < h0) & (h0 < h1) & (h1 < h2) & (sys.float_info.min <= I3) & (I3 < np.inf)
@@ -87,14 +88,16 @@ def valid_roots(h0, h1, h2):
 
 @dataclass(frozen=True)
 class RootTriple:
-    """Roots of the oscillation cubic, 0 < h0 < h1 < h2 (meters); floats or equal-shape arrays."""
+    """Roots of the oscillation cubic, 0 < h0 < h1 < h2 (meters); floats, or arrays that broadcast."""
 
     h0: float
     h1: float
     h2: float
 
     def __post_init__(self):
-        ok = valid_roots(self.h0, self.h1, self.h2)
+        for name in ("h0", "h1", "h2"):
+            object.__setattr__(self, name, _float(getattr(self, name), name))
+        ok = valid_roots(self.h0, self.h1, self.h2)    # arrays that do not broadcast fail here
         if not _all(ok):
             raise InvalidRootsError(
                 f"roots must satisfy 0 < h0 < h1 < h2 with gaps of at least {DEGENERACY_TOL} * h2, "
@@ -157,6 +160,7 @@ def constants_from_roots(roots: RootTriple, g: float, sign_m: int) -> WaveConsta
 
     A g for which g I3 or g I2 overflows raises InvalidRootsError naming g.
     """
+    g = _float(g, "g")
     if not 0.0 < g < math.inf:
         raise InvalidRootsError(f"gravity must be finite and positive, got g={g}")
     if sign_m not in (-1, 1):
@@ -245,13 +249,14 @@ def build_wave(
 ) -> CnoidalWave:
     """Assemble a CnoidalWave; D defaults to -m/h_bar (zero mean velocity)."""
     constants = constants_from_roots(roots, g, sign_m)
-    if D is None:
-        D = -constants.m / averaged_h(roots)
+    if isinstance(constants.I3, np.ndarray):
+        raise InvalidRootsError(f"a wave needs one triple, got roots of shape {constants.I3.shape}")
+    D = -constants.m / averaged_h(roots) if D is None else _float(D, "D")
     _require(math.isfinite(D), "phase speed D must be finite", "D", D)
     alpha = math.sqrt(0.75 * (roots.h2 - roots.h0) / constants.I3)
     return CnoidalWave(
         roots=roots, constants=constants, alpha=alpha,
-        k=roots.modulus, L=wavelength(roots), D=float(D),
+        k=roots.modulus, L=wavelength(roots), D=D,
     )
 
 

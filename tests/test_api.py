@@ -50,6 +50,19 @@ def _gradient(field, i):
     return call
 
 
+def _conserved(which, i):
+    # a state's densities and fluxes are (4,) arrays, so one entry is a numpy float
+    def call(D):
+        one = np.ones_like(D) if isinstance(D, np.ndarray) else 1.0
+        state = sgnwaves.ModulationState(D=D, h0=one, h1=1.5 * one, h2=2.0 * one, g=10.0)
+        return sgnwaves.conserved_vector(state)[which][i]
+    return call
+
+
+# phase speeds where an array's D ** 3 (numpy's SIMD power loop) and a
+# float's (libm pow) round apart on an x86_64 host with AVX-512
+_SPEEDS = np.array([-7.865, -3.835, 0.5, 1.311, 2.126, 3.835])
+
 # ascending coefficients c0..c4; (x - 1)(x - 2)(x - 3)(x - 4) first
 _QUARTICS = np.array([[24.0, -50.0, 35.0, -10.0, 1.0], [0.5, -1.25, -2.0, 0.75, 3.0],
                       [1.0, 0.0, 0.0, 0.0, 2.0]])
@@ -74,6 +87,8 @@ SCALAR_CASES = {
     **{f"eigen.{f}": (_eigen(f), 1.5, np.array([1.25, 1.5, 2.0]), t)
        for f, t in (("all_real", bool), ("distinct", bool), ("n_positive", int),
                     ("n_negative", int), ("resultant", float))},
+    **{f"conserved_vector.{part}[{i}]": (_conserved(which, i), 0.5, _SPEEDS, np.float64)
+       for which, part in enumerate(("densities", "fluxes")) for i in range(4)},
 }
 
 
@@ -128,3 +143,131 @@ def test_one_state_and_a_batch_leave_the_float_range_alike(name):
     else:
         assert func(bad) == outcome
         assert func(batch).tolist() == [func(good), outcome]
+
+
+# One numeric rule at every entry: a number of any real type (a Python int,
+# a numpy scalar of any width, an int, float32 or bool array) gives the bits,
+# result types included, of the same number as float64.  Under numpy 2's
+# scalar promotion a float32 scalar would keep float arithmetic in float32,
+# and an int64 array would wrap.
+_FIELD_H = np.array([1.0, 1.2, 1.1, 1.0])
+_TRAIN = dict(roots=sgnwaves.RootTriple(1.0, 1.5, 2.0), n_waves=1, cells_per_wavelength=16)
+
+
+def _field(h=_FIELD_H, **kw):
+    return sgnwaves.SGNField(**{"dx": 0.1, "g": 10.0, "h": h, "q": np.zeros(np.shape(h)), **kw})
+
+
+def _stepped(field, **kw):
+    out = sgnwaves.step(field, **{"cfl": 0.45, **kw})
+    return out.t, out.h, out.q
+
+
+def _ran(t_end=0.01, **kw):
+    res = sgnwaves.run_experiment(sgnwaves.WaveTrainConfig(**{**_TRAIN, **kw}), t_end=t_end)
+    t, field, _ = res.checkpoints[-1]
+    return t, field.h, field.q, res.n_steps, res.wave.D
+
+
+def _at_rest(roots):
+    state = sgnwaves.state_at_rest(roots, 10.0)
+    return state.D, state.h0, state.h1, state.h2
+
+
+def _eigenvalues(state):
+    return (state.D, sgnwaves.characteristic_eigenvalues(sgnwaves.assemble_AB(state)).roots)
+
+
+def _scan(s_max=3.0, g=10.0):
+    res = sgnwaves.scan_region(1.0, s_max, 0.0, 3.0, 3, g)
+    return res.s_values, res.tau_values, res.g, res.classification.roots
+
+
+RULE_ENTRIES = {
+    # entry.parameter: (function of the parameter, its value, "scalar" and/or "array")
+    "RootTriple.h0": (lambda x: _at_rest(sgnwaves.RootTriple(x, 2 * x, 3 * x)), 1e7, "scalar array"),
+    "valid_roots.h0": (lambda x: (sgnwaves.valid_roots(x, 2 * x, 3 * x),), 1e7, "scalar array"),
+    "constants_from_roots.g": (lambda g: tuple(vars(sgnwaves.constants_from_roots(
+        sgnwaves.RootTriple(1.0, 1.5, 2.0), g, -1)).values()), 10.0, "scalar"),
+    "build_wave.D": (lambda D: (sgnwaves.build_wave(_TRAIN["roots"], 10.0, -1, D).D,), 2.0, "scalar"),
+    "state_at_rest.g": (lambda g: _eigenvalues(sgnwaves.state_at_rest(
+        sgnwaves.RootTriple(1.0, 1.5, 1.501), g)), 10.0, "scalar"),
+    "ModulationState.D": (lambda D: sgnwaves.conserved_vector(sgnwaves.ModulationState(
+        D=D, h0=np.ones(np.shape(D)), h1=np.full(np.shape(D), 1.5), h2=np.full(np.shape(D), 2.0),
+        g=10.0)), 1.0, "scalar array"),
+    "ModulationState.h1": (lambda h1: sgnwaves.conserved_vector(sgnwaves.ModulationState(
+        D=0.5, h0=1.0, h1=h1, h2=3.0, g=10.0)), 2.0, "scalar array"),
+    "ModulationState.g": (lambda g: _eigenvalues(sgnwaves.ModulationState(
+        D=0.5, h0=1.0, h1=1.5, h2=1.501, g=g)), 10.0, "scalar"),
+    "scan_region.s_max": (lambda s: _scan(s_max=s), 3.0, "scalar"),
+    "scan_region.g": (lambda g: _scan(g=g), 10.0, "scalar"),
+    "SGNField.h": (lambda h: _stepped(_field(h=h)), 1.0, "array"),
+    "SGNField.dx": (lambda dx: _stepped(_field(dx=dx)), 1.0, "scalar"),
+    "SGNField.g": (lambda g: _stepped(_field(g=g)), 10.0, "scalar"),
+    "SGNField.t": (lambda t: _stepped(_field(t=t)), 2.0, "scalar"),
+    "step.cfl": (lambda cfl: _stepped(_field(), cfl=cfl), 0.25, "scalar"),
+    "step.dt_max": (lambda dt: _stepped(_field(), dt_max=dt), 2.0 ** -10, "scalar"),
+    "WaveTrainConfig.g": (lambda g: _ran(g=g), 10.0, "scalar"),
+    "WaveTrainConfig.amplitude": (lambda a: _ran(amplitude=a), 0.25, "scalar"),
+    "run_experiment.t_end": (lambda t: _ran(t_end=t), 2.0 ** -6, "scalar"),
+    "ellip_K.k": (sgnwaves.ellip_K, 0.5, "scalar array"),
+    "ellip_E.k": (sgnwaves.ellip_E, 1.0, "scalar array"),
+    "ellip_Pi.n": (lambda n: sgnwaves.ellip_Pi(n, 0.6), 0.0, "scalar array"),
+    "ellip_Pi.k": (lambda k: sgnwaves.ellip_Pi(0.3, k), 0.5, "scalar array"),
+}
+
+RULE_TYPES = {
+    # name: (kind, the value in that type)
+    "int": ("scalar", int),
+    "np.int64": ("scalar", np.int64),
+    "np.float32": ("scalar", np.float32),
+    "float": ("scalar", float),
+    "int64 array": ("array", lambda v: np.full(2, v).astype(np.int64)),
+    "float32 array": ("array", lambda v: np.full(2, v, dtype=np.float32)),
+    "bool array": ("array", lambda v: np.full(2, v).astype(bool)),
+}
+
+# every pair whose typed input holds the value exactly
+RULE_CASES = [(entry, kind) for entry, (_, v, takes) in RULE_ENTRIES.items()
+              for kind, (shape, to) in RULE_TYPES.items()
+              if shape in takes and np.all(to(v) == v)]
+
+
+def _fingerprint(results):
+    if not isinstance(results, tuple):
+        results = (results,)
+    return [(type(r), np.asarray(r).dtype, np.asarray(r).tobytes()) for r in results]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry, kind", RULE_CASES, ids=[f"{e}-{k}" for e, k in RULE_CASES])
+def test_every_entry_computes_a_real_number_as_float64(entry, kind):
+    func, v, _ = RULE_ENTRIES[entry]
+    shape, to = RULE_TYPES[kind]
+    as_float64 = float(v) if shape == "scalar" else np.full(2, v)
+    assert _fingerprint(func(to(v))) == _fingerprint(func(as_float64))
+
+
+@pytest.mark.parametrize("entry", RULE_ENTRIES)
+@pytest.mark.parametrize("bad", [1j, "1"], ids=["complex", "str"])
+def test_every_entry_names_a_parameter_that_is_not_real(entry, bad):
+    func, _, takes = RULE_ENTRIES[entry]
+    name = entry.split(".")[1]
+    if takes == "array":
+        bad = np.full(2, bad)
+    with pytest.raises(ValueError, match=f"{name} must hold real numbers, got {name} of dtype"):
+        func(bad)
+
+
+def test_every_entry_has_every_input_type():
+    # the exactness filter must leave each type and each entry some cases
+    assert {k for _, k in RULE_CASES} == set(RULE_TYPES)
+    assert {e for e, _ in RULE_CASES} == set(RULE_ENTRIES)
+
+
+def test_a_python_int_beyond_the_float_range_is_invalid_roots():
+    # int products are exact, so only a float conversion can see the overflow
+    with pytest.raises(InvalidRootsError, match=r"got \(1e\+200, 2e\+200, 3e\+200\)"):
+        sgnwaves.RootTriple(10 ** 200, 2 * 10 ** 200, 3 * 10 ** 200)
+    with pytest.raises(InvalidRootsError, match=r"got \(1.0, 2.0, inf\)"):
+        sgnwaves.RootTriple(1, 2, 10 ** 400)

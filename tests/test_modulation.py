@@ -20,6 +20,7 @@ Oracles:
 import dataclasses
 import itertools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -102,6 +103,18 @@ def test_state_rejects_nonfinite_phase_speed():
     h = np.ones(3)
     with pytest.raises(DomainError, match="got D=inf"):
         sw.ModulationState(D=np.array([0.5, math.inf, 1.0]), h0=h, h1=1.5 * h, h2=2.0 * h, g=G)
+
+
+def test_state_phase_speed_has_the_roots_shape():
+    # such a state used to be built and to fail inside assemble_AB or conserved_vector
+    h = np.ones(3)
+    for D, roots, shape in ((np.array([1.0, 2.0]), (1.0, 1.5, 2.0), "()"),
+                            (np.ones(2), (h, 1.5 * h, 2.0 * h), "(3,)")):
+        with pytest.raises(ValueError, match=re.escape(f"D has shape (2,), but the roots have shape {shape}")):
+            sw.ModulationState(D, *roots, g=G)
+    # a float D serves a whole batch
+    batch = sw.ModulationState(0.5, h, 1.5 * h, 2.0 * h, g=G)
+    assert sw.assemble_AB(batch).A.shape == (3, 4, 4)
 
 
 def _counting(monkeypatch, module, names):

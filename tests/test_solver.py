@@ -66,9 +66,13 @@ def test_field_validation():
         sw.SGNField(dx=0.1, g=G, h=np.array([1.0, np.inf, 1.0]), q=np.zeros(3))
     with pytest.raises(ValueError, match="finite"):
         sw.SGNField(dx=0.1, g=G, h=np.array([1.0, np.nan, 1.0]), q=np.zeros(3))
-    for t in (np.nan, np.inf, "0", None):
-        # a NaN time used to step on as NaN, a string to fail inside step
+    for t in (np.nan, np.inf):
+        # a NaN time used to step on as NaN
         with pytest.raises(ValueError, match=re.escape(f"got t={t!r}")):
+            sw.SGNField(dx=0.1, g=G, h=np.ones(3), q=np.zeros(3), t=t)
+    for t, dtype in (("0", "<U1"), (None, "object")):
+        # a string used to fail inside step
+        with pytest.raises(ValueError, match=re.escape(f"t must hold real numbers, got t of dtype {dtype}")):
             sw.SGNField(dx=0.1, g=G, h=np.ones(3), q=np.zeros(3), t=t)
     # the extremes hold any NaN or infinity, wherever it sits
     for bad in (np.inf, -np.inf, np.nan):
@@ -922,6 +926,18 @@ def test_run_experiment_checkpoints_and_artifacts(tmp_path):
     field_lines = (out / "field_0000.csv").read_text().splitlines()
     assert field_lines[0] == "x,h,u"
     assert len(field_lines) == 65
+
+
+def test_manifest_records_numpy_numbers_as_floats(tmp_path):
+    # a numpy g, amplitude or cfl is the float64 number it holds, in the run and its record
+    sw.run_experiment(base_config(g=np.float32(10.0), amplitude=np.float32(0.25)), t_end=0.05,
+                      out_dir=tmp_path / "numpy", cfl=np.float32(0.25))
+    sw.run_experiment(base_config(g=10.0, amplitude=0.25), t_end=0.05,
+                      out_dir=tmp_path / "float", cfl=0.25)
+    manifest = (tmp_path / "numpy" / "manifest.txt").read_text()
+    assert "g = 10.0\n" in manifest and "amplitude = 0.25\n" in manifest and "cfl = 0.25\n" in manifest
+    for name in ("manifest.txt", "field_0000.csv", "diagnostics.csv"):
+        assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "float" / name).read_bytes()
 
 
 def test_run_experiment_writes_every_cell_by_repr(tmp_path):

@@ -206,6 +206,22 @@ def test_build_wave_rejects_a_nonfinite_phase_speed(D):
         sw.build_wave(BASE, G, -1, D=D)
 
 
+def test_a_wave_needs_one_root_triple():
+    # a batch used to fail inside math.sqrt with "only 0-dimensional arrays ..."
+    batch = sw.RootTriple(np.ones(2), np.full(2, 1.5), np.full(2, 2.0))
+    with pytest.raises(InvalidRootsError, match=re.escape("a wave needs one triple, got roots of shape (2,)")):
+        sw.build_wave(batch, G, -1)
+    with pytest.raises(InvalidRootsError, match=re.escape("a wave needs one triple, got roots of shape (2,)")):
+        sw.WaveTrainConfig(roots=batch)
+
+
+def test_root_arrays_that_do_not_broadcast_fail_at_construction():
+    # a scalar serves any batch; arrays of shapes (2,) and (3,) are named as they fail
+    sw.RootTriple(np.ones(2), np.full(2, 1.5), 2.0)
+    with pytest.raises(ValueError, match=re.escape("shapes (2,) (3,)")):
+        sw.RootTriple(np.ones(2), np.full(3, 1.5), 2.0)
+
+
 def test_wavelength_matches_singular_quadrature():
     for roots in (BASE, sw.RootTriple(1.0, 1.1, 4.0), sw.RootTriple(2.0, 3.5, 3.9)):
         h0, h1, h2 = (mpmath.mpf(v) for v in (roots.h0, roots.h1, roots.h2))
