@@ -30,7 +30,6 @@ from .modulation import (
     assemble_AB,
     characteristic_eigenvalues,
     scan_region,
-    state_at_rest,
     write_scan_csv,
 )
 from .solver import (
@@ -114,10 +113,8 @@ def cmd_eigen(args) -> int:
         roots = _parse_roots(args.roots)
     if args.D is not None and args.galilean_U is not None:
         raise DomainError("give at most one of --D and --galilean-U")
-    state = state_at_rest(roots, args.g, args.sign)
-    if args.D is not None:
-        state = dataclasses.replace(state, D=args.D)
-    elif args.galilean_U is not None:
+    state = build_wave(roots, args.g, args.sign, args.D)
+    if args.galilean_U is not None:
         state = dataclasses.replace(state, D=state.D + args.galilean_U)
     cls = characteristic_eigenvalues(assemble_AB(state))
     print(f"D = {_fmt(state.D)}")

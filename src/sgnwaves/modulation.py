@@ -11,10 +11,12 @@ conservation laws (wave number, mass, momentum, energy):
         Q = h_bar D^3/2 + g I1 h_bar D/2 + g I3 hinv_bar D
             + 3 m D^2/2 + m g I1/2
 
-with m = sign_m sqrt(g I3) per wave.  Expanding through the closed-form
-differentials of h_bar, hinv_bar and L gives the quasilinear form
-A U_T + B U_X = 0, whose characteristic roots det(B - lam A) = 0 decide
-hyperbolicity, i.e. modulational stability of the wave train.
+with m = sign_m sqrt(g I3) per wave.  U is the modulated cnoidal wave
+itself: a state is waves.ModulationState, the package's one wave type,
+which build_wave and state_at_rest return.  Expanding through the
+closed-form differentials of h_bar, hinv_bar and L gives the quasilinear
+form A U_T + B U_X = 0, whose characteristic roots det(B - lam A) = 0
+decide hyperbolicity, i.e. modulational stability of the wave train.
 
 The quasilinear matrices are stored exactly as the expanded equations
 give them; the first row is the L-form (L_T - L D_X + D L_X = 0), which
@@ -35,31 +37,30 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from .csvio import format_column, write_csv
-from .elliptic import _float, _require, _scalar
+from .elliptic import _float, _scalar
 from .errors import DegeneratePencilError
 from .waves import (
+    ModulationState,
     RootTriple,
     _sqrt,
     averaged_h,
     averaged_hinv,
-    constants_from_roots,
+    state_at_rest,
     valid_roots,
     wavelength,
 )
 
 __all__ = [
-    "ModulationState",
     "DifferentialCoefficients",
     "QuasilinearSystem",
     "EigenClassification",
     "ScanResult",
-    "state_at_rest",
     "conserved_vector",
     "differential_coefficients",
     "assemble_AB",
@@ -78,57 +79,6 @@ SCAN_CHUNK = 1024     # scan points per kernel call; bounds the (chunk, 16, 4, 4
 # Why a scan point was not classified; ScanResult.reason indexes this tuple.
 SCAN_REASONS = (None, "invalid_roots", "degenerate_pencil")
 _INVALID_ROOTS, _DEGENERATE_PENCIL = 1, 2
-
-
-@dataclass(frozen=True)
-class ModulationState:
-    """Phase speed plus root triple: floats for one state, same-shape arrays (or a float D) for a batch.
-
-    `roots` is the validated RootTriple of (h0, h1, h2), so every call on
-    the state shares its cached K, E, Pi.  A triple handed in is kept when
-    it holds these very h0, h1, h2 objects, as it does from state_at_rest
-    and from dataclasses.replace of D, g or sign_m; otherwise the state
-    builds and validates its own.  D, g, h0, h1 and h2 are made float64
-    first, so a triple handed in is compared with the converted depths.
-    """
-
-    D: float
-    h0: float
-    h1: float
-    h2: float
-    g: float = 9.81
-    sign_m: int = -1
-    roots: RootTriple | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        for name in ("D", "h0", "h1", "h2", "g"):
-            object.__setattr__(self, name, _float(getattr(self, name), name))
-        _require(np.isfinite(self.D), "phase speed D must be finite", "D", self.D)
-        r = self.roots
-        if not (isinstance(r, RootTriple) and r.h0 is self.h0 and r.h1 is self.h1 and r.h2 is self.h2):
-            object.__setattr__(self, "roots", RootTriple(self.h0, self.h1, self.h2))
-        shape = np.broadcast(self.h0, self.h1, self.h2).shape
-        if np.shape(self.D) not in ((), shape):    # a float D serves a batch too
-            raise ValueError(f"D has shape {self.D.shape}, but the roots have shape {shape}")
-
-    @property
-    def U(self) -> float:
-        """Depth-averaged mean velocity m/h_bar + D."""
-        c = constants_from_roots(self.roots, self.g, self.sign_m)
-        return c.m / averaged_h(self.roots) + self.D
-
-
-def state_at_rest(
-    roots: RootTriple, g: float, sign_m: int = -1
-) -> ModulationState:
-    """State with D = -m/h_bar, the Galilean frame where U = 0.
-
-    The state holds `roots` itself, so the K, E, Pi evaluated here for
-    h_bar serve every later call on the state.
-    """
-    c = constants_from_roots(roots, g, sign_m)
-    D = -c.m / averaged_h(roots)
-    return ModulationState(D=D, h0=roots.h0, h1=roots.h1, h2=roots.h2, g=g, sign_m=sign_m, roots=roots)
 
 
 @dataclass(frozen=True)
@@ -171,8 +121,7 @@ def conserved_vector(state: ModulationState):
 
     Order: wave conservation (1/L), mass, momentum, energy.
     """
-    r = state.roots
-    c = constants_from_roots(r, state.g, state.sign_m)
+    r, c = state.roots, state.constants
     D = state.D
     g = state.g
     hb = averaged_h(r)
@@ -266,8 +215,7 @@ def assemble_AB(state: ModulationState) -> QuasilinearSystem:
     that overflows is left inf or NaN, without a warning; the charpoly
     carries it to a non-finite coefficient, a degenerate pencil.
     """
-    r = state.roots
-    c = constants_from_roots(r, state.g, state.sign_m)
+    r, c = state.roots, state.constants
     D, g, m = state.D, state.g, c.m
     hs = (r.h0, r.h1, r.h2)
     hb = averaged_h(r)

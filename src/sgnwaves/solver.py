@@ -70,7 +70,7 @@ from .csvio import format_column, write_csv
 from .elliptic import _float
 from .errors import EllipticSolveError, PositivityError, StepBudgetError
 from .waves import (
-    CnoidalWave,
+    ModulationState,
     RootTriple,
     build_wave,
     oscillation_rhs,
@@ -571,7 +571,7 @@ def phase_portrait(field: SGNField) -> np.ndarray:
 @dataclass(frozen=True)
 class RunResult:
     config: WaveTrainConfig
-    wave: CnoidalWave
+    wave: ModulationState
     checkpoints: list            # (time, SGNField, portrait ndarray)
     diag_series: list            # (time, mass, momentum, energy)
     h_min: float                 # depth envelope: the initial state, the state
@@ -579,7 +579,7 @@ class RunResult:
     n_steps: int
 
 
-def portrait_residual(field: SGNField, wave: CnoidalWave) -> float:
+def portrait_residual(field: SGNField, wave: ModulationState) -> float:
     """max |(h hdot)^2 - m^2 F3(h)| over the cells."""
     pts = phase_portrait(field)
     m = wave.constants.m
@@ -655,7 +655,7 @@ def _checkpoint_times(t_end, output_times) -> list[float]:
     """The distinct output_times, each in (0, t_end], ascending, with t_end last."""
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    times = sorted(set(float(t) for t in (() if output_times is None else output_times)))
+    times = sorted({_float(t, "output_times") for t in (() if output_times is None else output_times)})
     for t in times:
         if not 0.0 < t <= t_end:
             raise ValueError(f"checkpoint time {t!r} is outside (0, t_end = {t_end!r}]")

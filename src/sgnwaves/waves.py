@@ -16,13 +16,20 @@ The profile is h(xi) = h1 + (h2-h1) cn^2(alpha xi; k) with
 alpha^2 = (3/4)(h2-h0)/I3 and k^2 = (h2-h1)/(h2-h0); the crest sits at
 xi = 0.  Horizontal velocity follows from the mass constraint
 h (u - D) = m, so u = m/h + D.
+
+A wave is its modulation state: the four unknowns U = (D, h0, h1, h2) of
+the Whitham system are the parameters of the cnoidal wave being
+modulated, so one frozen ModulationState serves the profile, the solver
+and the modulation system alike.  It validates its roots, g and sign_m
+where they enter and derives its WaveConstants once.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable
 
@@ -35,11 +42,12 @@ __all__ = [
     "RootTriple",
     "valid_roots",
     "WaveConstants",
-    "CnoidalWave",
+    "ModulationState",
     "constants_from_roots",
     "oscillation_rhs",
     "jacobi_cn",
     "build_wave",
+    "state_at_rest",
     "profile",
     "velocity_from_depth",
     "wavelength",
@@ -142,29 +150,21 @@ class WaveConstants:
     sign_m: int
 
 
-@dataclass(frozen=True)
-class CnoidalWave:
-    """A fully constructed periodic traveling wave."""
-
-    roots: RootTriple
-    constants: WaveConstants
-    alpha: float  # spatial rate (1/m) in cn(alpha xi; k)
-    k: float      # elliptic modulus
-    L: float      # wavelength (m)
-    D: float      # phase speed (m/s)
-
-
 @np.errstate(over="ignore")    # a batch's overflowing g I3 or g I2 is checked below, unwarned
 def constants_from_roots(roots: RootTriple, g: float, sign_m: int) -> WaveConstants:
     """Derive (m, i, eps, I1, I2, I3) from the roots via Vieta's formulas.
 
-    A g for which g I3 or g I2 overflows raises InvalidRootsError naming g.
+    g is one number and sign_m the integer -1 or +1 (a float or a bool
+    would reach a run's manifest as 1.0 or True).  A g for which g I3 or
+    g I2 overflows raises InvalidRootsError naming g.
     """
     g = _float(g, "g")
+    if isinstance(g, np.ndarray):
+        raise ValueError(f"g must be one number, got g of shape {g.shape}")
     if not 0.0 < g < math.inf:
         raise InvalidRootsError(f"gravity must be finite and positive, got g={g}")
-    if sign_m not in (-1, 1):
-        raise InvalidRootsError(f"sign_m must be -1 or +1, got {sign_m}")
+    if isinstance(sign_m, bool) or not isinstance(sign_m, numbers.Integral) or sign_m not in (-1, 1):
+        raise InvalidRootsError(f"sign_m must be -1 or +1, got {sign_m!r}")
     I1, I2, I3 = roots.vieta
     gI3, gI2 = g * I3, g * I2
     ok = (gI3 < math.inf) & (gI2 < math.inf)
@@ -178,6 +178,73 @@ def constants_from_roots(roots: RootTriple, g: float, sign_m: int) -> WaveConsta
     )
 
 
+@dataclass(frozen=True)
+class ModulationState:
+    """A cnoidal wave: U = (D, h0, h1, h2) with g and sign_m; floats, or a batch's arrays.
+
+    A batch holds same-shape arrays of depths and a float D or a D of
+    their shape.  `roots` is the validated RootTriple of (h0, h1, h2), so
+    every call on the state shares its cached K, E, Pi.  A triple handed in
+    is kept when it holds these very h0, h1, h2 objects, as it does from
+    state_at_rest and from dataclasses.replace of D, g or sign_m; otherwise
+    the state builds and validates its own.  D, g, h0, h1 and h2 are made
+    float64 first, so a triple handed in is compared with the converted
+    depths.  `constants` is derived here, once, so g and sign_m are checked
+    where they enter and no later call derives them again.
+    """
+
+    D: float
+    h0: float
+    h1: float
+    h2: float
+    g: float = 9.81
+    sign_m: int = -1
+    roots: RootTriple | None = field(default=None, repr=False, compare=False)
+    constants: WaveConstants = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("D", "h0", "h1", "h2", "g"):
+            object.__setattr__(self, name, _float(getattr(self, name), name))
+        _require(np.isfinite(self.D), "phase speed D must be finite", "D", self.D)
+        r = self.roots
+        if not (isinstance(r, RootTriple) and r.h0 is self.h0 and r.h1 is self.h1 and r.h2 is self.h2):
+            object.__setattr__(self, "roots", RootTriple(self.h0, self.h1, self.h2))
+        shape = np.broadcast(self.h0, self.h1, self.h2).shape
+        if np.shape(self.D) not in ((), shape):    # a float D serves a batch too
+            raise ValueError(f"D has shape {self.D.shape}, but the roots have shape {shape}")
+        object.__setattr__(self, "constants", constants_from_roots(self.roots, self.g, self.sign_m))
+
+    @property
+    def U(self) -> float:
+        """Depth-averaged mean velocity m/h_bar + D."""
+        return self.constants.m / averaged_h(self.roots) + self.D
+
+    @property
+    def alpha(self) -> float:
+        """Spatial rate (1/m) in cn(alpha xi; k): alpha^2 = 0.75 (h2 - h0)/I3."""
+        return _sqrt(0.75 * (self.h2 - self.h0) / self.constants.I3)
+
+    @property
+    def k(self) -> float:
+        """Elliptic modulus."""
+        return self.roots.modulus
+
+    @property
+    def L(self) -> float:
+        """Wavelength (m)."""
+        return wavelength(self.roots)
+
+
+def state_at_rest(roots: RootTriple, g: float, sign_m: int = -1) -> ModulationState:
+    """State with D = -m/h_bar, the Galilean frame where U = 0.
+
+    The state holds `roots` itself, so the K, E, Pi evaluated here for
+    h_bar serve every later call on the state.
+    """
+    D = -constants_from_roots(roots, g, sign_m).m / averaged_h(roots)
+    return ModulationState(D=D, h0=roots.h0, h1=roots.h1, h2=roots.h2, g=g, sign_m=sign_m, roots=roots)
+
+
 def oscillation_rhs(h, constants: WaveConstants):
     """F3(h), the square of dh/dxi along the wave.
 
@@ -186,8 +253,8 @@ def oscillation_rhs(h, constants: WaveConstants):
     (m^2 = g I3 makes the coefficient pairs equal term by term).
     """
     c = constants
-    h = np.asarray(h, dtype=float)
-    return _scalar((3.0 / c.I3) * (c.I3 - c.I2 * h + c.I1 * h * h - h ** 3))
+    h = _float(h, "h")    # np.power: a float's h ** 3 (libm pow) and an array's may round apart
+    return _scalar((3.0 / c.I3) * (c.I3 - c.I2 * h + c.I1 * h * h - np.power(h, 3)))
 
 
 def jacobi_cn(u, k: float):
@@ -205,8 +272,8 @@ def jacobi_cn(u, k: float):
     one level, the arcsin term moves 2u by less than half an ulp, and the
     recurrence returns cos(u) exactly.
     """
-    u = np.asarray(u, dtype=float)
-    k = float(k)
+    u = _float(u, "u")
+    k = _float(k, "k")
     if not 0.0 <= k < 1.0:
         raise InvalidRootsError(f"jacobi_cn requires 0 <= k < 1, got k={k}")
     a, b = 1.0, math.sqrt((1.0 - k) * (1.0 + k))
@@ -246,30 +313,26 @@ def averaged_hinv(roots: RootTriple) -> float:
 
 def build_wave(
     roots: RootTriple, g: float, sign_m: int, D: float | None = None
-) -> CnoidalWave:
-    """Assemble a CnoidalWave; D defaults to -m/h_bar (zero mean velocity)."""
-    constants = constants_from_roots(roots, g, sign_m)
-    if isinstance(constants.I3, np.ndarray):
-        raise InvalidRootsError(f"a wave needs one triple, got roots of shape {constants.I3.shape}")
-    D = -constants.m / averaged_h(roots) if D is None else _float(D, "D")
-    _require(math.isfinite(D), "phase speed D must be finite", "D", D)
-    alpha = math.sqrt(0.75 * (roots.h2 - roots.h0) / constants.I3)
-    return CnoidalWave(
-        roots=roots, constants=constants, alpha=alpha,
-        k=roots.modulus, L=wavelength(roots), D=D,
-    )
+) -> ModulationState:
+    """The wave of one root triple; D defaults to -m/h_bar (zero mean velocity)."""
+    shape = np.broadcast(roots.h0, roots.h1, roots.h2).shape
+    if shape:
+        raise InvalidRootsError(f"a wave needs one triple, got roots of shape {shape}")
+    if D is None:
+        return state_at_rest(roots, g, sign_m)
+    return ModulationState(D, roots.h0, roots.h1, roots.h2, g, sign_m, roots)
 
 
-def profile(wave: CnoidalWave, xi):
+def profile(wave: ModulationState, xi):
     """Depth h(xi) = h1 + (h2-h1) cn^2(alpha xi; k); crest at xi = 0."""
     r = wave.roots
-    cn = jacobi_cn(np.asarray(xi, dtype=float) * wave.alpha, wave.k)
+    cn = jacobi_cn(_float(xi, "xi") * wave.alpha, wave.k)
     return _scalar(r.h1 + (r.h2 - r.h1) * np.square(cn))
 
 
 def velocity_from_depth(h, constants: WaveConstants, D: float):
     """u = m/h + D from the mass constraint h(u - D) = m."""
-    return _scalar(constants.m / np.asarray(h, dtype=float) + D)
+    return constants.m / _float(h, "h") + _float(D, "D")
 
 
 def _legendre(n: int, x: np.ndarray):

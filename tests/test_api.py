@@ -107,9 +107,10 @@ def test_scalar_in_scalar_out_array_in_array_out(name):
         assert np.asarray(func(xi), dtype=batch.dtype).tobytes() == batch.reshape(-1)[i].tobytes()
 
 
-# At the float range's edge one state and a batch fail alike: each case's bad
-# input gives the same outcome as a float and as the second element of a batch
-# whose first element is good, with no numpy RuntimeWarning and no OverflowError.
+# At the float range's edge, and outside the domain of g and sign_m, one state
+# and a batch fail alike: each case's bad input gives the same outcome as a
+# scalar and as the second element of a batch whose first element is good,
+# with no numpy RuntimeWarning and no OverflowError.
 def _triple(h0):
     return sgnwaves.RootTriple(h0, 2.0 * h0, 3.0 * h0)
 
@@ -120,12 +121,22 @@ def _energy_flux(D):
     return sgnwaves.conserved_vector(state)[1][3]
 
 
+def _state(**kw):
+    return sgnwaves.ModulationState(**{"D": 0.5, "h0": 1.0, "h1": 1.5, "h2": 2.0, **kw})
+
+
 RANGE_CASES = {
     # name: (function of one argument, a good input, a bad input, the bad input's outcome)
     "RootTriple": (_triple, 1.0, 1e110, InvalidRootsError),
     "constants_from_roots": (lambda h0: sgnwaves.constants_from_roots(_triple(h0), 1e308, -1),
                              1e-5, 1.0, InvalidRootsError),
     "conserved_vector": (_energy_flux, 2.0, 1e110, np.inf),
+    # a state checks g and sign_m as it is built; g is one number, so a batch
+    # of g is a ValueError too, and sign_m is the integer -1 or +1
+    "ModulationState.g": (lambda g: _state(g=g), 10.0, -1.0, ValueError),
+    "ModulationState.sign_m": (lambda s: _state(sign_m=s), -1, 3, InvalidRootsError),
+    "ModulationState.sign_m-float": (lambda s: _state(sign_m=s), -1, 1.0, InvalidRootsError),
+    "ModulationState.sign_m-bool": (lambda s: _state(sign_m=s), -1, True, InvalidRootsError),
 }
 
 
@@ -163,9 +174,10 @@ def _stepped(field, **kw):
     return out.t, out.h, out.q
 
 
-def _ran(t_end=0.01, **kw):
-    res = sgnwaves.run_experiment(sgnwaves.WaveTrainConfig(**{**_TRAIN, **kw}), t_end=t_end)
-    t, field, _ = res.checkpoints[-1]
+def _ran(t_end=0.01, output_times=None, **kw):
+    res = sgnwaves.run_experiment(sgnwaves.WaveTrainConfig(**{**_TRAIN, **kw}), t_end=t_end,
+                                  output_times=output_times)
+    t, field, _ = res.checkpoints[0]
     return t, field.h, field.q, res.n_steps, res.wave.D
 
 
@@ -199,6 +211,13 @@ RULE_ENTRIES = {
         D=0.5, h0=1.0, h1=h1, h2=3.0, g=10.0)), 2.0, "scalar array"),
     "ModulationState.g": (lambda g: _eigenvalues(sgnwaves.ModulationState(
         D=0.5, h0=1.0, h1=1.5, h2=1.501, g=g)), 10.0, "scalar"),
+    "jacobi_cn.u": (lambda u: sgnwaves.jacobi_cn(u, 0.8), 2.0, "scalar array"),
+    "jacobi_cn.k": (lambda k: sgnwaves.jacobi_cn(0.7, k), 0.5, "scalar"),
+    "oscillation_rhs.h": (lambda h: sgnwaves.oscillation_rhs(h, _C), 2.0, "scalar array"),
+    "profile.xi": (lambda xi: sgnwaves.profile(_WAVE, xi), 1.0, "scalar array"),
+    "velocity_from_depth.h": (lambda h: sgnwaves.velocity_from_depth(h, _C, _WAVE.D), 2.0,
+                              "scalar array"),
+    "velocity_from_depth.D": (lambda D: sgnwaves.velocity_from_depth(1.75, _C, D), 3.0, "scalar"),
     "scan_region.s_max": (lambda s: _scan(s_max=s), 3.0, "scalar"),
     "scan_region.g": (lambda g: _scan(g=g), 10.0, "scalar"),
     "SGNField.h": (lambda h: _stepped(_field(h=h)), 1.0, "array"),
@@ -210,6 +229,8 @@ RULE_ENTRIES = {
     "WaveTrainConfig.g": (lambda g: _ran(g=g), 10.0, "scalar"),
     "WaveTrainConfig.amplitude": (lambda a: _ran(amplitude=a), 0.25, "scalar"),
     "run_experiment.t_end": (lambda t: _ran(t_end=t), 2.0 ** -6, "scalar"),
+    "run_experiment.output_times": (lambda t: _ran(t_end=2.0 ** -6, output_times=[t]), 2.0 ** -7,
+                                    "scalar"),
     "ellip_K.k": (sgnwaves.ellip_K, 0.5, "scalar array"),
     "ellip_E.k": (sgnwaves.ellip_E, 1.0, "scalar array"),
     "ellip_Pi.n": (lambda n: sgnwaves.ellip_Pi(n, 0.6), 0.0, "scalar array"),

@@ -112,9 +112,37 @@ def test_state_phase_speed_has_the_roots_shape():
                             (np.ones(2), (h, 1.5 * h, 2.0 * h), "(3,)")):
         with pytest.raises(ValueError, match=re.escape(f"D has shape (2,), but the roots have shape {shape}")):
             sw.ModulationState(D, *roots, g=G)
+    # build_wave's D is the state's: its shape used to fail inside math.isfinite
+    with pytest.raises(ValueError, match=re.escape("D has shape (1,), but the roots have shape ()")):
+        sw.build_wave(BASE, G, -1, D=np.array([1.0]))
     # a float D serves a whole batch
     batch = sw.ModulationState(0.5, h, 1.5 * h, 2.0 * h, g=G)
     assert sw.assemble_AB(batch).A.shape == (3, 4, 4)
+
+
+@pytest.mark.parametrize("sign_m", [-1, 1])
+def test_a_built_wave_is_its_state_at_rest(sign_m):
+    wave = sw.build_wave(BASE, G, sign_m)
+    rest = sw.state_at_rest(BASE, G, sign_m)
+    assert type(wave) is sw.ModulationState
+    assert wave == rest
+    assert repr(wave.D) == repr(rest.D)
+    assert wave.constants == rest.constants
+
+
+def test_a_state_derives_its_constants_once(monkeypatch):
+    state = sw.build_wave(BASE, G, -1)
+    expected = (sw.assemble_AB(state).A, sw.conserved_vector(state), state.U)
+
+    def refuse(*args):
+        raise AssertionError("constants_from_roots called after construction")
+
+    for module in (sw.waves, sw.modulation):    # also a name imported into modulation
+        monkeypatch.setattr(module, "constants_from_roots", refuse, raising=False)
+    assert np.array_equal(sw.assemble_AB(state).A, expected[0])
+    assert np.array_equal(sw.conserved_vector(state), expected[1])
+    assert state.U == expected[2]
+    assert (state.alpha, state.k, state.L) == (0.5, BASE.modulus, sw.wavelength(BASE))
 
 
 def _counting(monkeypatch, module, names):
