@@ -68,6 +68,14 @@ def _float(x, name: str):
     return float(x) if v.ndim == 0 else v.astype(np.float64, copy=False)
 
 
+def _number(x, name: str) -> float:
+    """_float of a parameter that is one number: an array, of any shape, is a ValueError naming it."""
+    x = _float(x, name)
+    if isinstance(x, np.ndarray):
+        raise ValueError(f"{name} must be one number, got {name} of shape {x.shape}")
+    return x
+
+
 # the numpy scalars the package returns: calling the Python type costs about
 # 0.1 us, where .item() on a numpy scalar costs about 0.4 us
 _PYTHON_TYPE = {np.float64: float, np.bool_: bool, np.int64: int}
@@ -142,10 +150,10 @@ def ellip_derivatives(n: float, k: float) -> tuple[float, float, float, float]:
 
     Parameters
     ----------
-    n : characteristic, 0 < n < 1
-    k : modulus, 0 < k < 1 (open interval: the formulas divide by k and 1-k^2)
+    n : characteristic, one number, 0 < n < 1
+    k : modulus, one number, 0 < k < 1 (open interval: the formulas divide by k and 1-k^2)
     """
-    n, k = _float(n, "n"), _float(k, "k")
+    n, k = _number(n, "n"), _number(k, "k")
     _require(0.0 < k < 1.0, "ellip_derivatives requires 0 < k < 1", "k", k)
     _require(0.0 < n < 1.0, "ellip_derivatives requires 0 < n < 1", "n", n)
     ksq = k * k

@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .csvio import format_column, write_csv
-from .elliptic import _float, _scalar
+from .elliptic import _number, _scalar
 from .errors import DegeneratePencilError
 from .waves import (
     ModulationState,
@@ -396,7 +396,7 @@ def scan_region(
         raise ValueError(f"grid_n must be a whole number, got {grid_n!r}")
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
-    s_min, s_max, tau_min, tau_max, g = (_float(x, name) for x, name in zip(
+    s_min, s_max, tau_min, tau_max, g = (_number(x, name) for x, name in zip(
         (s_min, s_max, tau_min, tau_max, g), ("s_min", "s_max", "tau_min", "tau_max", "g")))
     window = (s_min, s_max, tau_min, tau_max)
     s_lo, tau_lo = max(s_min, 1.0 + SCAN_MARGIN), max(tau_min, SCAN_MARGIN)

@@ -67,7 +67,7 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .csvio import format_column, write_csv
-from .elliptic import _float
+from .elliptic import _float, _number
 from .errors import EllipticSolveError, PositivityError, StepBudgetError
 from .waves import (
     ModulationState,
@@ -104,8 +104,8 @@ class SGNField:
     t: float = 0.0
 
     def __post_init__(self):
-        for name in ("dx", "g", "h", "q", "t"):
-            object.__setattr__(self, name, _float(getattr(self, name), name))
+        for name, rule in (("dx", _number), ("g", _number), ("h", _float), ("q", _float), ("t", _number)):
+            object.__setattr__(self, name, rule(getattr(self, name), name))
         if np.ndim(self.h) != 1 or np.shape(self.h) != np.shape(self.q):
             raise ValueError("h and q must be 1D arrays of equal length")
         if self.h.size < 2:
@@ -120,7 +120,7 @@ class SGNField:
         if not h[h.argmin()] > 0.0:
             i = int(np.argmin(h > 0.0))    # first cell that is not positive
             raise PositivityError(f"initial depth must be positive everywhere, got h[{i}] = {h[i]}")
-        if not (isinstance(self.t, float) and math.isfinite(self.t)):
+        if not math.isfinite(self.t):
             raise ValueError(f"t must be a finite real number, got t={self.t!r}")
 
     @property
@@ -138,7 +138,15 @@ class SGNField:
 
 @dataclass(frozen=True)
 class WaveTrainConfig:
-    """A periodic train of N identical cnoidal waves, optionally perturbed."""
+    """A periodic train of N identical cnoidal waves, optionally perturbed.
+
+    `wave` is the train's wave at rest, build_wave(roots, g, sign_m).  The
+    config builds it once, as the check of g and sign_m, and keeps it, so
+    init_wavetrain, run_experiment and its RunResult read this one object;
+    dataclasses.replace builds the new config's wave once.  It is derived,
+    not a field: the fields are the inputs a config file sets, and the
+    wave stays out of init, repr and comparison, as a state's constants do.
+    """
 
     roots: RootTriple
     g: float = 9.81
@@ -149,7 +157,7 @@ class WaveTrainConfig:
 
     def __post_init__(self):
         for name in ("g", "amplitude"):
-            object.__setattr__(self, name, _float(getattr(self, name), name))
+            object.__setattr__(self, name, _number(getattr(self, name), name))
         # a fractional size would leave a jump at the periodic wrap or a grid
         # longer than the train; numpy integers are Integral too
         for name in ("n_waves", "cells_per_wavelength"):
@@ -163,7 +171,8 @@ class WaveTrainConfig:
             raise ValueError(
                 f"cells_per_wavelength must be >= 16, got {self.cells_per_wavelength}"
             )
-        build_wave(self.roots, self.g, self.sign_m)    # checks g and sign_m; g I3 and g I2 finite
+        # checks g and sign_m, and that g I3 and g I2 are finite
+        object.__setattr__(self, "wave", build_wave(self.roots, self.g, self.sign_m))
 
 
 def init_wavetrain(config: WaveTrainConfig) -> SGNField:
@@ -173,7 +182,7 @@ def init_wavetrain(config: WaveTrainConfig) -> SGNField:
     modulation h~(x) = h(x) (1 + a cos(2 pi x / L1)); velocity keeps the
     traveling-wave relation u~ = m/h~ + D with D = -m/h_bar.
     """
-    wave = build_wave(config.roots, config.g, config.sign_m)
+    wave = config.wave
     L1 = config.n_waves * wave.L
     n = config.n_waves * config.cells_per_wavelength
     dx = L1 / n
@@ -514,7 +523,7 @@ def _stage(U, run, dt_prev, dt_max):
 
 
 def _check_cfl(cfl) -> float:
-    cfl = _float(cfl, "cfl")
+    cfl = _number(cfl, "cfl")
     if not 0.0 < cfl <= 0.9:
         raise ValueError(f"cfl must be in (0, 0.9], got {cfl}")
     return cfl
@@ -530,7 +539,7 @@ def step(field: SGNField, cfl: float, limiter: str = "mc", dt_max: float | None 
     on U = (field.h, field.q), stacked anew, whose result's rows are the new h and q."""
     cfl = _check_cfl(cfl)
     _check_limiter(limiter)
-    dt_max = math.inf if dt_max is None else _float(dt_max, "dt_max")
+    dt_max = math.inf if dt_max is None else _number(dt_max, "dt_max")
     if not dt_max > 0.0:    # NaN fails the comparison too
         raise ValueError(f"dt_max must be positive, got {dt_max}")
     run = _Run(field.dx, field.g, cfl, limiter, dt_floor=0.0, t0=field.t)
@@ -689,10 +698,9 @@ def run_experiment(
     survives failures.  Solver errors name the step and the time it started
     from; a CFL step shorter than 1e-12 * t_end raises StepBudgetError.
     """
-    cfl, t_end = _check_cfl(cfl), _float(t_end, "t_end")
+    cfl, t_end = _check_cfl(cfl), _number(t_end, "t_end")
     _check_limiter(limiter)
     times = _checkpoint_times(t_end, output_times)
-    wave = build_wave(config.roots, config.g, config.sign_m)
     field = init_wavetrain(config)
 
     out = None
@@ -726,17 +734,17 @@ def run_experiment(
         if out is not None:
             write_csv(out / "diagnostics.csv", "t,mass,momentum,energy",
                       map(format_column, np.array(diag_series).T))
-            _write_manifest(out / "manifest.txt", config, wave, field, run, times)
+            _write_manifest(out / "manifest.txt", config, field, run, times)
     return RunResult(
-        config=config, wave=wave, checkpoints=checkpoints,
+        config=config, wave=config.wave, checkpoints=checkpoints,
         diag_series=diag_series, h_min=run.h_min, h_max=run.h_max, n_steps=run.n_steps,
     )
 
 
-def _write_manifest(path, config, wave, field0, run: _Run, times) -> None:
+def _write_manifest(path, config, field0, run: _Run, times) -> None:
     from . import __version__
 
-    r = config.roots
+    r, wave = config.roots, config.wave
     rows = [
         ("code_version", __version__),
         ("roots", f"{r.h0!r},{r.h1!r},{r.h2!r}"),

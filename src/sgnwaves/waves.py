@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .elliptic import _all, _float, _require, _scalar, ellip_K, ellip_E, ellip_Pi
+from .elliptic import _all, _float, _number, _require, _scalar, ellip_K, ellip_E, ellip_Pi
 from .errors import InvalidRootsError, QuadratureError
 
 __all__ = [
@@ -158,9 +158,7 @@ def constants_from_roots(roots: RootTriple, g: float, sign_m: int) -> WaveConsta
     would reach a run's manifest as 1.0 or True).  A g for which g I3 or
     g I2 overflows raises InvalidRootsError naming g.
     """
-    g = _float(g, "g")
-    if isinstance(g, np.ndarray):
-        raise ValueError(f"g must be one number, got g of shape {g.shape}")
+    g = _number(g, "g")
     if not 0.0 < g < math.inf:
         raise InvalidRootsError(f"gravity must be finite and positive, got g={g}")
     if isinstance(sign_m, bool) or not isinstance(sign_m, numbers.Integral) or sign_m not in (-1, 1):
@@ -190,7 +188,9 @@ class ModulationState:
     the state builds and validates its own.  D, g, h0, h1 and h2 are made
     float64 first, so a triple handed in is compared with the converted
     depths.  `constants` is derived here, once, so g and sign_m are checked
-    where they enter and no later call derives them again.
+    where they enter and no later call derives them again; state_at_rest
+    reads D = -m/h_bar from them and sets it after the state is built, so
+    an at-rest state derives its constants once too.
     """
 
     D: float
@@ -239,10 +239,17 @@ def state_at_rest(roots: RootTriple, g: float, sign_m: int = -1) -> ModulationSt
     """State with D = -m/h_bar, the Galilean frame where U = 0.
 
     The state holds `roots` itself, so the K, E, Pi evaluated here for
-    h_bar serve every later call on the state.
+    h_bar serve every later call on the state, and D is taken from the
+    state's own constants: one constants_from_roots call per state, of a
+    float triple or of a batch.
     """
-    D = -constants_from_roots(roots, g, sign_m).m / averaged_h(roots)
-    return ModulationState(D=D, h0=roots.h0, h1=roots.h1, h2=roots.h2, g=g, sign_m=sign_m, roots=roots)
+    state = ModulationState(0.0, roots.h0, roots.h1, roots.h2, g, sign_m, roots)
+    # D needs m, which the state derives as it is built: it is built with
+    # D = 0 and then given its D as __post_init__ sets fields.  D is finite
+    # without the state's check: |m|/h_bar <= sqrt(g I2 / h1), as h_bar >= h1,
+    # g I2 is checked finite, and valid roots keep h1 >= 1e-10 h2 > 1e-113
+    object.__setattr__(state, "D", -state.constants.m / averaged_h(roots))
+    return state
 
 
 def oscillation_rhs(h, constants: WaveConstants):
@@ -260,6 +267,8 @@ def oscillation_rhs(h, constants: WaveConstants):
 def jacobi_cn(u, k: float):
     """Jacobi elliptic cn(u; k) by the AGM / descending Landen transformation.
 
+    u is elementwise; the modulus k is one number.
+
     The AGM scale factors a_i, c_i depend only on k; the amplitude phi is
     recovered by the standard backward recurrence
     phi_{i-1} = (phi_i + arcsin((c_i/a_i) sin phi_i)) / 2, and cn = cos(phi_0).
@@ -273,7 +282,7 @@ def jacobi_cn(u, k: float):
     recurrence returns cos(u) exactly.
     """
     u = _float(u, "u")
-    k = _float(k, "k")
+    k = _number(k, "k")
     if not 0.0 <= k < 1.0:
         raise InvalidRootsError(f"jacobi_cn requires 0 <= k < 1, got k={k}")
     a, b = 1.0, math.sqrt((1.0 - k) * (1.0 + k))

@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -190,8 +191,8 @@ def _eigenvalues(state):
     return (state.D, sgnwaves.characteristic_eigenvalues(sgnwaves.assemble_AB(state)).roots)
 
 
-def _scan(s_max=3.0, g=10.0):
-    res = sgnwaves.scan_region(1.0, s_max, 0.0, 3.0, 3, g)
+def _scan(s_min=1.0, s_max=3.0, tau_min=0.0, tau_max=3.0, g=10.0):
+    res = sgnwaves.scan_region(s_min, s_max, tau_min, tau_max, 3, g)
     return res.s_values, res.tau_values, res.g, res.classification.roots
 
 
@@ -218,7 +219,10 @@ RULE_ENTRIES = {
     "velocity_from_depth.h": (lambda h: sgnwaves.velocity_from_depth(h, _C, _WAVE.D), 2.0,
                               "scalar array"),
     "velocity_from_depth.D": (lambda D: sgnwaves.velocity_from_depth(1.75, _C, D), 3.0, "scalar"),
+    "scan_region.s_min": (lambda s: _scan(s_min=s), 2.0, "scalar"),
     "scan_region.s_max": (lambda s: _scan(s_max=s), 3.0, "scalar"),
+    "scan_region.tau_min": (lambda tau: _scan(tau_min=tau), 1.0, "scalar"),
+    "scan_region.tau_max": (lambda tau: _scan(tau_max=tau), 3.0, "scalar"),
     "scan_region.g": (lambda g: _scan(g=g), 10.0, "scalar"),
     "SGNField.h": (lambda h: _stepped(_field(h=h)), 1.0, "array"),
     "SGNField.dx": (lambda dx: _stepped(_field(dx=dx)), 1.0, "scalar"),
@@ -235,6 +239,8 @@ RULE_ENTRIES = {
     "ellip_E.k": (sgnwaves.ellip_E, 1.0, "scalar array"),
     "ellip_Pi.n": (lambda n: sgnwaves.ellip_Pi(n, 0.6), 0.0, "scalar array"),
     "ellip_Pi.k": (lambda k: sgnwaves.ellip_Pi(0.3, k), 0.5, "scalar array"),
+    "ellip_derivatives.n": (lambda n: sgnwaves.ellip_derivatives(n, 0.5), 0.5, "scalar"),
+    "ellip_derivatives.k": (lambda k: sgnwaves.ellip_derivatives(0.3, k), 0.5, "scalar"),
 }
 
 RULE_TYPES = {
@@ -278,6 +284,31 @@ def test_every_entry_names_a_parameter_that_is_not_real(entry, bad):
         bad = np.full(2, bad)
     with pytest.raises(ValueError, match=f"{name} must hold real numbers, got {name} of dtype"):
         func(bad)
+
+
+# A parameter that is one number names itself when it is given an array of
+# any shape, which would otherwise fail as numpy's "truth value of an array
+# is ambiguous", fail late under another name, or be computed with; a 0-d
+# array is one number.
+ONE_NUMBER = [
+    "constants_from_roots.g", "state_at_rest.g", "ModulationState.g", "jacobi_cn.k",
+    "ellip_derivatives.n", "ellip_derivatives.k", "step.cfl", "step.dt_max",
+    "run_experiment.t_end", "SGNField.dx", "SGNField.g", "SGNField.t", "WaveTrainConfig.g",
+    "WaveTrainConfig.amplitude", "scan_region.s_min", "scan_region.s_max",
+    "scan_region.tau_min", "scan_region.tau_max", "scan_region.g",
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(2,), (1,), (1, 1)], ids=str)
+@pytest.mark.parametrize("entry", ONE_NUMBER)
+def test_a_parameter_that_is_one_number_names_an_array(entry, shape):
+    func, v, takes = RULE_ENTRIES[entry]
+    name = entry.split(".")[1]
+    assert takes == "scalar"
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be one number, got {name} of shape {shape}")):
+        func(np.full(shape, v))
+    assert _fingerprint(func(np.array(v))) == _fingerprint(func(float(v)))
 
 
 def test_every_entry_has_every_input_type():

@@ -156,6 +156,19 @@ def _counting(monkeypatch, module, names):
     return counts
 
 
+def test_a_state_at_rest_derives_its_constants_once(monkeypatch):
+    counts = _counting(monkeypatch, sw.waves, ("constants_from_roots",))
+    state = sw.state_at_rest(BASE, G, -1)
+    assert counts == {"constants_from_roots": 1}
+    assert state.D == -state.constants.m / sw.averaged_h(BASE)
+    h1 = np.linspace(1.01, 1.99, 1024)
+    batch = sw.state_at_rest(sw.RootTriple(np.ones_like(h1), h1, np.full_like(h1, 2.0)), G, -1)
+    assert counts == {"constants_from_roots": 2}
+    assert batch.D.shape == (1024,)
+    sw.scan_region(1.0, 100.0, 0.0, 100.0, 50, G)
+    assert counts == {"constants_from_roots": 5}    # one per chunk of 1024 points
+
+
 def test_state_validates_and_integrates_its_root_triple_once(monkeypatch):
     counts = _counting(monkeypatch, sw.waves, ("valid_roots", "ellip_K"))
     roots = sw.RootTriple(1.0, 1.5, 2.0)

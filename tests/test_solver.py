@@ -7,6 +7,7 @@ measured from the phase drift of a small sinusoid.  Accuracy against
 the exact traveling wave is covered by the convergence tests.
 """
 
+import dataclasses
 import math
 import re
 
@@ -587,6 +588,28 @@ def test_one_step_anchors_and_factors_once(monkeypatch):
         monkeypatch.setattr(solver, name, counted)
     sw.step(sw.init_wavetrain(base_config(amplitude=1e-3)), cfl=0.45)
     assert calls == {"_anchor_cell": 1, "dpttrf": 1}
+
+
+def test_a_train_builds_its_wave_once(monkeypatch, tmp_path):
+    calls = {"build_wave": 0, "constants_from_roots": 0}
+    for module, name in ((solver, "build_wave"), (sw.waves, "build_wave"),
+                         (sw.waves, "constants_from_roots")):
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    cfg = base_config(amplitude=1e-3)
+    assert calls == {"build_wave": 1, "constants_from_roots": 1}
+    # the run, its initial train and its manifest read the config's wave
+    res = sw.run_experiment(cfg, 1e-3, out_dir=tmp_path)
+    sw.init_wavetrain(cfg)
+    assert calls == {"build_wave": 1, "constants_from_roots": 1}
+    assert res.wave is cfg.wave
+    # a replaced config derives one wave of its own
+    wider = dataclasses.replace(cfg, n_waves=2)
+    assert calls == {"build_wave": 2, "constants_from_roots": 2}
+    assert wider.wave is not cfg.wave
+    assert wider.wave == cfg.wave == sw.state_at_rest(BASE, G, -1)
 
 
 # --- the np.roll formulation the solver replaced ---------------------------------
