@@ -19,6 +19,9 @@ cross-checking values.
 
 from __future__ import annotations
 
+import numbers
+import operator
+
 import numpy as np
 from scipy.special import elliprf, elliprg, elliprj
 
@@ -74,6 +77,17 @@ def _number(x, name: str) -> float:
     if isinstance(x, np.ndarray):
         raise ValueError(f"{name} must be one number, got {name} of shape {x.shape}")
     return x
+
+
+def _whole(x, name: str) -> int:
+    """A count as a Python int: an integer of any width but a bool, else a ValueError naming it.
+
+    A numpy uint8 or int8 count would wrap in the count's own products, and a
+    bool would reach a run's manifest as True.
+    """
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):    # numpy integers are Integral too
+        raise ValueError(f"{name} must be a whole number, got {x!r}")
+    return operator.index(x)
 
 
 # the numpy scalars the package returns: calling the Python type costs about

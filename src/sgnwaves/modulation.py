@@ -36,14 +36,13 @@ of SCAN_CHUNK points.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from .csvio import format_column, write_csv
-from .elliptic import _number, _scalar
+from .elliptic import _number, _scalar, _whole
 from .errors import DegeneratePencilError
 from .waves import (
     ModulationState,
@@ -392,8 +391,7 @@ def scan_region(
     chunk's one polynomial masks degenerate pencils (a reason code, as are
     invalid roots) and classifies the rest; any exception propagates.
     """
-    if not isinstance(grid_n, numbers.Integral):  # numpy integers are Integral too
-        raise ValueError(f"grid_n must be a whole number, got {grid_n!r}")
+    grid_n = _whole(grid_n, "grid_n")
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     s_min, s_max, tau_min, tau_max, g = (_number(x, name) for x, name in zip(

@@ -60,14 +60,13 @@ when it starts: each stage keeps a tiled state tiled.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .csvio import format_column, write_csv
-from .elliptic import _float, _number
+from .elliptic import _float, _number, _whole
 from .errors import EllipticSolveError, PositivityError, StepBudgetError
 from .waves import (
     ModulationState,
@@ -156,13 +155,11 @@ class WaveTrainConfig:
     cells_per_wavelength: int = 400
 
     def __post_init__(self):
-        for name in ("g", "amplitude"):
-            object.__setattr__(self, name, _number(getattr(self, name), name))
-        # a fractional size would leave a jump at the periodic wrap or a grid
-        # longer than the train; numpy integers are Integral too
-        for name in ("n_waves", "cells_per_wavelength"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be a whole number, got {getattr(self, name)!r}")
+        # the sizes are whole numbers: a fractional one would leave a jump at
+        # the periodic wrap or a grid longer than the train
+        for name, rule in (("g", _number), ("amplitude", _number),
+                           ("n_waves", _whole), ("cells_per_wavelength", _whole)):
+            object.__setattr__(self, name, rule(getattr(self, name), name))
         if self.n_waves < 1:
             raise ValueError(f"n_waves must be >= 1, got {self.n_waves}")
         if not 0.0 <= self.amplitude < 1.0:
@@ -224,29 +221,30 @@ def _central_diff(v, dx, shift=0):
 # --- hydrostatic substep -------------------------------------------------
 
 def _slopes(vp: np.ndarray, limiter: str) -> np.ndarray:
-    """Limited slopes of the cells vp[..., 1:-1] of a padded array."""
+    """Limited slopes of the cells vp[..., 1:-1] of a padded array.
+
+    One family (van Leer 1977; Sweby 1984): the central slope
+    c = 0.5 * (dl + dr), unclipped for "central", else
+    sign(c) * min(|c|, theta * min(|dl|, |dr|)) with theta = 1 for "minmod"
+    and 2 for "mc", and 0 where dl * dr <= 0.  Where dl * dr > 0, c is not
+    zero, so copysign gives the same value as sign(c) * ...; and for minmod
+    the clip is the one of dl, dr of smaller magnitude, bit for bit, since
+    fl(|dl| + |dr|) / 2 >= min(|dl|, |dr|) and c has the sign of both.
+    """
     d = vp[..., 1:] - vp[..., :-1]    # dl is d, dr is d one cell on
     dl, dr = d[..., :-1], d[..., 1:]
+    s = dl + dr
+    s *= 0.5
     if limiter == "central":
-        s = dl + dr
-        s *= 0.5    # 0.5 * (dl + dr)
         return s
     ad = np.abs(d)
-    if limiter == "minmod":
-        s = np.where(ad[..., :-1] < ad[..., 1:], dl, dr)
-    else:    # "mc"; the entry points reject any other name
-        # sign(c) * min(|c|, 2 min(|dl|, |dr|)) with c = 0.5 * (dl + dr).
-        # Where dl * dr > 0, c is not zero, so copysign gives the same value
-        # as sign(c) * ...; the other cells are set to 0 below
-        lim = np.minimum(ad[..., :-1], ad[..., 1:])
+    lim = np.minimum(ad[..., :-1], ad[..., 1:])
+    if limiter == "mc":    # the entry points reject any name but the three
         lim *= 2.0
-        s = dl + dr
-        s *= 0.5
-        m = np.abs(s)
-        np.minimum(m, lim, out=m)
-        s = np.copysign(m, s, out=m)
-    flat = dl * dr
-    np.putmask(s, flat <= 0.0, 0.0)    # 0 at an extremum or a flat stretch
+    m = np.abs(s)
+    np.minimum(m, lim, out=m)
+    s = np.copysign(m, s, out=m)
+    np.putmask(s, dl * dr <= 0.0, 0.0)    # 0 at an extremum or a flat stretch
     return s
 
 
@@ -664,7 +662,10 @@ def _checkpoint_times(t_end, output_times) -> list[float]:
     """The distinct output_times, each in (0, t_end], ascending, with t_end last."""
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
-    times = sorted({_float(t, "output_times") for t in (() if output_times is None else output_times)})
+    times = _float(() if output_times is None else output_times, "output_times")
+    if np.ndim(times) != 1:
+        raise ValueError(f"output_times must be 1-D, got output_times of shape {np.shape(times)}")
+    times = sorted(set(times.tolist()))
     for t in times:
         if not 0.0 < t <= t_end:
             raise ValueError(f"checkpoint time {t!r} is outside (0, t_end = {t_end!r}]")

@@ -586,8 +586,9 @@ def test_scan_clamps_degenerate_edges():
 
 def test_scan_rejects_a_grid_size_that_is_not_a_whole_number():
     # a float size, even a whole-valued one, must fail as a ValueError that
-    # names grid_n, not as numpy's TypeError from inside linspace
-    for grid_n in (50.5, 3.0):
+    # names grid_n, not as numpy's TypeError from inside linspace; a bool is
+    # not a size either
+    for grid_n in (50.5, 3.0, True):
         with pytest.raises(ValueError, match="grid_n must be a whole number"):
             sw.scan_region(1.0, 100.0, 0.0, 100.0, grid_n, g=G)
     res = sw.scan_region(1.0, 100.0, 0.0, 100.0, np.int64(3), g=G)

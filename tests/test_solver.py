@@ -198,6 +198,25 @@ def test_config_sizes_are_whole_numbers(size, value):
     assert sw.init_wavetrain(cfg).n_cells == cfg.n_waves * cfg.cells_per_wavelength
 
 
+@pytest.mark.parametrize("n_waves, cells, n_cells", [
+    (np.uint8(200), np.uint8(16), 3200), (np.int8(2), np.int8(100), 200),
+], ids=["uint8", "int8"])
+def test_config_sizes_become_python_ints(n_waves, cells, n_cells):
+    # their product used to wrap in the sizes' own width: a 128-cell grid for
+    # 200 waves, and no cells at all for the int8 pair
+    cfg = base_config(n_waves=n_waves, cells_per_wavelength=cells)
+    assert type(cfg.n_waves) is type(cfg.cells_per_wavelength) is int
+    assert sw.init_wavetrain(cfg).n_cells == n_cells
+
+
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "np.bool"])
+@pytest.mark.parametrize("size", ["n_waves", "cells_per_wavelength"])
+def test_config_sizes_are_not_bools(size, flag):
+    # n_waves=True used to run one wave and write "n_waves = True" to the manifest
+    with pytest.raises(ValueError, match=re.escape(f"{size} must be a whole number, got {flag!r}")):
+        base_config(**{size: flag})
+
+
 @pytest.mark.parametrize("g", [np.nan, np.inf])
 def test_nonfinite_gravity_is_rejected_before_any_output(tmp_path, g):
     out = tmp_path / "out"
@@ -772,6 +791,39 @@ def test_step_matches_roll_reference_bitwise(state, limiter):
         assert np.array_equal(_bits(q), _bits(ref_q))
 
 
+def _slope_inputs(rng, n):
+    """Periodic rows whose neighbour differences are finite but extreme."""
+    palette = [0.0, -0.0, 5e-324, -5e-324, 2.5e-322, 1e-310, -3e-200, 1e-200,
+               1.0, -1.0, 0.5, 3.0, 4e307, -4e307, 8.9e307, -8.9e307]
+    return {
+        "signed zeros": rng.choice([0.0, -0.0, 1.0, -1.0], n),
+        "subnormals": rng.integers(-4, 5, n) * 5e-324,
+        # two equal steps in a row tie |dl| and |dr|, with one sign
+        "tied magnitudes": np.cumsum(rng.choice([-1.0, 0.0, 1.0, 2.0], n)),
+        # dl * dr underflows to a subnormal or to 0
+        "underflowing products": rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-250, -150, n),
+        # |differences| up to 1.78e308: their sum, their product overflow
+        "near 1e308": rng.uniform(-0.89, 0.89, n) * 1e308,
+        "all of these": rng.choice(palette, n),
+    }
+
+
+@pytest.mark.parametrize("limiter", LIMITERS)
+def test_slopes_match_the_roll_reference_bitwise(limiter):
+    # cases that the runs of the other tests do not reach: signed zeros,
+    # subnormals, ties, products that underflow to 0, and sums and products
+    # that overflow
+    rng = np.random.default_rng(28)
+    for _ in range(5):
+        for name, v in _slope_inputs(rng, 512).items():
+            assert np.isfinite(v - np.roll(v, 1)).all(), name
+            with np.errstate(over="ignore"):
+                refs = [_ref_slopes(v, limiter), _ref_slopes(-v, limiter)]
+                rows = solver._slopes(solver._cyclic_pad(np.array((v, -v)), 1), limiter)
+            for row, ref in zip(rows, refs):    # as the stacked (h, q) state is limited
+                assert np.array_equal(_bits(row), _bits(ref)), name
+
+
 def _tie_heavy_keys(rng, n):
     """Keys with exact ties at the maximum, resolved at every depth up to n."""
     yield np.full(n, 1.5)
@@ -987,6 +1039,29 @@ def test_run_experiment_writes_every_cell_by_repr(tmp_path):
     assert len(x_columns) == 2 and x_columns[0] == x_columns[1]
     assert columns("diagnostics.csv") == ("t,mass,momentum,energy",
                                           reprs(*np.array(res.diag_series).T))
+
+
+@pytest.mark.parametrize("times, shape", [(1e-4, ()), (np.array([[1e-4]]), (1, 1))],
+                         ids=["scalar", "2-D"])
+def test_output_times_must_be_one_dimensional(tmp_path, times, shape):
+    # a scalar used to fail as "'float' object is not iterable", and a 2-D
+    # array as "unhashable type: 'numpy.ndarray'"
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=re.escape(
+            f"output_times must be 1-D, got output_times of shape {shape}")):
+        sw.run_experiment(base_config(), 1e-3, output_times=times, out_dir=out)
+    assert not out.exists()
+
+
+def test_output_times_as_a_list_or_an_array_write_one_manifest(tmp_path):
+    # a list, a tuple and an array, each in any order and with repeats
+    manifests = []
+    for i, times in enumerate(([5e-4, 1e-4, 5e-4], (1e-4, 5e-4), np.array([5e-4, 1e-4]))):
+        out = tmp_path / str(i)
+        sw.run_experiment(base_config(amplitude=1e-3), 1e-3, output_times=times, out_dir=out)
+        manifests.append((out / "manifest.txt").read_bytes())
+    assert b"checkpoint_times = 0.0001;0.0005;0.001\n" in manifests[0]
+    assert manifests[1:] == manifests[:-1]
 
 
 def test_run_experiment_accepts_array_output_times():
