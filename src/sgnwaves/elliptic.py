@@ -49,23 +49,32 @@ def _all(ok) -> bool:
     return ok.all() if isinstance(ok, np.ndarray) else ok
 
 
+# the real scalars an object array may hold; each converts without an object array of its own
+_REAL = (int, float, np.bool_, np.integer, np.floating)
+
+
 def _float(x, name: str):
     """The package's one numeric rule: x as float64 numbers, whatever real type it came in.
 
     A real scalar (a Python int, bool or float, or a NumPy scalar of any
     width) becomes a Python float, and a Python int too large for a float
     becomes +-inf.  A bool, int, uint or float array (or a list) becomes a
-    float64 array; one that already is float64 is returned as itself.
-    Anything else is a ValueError naming `name`.  Under NumPy 2's scalar
-    promotion (NEP 50) a float32 scalar would keep Python-float arithmetic
-    in float32, and an int64 array would wrap, so each entry converts its
-    numbers here, once.
+    float64 array; one that already is float64 is returned as itself.  A
+    list that holds a Python int past the int64 and uint64 range becomes
+    an object array in numpy; when all its entries are real numbers they
+    go through the scalar rule one by one, so a number gets the same value
+    in a list as alone.  Anything else, an object array included, is a
+    ValueError naming `name`.  Under NumPy 2's scalar promotion (NEP 50) a
+    float32 scalar would keep Python-float arithmetic in float32, and an
+    int64 array would wrap, so each entry converts its numbers here, once.
     """
     if type(x) is float:    # single_state set-up: 9.8 % slower without it (2-vCPU x86_64, 10/10 pairs)
         return x
     if isinstance(x, int):    # any size; from 2**1024 - 2**970 on, float(x) would round past the range
         return float(x) if abs(x) < 2 ** 1024 - 2 ** 970 else (np.inf if x > 0 else -np.inf)
     v = np.asarray(x)
+    if v.dtype.kind == "O" and not isinstance(x, np.ndarray) and all(isinstance(e, _REAL) for e in v.flat):
+        return np.array([_float(e, name) for e in v.flat]).reshape(v.shape)
     if v.dtype.kind not in "biuf":
         raise ValueError(f"{name} must hold real numbers, got {name} of dtype {v.dtype}")
     return float(x) if v.ndim == 0 else v.astype(np.float64, copy=False)

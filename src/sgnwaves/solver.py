@@ -384,6 +384,10 @@ def _pressure_operator(h, dx, g):
     0), T's L D L^T factors d, e, v_last = v[-1], zs = T^-1 w / (1 + v.T^-1 w)
     and g h_xx, the h-only part of the right-hand side; g h_xx is rotated
     like T, the rest of the right-hand side is not.
+
+    corner^2/d0 is taken as corner * (corner/d0): every entry scales like
+    depth^-3, so under h -> 2^k h, dx -> 2^k dx the split is exact wherever
+    the operator is, and corner^2 alone would leave the float range first.
     """
     n = h.size
     inv_dx2 = 1.0 / (dx * dx)
@@ -416,8 +420,9 @@ def _pressure_operator(h, dx, g):
     shift = _anchor_cell(diag)
     d, off, g_hxx = _cyclic_pad(M, 0, shift)
     d0, corner = d[0], off[-1]
+    r = corner / d0
     d[0] += d0
-    d[-1] += corner * corner / d0
+    d[-1] += corner * r
     d, e, info = dpttrf(d, off[:-1])
     if info != 0:    # SPD wherever h > 0, and each step checks h > 0 before it gets here
         raise EllipticSolveError(f"dispersive operator is not positive definite (info {info})")
@@ -425,7 +430,7 @@ def _pressure_operator(h, dx, g):
     w[0] = -d0
     w[-1] = corner
     z, _ = dpttrs(d, e, w)
-    v_last = -corner / d0
+    v_last = -r
     z /= 1.0 + z[0] + v_last * z[-1]
     return shift, d, e, v_last, z, g_hxx
 

@@ -138,16 +138,14 @@ class RootTriple:
 
 @dataclass(frozen=True)
 class WaveConstants:
-    """Constants of the traveling-wave ODE derived from a root triple."""
+    """Constants of the traveling-wave ODE derived from a root triple and g."""
 
-    g: float
     m: float        # mass flux in the moving frame, h(u-D); signed
     i: float        # momentum constant, g I2 / 2
     epsilon: float  # Bernoulli-type constant, I1 / (2 I3)
     I1: float
     I2: float
     I3: float
-    sign_m: int
 
 
 @np.errstate(over="ignore")    # a batch's overflowing g I3 or g I2 is checked below, unwarned
@@ -170,10 +168,7 @@ def constants_from_roots(roots: RootTriple, g: float, sign_m: int) -> WaveConsta
         raise InvalidRootsError(
             f"g*h0*h1*h2 or g*I2 overflows the float range, got g={g} with roots {_text(roots, ok)}"
         )
-    return WaveConstants(
-        g=g, m=sign_m * _sqrt(gI3), i=gI2 / 2.0, epsilon=I1 / (2.0 * I3),
-        I1=I1, I2=I2, I3=I3, sign_m=sign_m,
-    )
+    return WaveConstants(m=sign_m * _sqrt(gI3), i=gI2 / 2.0, epsilon=I1 / (2.0 * I3), I1=I1, I2=I2, I3=I3)
 
 
 @dataclass(frozen=True)
@@ -181,19 +176,20 @@ class ModulationState:
     """A cnoidal wave: U = (D, h0, h1, h2) with g and sign_m; floats, or a batch's arrays.
 
     A batch holds same-shape arrays of depths and a float D or a D of
-    their shape.  `roots` is the validated RootTriple of (h0, h1, h2), so
+    their shape.  D = None is the rest frame, D = -m/h_bar, where the
+    mean velocity U is zero; dataclasses.replace(state, D=None) returns a
+    state to it.  `roots` is the validated RootTriple of (h0, h1, h2), so
     every call on the state shares its cached K, E, Pi.  A triple handed in
     is kept when it holds these very h0, h1, h2 objects, as it does from
     state_at_rest and from dataclasses.replace of D, g or sign_m; otherwise
     the state builds and validates its own.  D, g, h0, h1 and h2 are made
     float64 first, so a triple handed in is compared with the converted
     depths.  `constants` is derived here, once, so g and sign_m are checked
-    where they enter and no later call derives them again; state_at_rest
-    reads D = -m/h_bar from them and sets it after the state is built, so
-    an at-rest state derives its constants once too.
+    where they enter and no later call derives them again; the rest
+    frame's D is read from them, so an at-rest state derives them once too.
     """
 
-    D: float
+    D: float | None
     h0: float
     h1: float
     h2: float
@@ -203,9 +199,11 @@ class ModulationState:
     constants: WaveConstants = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("D", "h0", "h1", "h2", "g"):
+        if self.D is not None:    # None is the rest frame, set below
+            object.__setattr__(self, "D", _float(self.D, "D"))
+            _require(np.isfinite(self.D), "phase speed D must be finite", "D", self.D)
+        for name in ("h0", "h1", "h2", "g"):
             object.__setattr__(self, name, _float(getattr(self, name), name))
-        _require(np.isfinite(self.D), "phase speed D must be finite", "D", self.D)
         r = self.roots
         if not (isinstance(r, RootTriple) and r.h0 is self.h0 and r.h1 is self.h1 and r.h2 is self.h2):
             object.__setattr__(self, "roots", RootTriple(self.h0, self.h1, self.h2))
@@ -213,6 +211,11 @@ class ModulationState:
         if np.shape(self.D) not in ((), shape):    # a float D serves a batch too
             raise ValueError(f"D has shape {self.D.shape}, but the roots have shape {shape}")
         object.__setattr__(self, "constants", constants_from_roots(self.roots, self.g, self.sign_m))
+        if self.D is None:
+            # finite without the check above: |m|/h_bar <= sqrt(g I2 / h1), as
+            # h_bar >= h1, g I2 is checked finite, and valid roots keep
+            # h1 >= 1e-10 h2 > 1e-113
+            object.__setattr__(self, "D", -self.constants.m / averaged_h(self.roots))
 
     @property
     def U(self) -> float:
@@ -238,18 +241,10 @@ class ModulationState:
 def state_at_rest(roots: RootTriple, g: float, sign_m: int = -1) -> ModulationState:
     """State with D = -m/h_bar, the Galilean frame where U = 0.
 
-    The state holds `roots` itself, so the K, E, Pi evaluated here for
-    h_bar serve every later call on the state, and D is taken from the
-    state's own constants: one constants_from_roots call per state, of a
-    float triple or of a batch.
+    The state holds `roots` itself, so the K, E, Pi evaluated for h_bar
+    serve every later call on the state.
     """
-    state = ModulationState(0.0, roots.h0, roots.h1, roots.h2, g, sign_m, roots)
-    # D needs m, which the state derives as it is built: it is built with
-    # D = 0 and then given its D as __post_init__ sets fields.  D is finite
-    # without the state's check: |m|/h_bar <= sqrt(g I2 / h1), as h_bar >= h1,
-    # g I2 is checked finite, and valid roots keep h1 >= 1e-10 h2 > 1e-113
-    object.__setattr__(state, "D", -state.constants.m / averaged_h(roots))
-    return state
+    return ModulationState(None, roots.h0, roots.h1, roots.h2, g, sign_m, roots)
 
 
 def oscillation_rhs(h, constants: WaveConstants):
@@ -327,8 +322,6 @@ def build_wave(
     shape = np.broadcast(roots.h0, roots.h1, roots.h2).shape
     if shape:
         raise InvalidRootsError(f"a wave needs one triple, got roots of shape {shape}")
-    if D is None:
-        return state_at_rest(roots, g, sign_m)
     return ModulationState(D, roots.h0, roots.h1, roots.h2, g, sign_m, roots)
 
 

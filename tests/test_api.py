@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sgnwaves
+from sgnwaves.elliptic import _float
 from sgnwaves.errors import InvalidRootsError
 
 MODULES = ["sgnwaves"] + [f"sgnwaves.{m.name}" for m in pkgutil.iter_modules(sgnwaves.__path__)]
@@ -323,3 +324,30 @@ def test_a_python_int_beyond_the_float_range_is_invalid_roots():
         sgnwaves.RootTriple(10 ** 200, 2 * 10 ** 200, 3 * 10 ** 200)
     with pytest.raises(InvalidRootsError, match=r"got \(1.0, 2.0, inf\)"):
         sgnwaves.RootTriple(1, 2, 10 ** 400)
+
+
+# numpy makes a list that holds a Python int past the int64 and uint64 range
+# an object array; its entries take the scalar rule, as the int does alone
+@pytest.mark.parametrize("times, as_floats", [
+    ([2 ** 64], [2.0 ** 64]),
+    ([10 ** 400], [np.inf]),
+    ([1.5, 2 ** 64], [1.5, 2.0 ** 64]),
+], ids=["2**64", "10**400", "float and 2**64"])
+def test_a_python_int_in_a_list_takes_the_scalar_rule(times, as_floats):
+    got = _float(times, "output_times")
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array(as_floats).tobytes()
+    config = sgnwaves.WaveTrainConfig(**_TRAIN)
+    with pytest.raises(ValueError, match="is outside") as as_ints:
+        sgnwaves.run_experiment(config, 1.0, output_times=times)
+    with pytest.raises(ValueError, match="is outside") as as_float:
+        sgnwaves.run_experiment(config, 1.0, output_times=as_floats)
+    assert str(as_ints.value) == str(as_float.value)
+
+
+@pytest.mark.parametrize("times", [[1j, 2 ** 64], ["1", 2 ** 64], np.array([2 ** 64], dtype=object)],
+                         ids=["complex", "str", "object array"])
+def test_a_list_with_a_number_that_is_not_real_names_itself(times):
+    config = sgnwaves.WaveTrainConfig(**_TRAIN)
+    with pytest.raises(ValueError, match="output_times must hold real numbers, got output_times of dtype object"):
+        sgnwaves.run_experiment(config, 1.0, output_times=times)

@@ -169,6 +169,22 @@ def test_a_state_at_rest_derives_its_constants_once(monkeypatch):
     assert counts == {"constants_from_roots": 5}    # one per chunk of 1024 points
 
 
+def test_a_state_given_no_D_is_at_rest(monkeypatch):
+    # D = None is the rest frame: the state reads D = -m/h_bar from its own
+    # constants, of one triple or a batch, and replace(state, D=None)
+    # returns a state to it
+    h1 = np.linspace(1.01, 1.99, 1024)
+    counts = _counting(monkeypatch, sw.waves, ("constants_from_roots",))
+    for roots in (BASE, sw.RootTriple(np.ones_like(h1), h1, np.full_like(h1, 2.0))):
+        D = -sw.constants_from_roots(roots, G, -1).m / sw.averaged_h(roots)
+        counts["constants_from_roots"] = 0
+        state = sw.ModulationState(None, roots.h0, roots.h1, roots.h2, G, -1, roots)
+        assert counts == {"constants_from_roots": 1}
+        assert np.array_equal(_bits(state.D), _bits(D))
+        moved = dataclasses.replace(state, D=state.D + 0.5)
+        assert np.array_equal(_bits(dataclasses.replace(moved, D=None).D), _bits(D))
+
+
 def test_state_validates_and_integrates_its_root_triple_once(monkeypatch):
     counts = _counting(monkeypatch, sw.waves, ("valid_roots", "ellip_K"))
     roots = sw.RootTriple(1.0, 1.5, 2.0)

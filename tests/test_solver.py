@@ -579,23 +579,63 @@ def test_nonfinite_pressure_names_its_first_cell(monkeypatch):
 
 # --- dispersive pressure solve ----------------------------------------------------
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n", [64, 3])
 def test_pressure_solve_matches_dense_cyclic_matrix(n):
     rng = np.random.default_rng(n)
-    h = 0.5 + rng.random(n)
-    q = rng.standard_normal(n)
-    dx = 0.1
-    w = 2.0 / (h + np.roll(h, -1)) / dx ** 2    # 1/h at face i+1/2
-    A = np.diag(3.0 / h ** 3 + w + np.roll(w, 1))
-    for i in range(n):
-        A[i, (i + 1) % n] -= w[i]
-        A[(i + 1) % n, i] -= w[i]
-    u = q / h
-    ux = (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * dx)
-    hxx = (np.roll(h, -1) - 2.0 * h + np.roll(h, 1)) / dx ** 2
-    expected = np.linalg.solve(A, 2.0 * ux ** 2 + G * hxx)
-    p = _nonhydro_pressure(_pressure_operator(h, dx, G), h, q, dx)
-    assert np.max(np.abs(p - expected)) <= 1e-12 * np.max(np.abs(expected))
+    h1 = 0.5 + rng.random(n)
+    q1 = rng.standard_normal(n)
+    # also at depths of 2^-200 and 2^200, where the corner weight, ~ depth^-3,
+    # would leave the float range if it were squared
+    for k in (0, -200, 200):
+        h, q, dx = h1 * 2.0 ** k, q1 * 2.0 ** (1.5 * k), 0.1 * 2.0 ** k
+        w = 2.0 / (h + np.roll(h, -1)) / dx ** 2    # 1/h at face i+1/2
+        A = np.diag(3.0 / h ** 3 + w + np.roll(w, 1))
+        for i in range(n):
+            A[i, (i + 1) % n] -= w[i]
+            A[(i + 1) % n, i] -= w[i]
+        u = q / h
+        ux = (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * dx)
+        hxx = (np.roll(h, -1) - 2.0 * h + np.roll(h, 1)) / dx ** 2
+        expected = np.linalg.solve(A, 2.0 * ux ** 2 + G * hxx)
+        p = _nonhydro_pressure(_pressure_operator(h, dx, G), h, q, dx)
+        assert np.max(np.abs(p - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+# The scheme is dimensionally homogeneous: h -> 2^k h, dx -> 2^k dx and
+# q -> 2^(3k/2) q (k even) scale every term of a sum by one power of two,
+# so a step or a run maps onto the unscaled one bit for bit, with
+# t -> 2^(k/2) t, as long as no intermediate leaves the float range.
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("limiter", LIMITERS)
+@pytest.mark.parametrize("k", [-300, -200, 200, 300])
+def test_a_step_is_exact_under_power_of_two_depth_scaling(k, limiter):
+    rng = np.random.default_rng(64)
+    h, q, dx = 1.0 + 0.3 * rng.random(64), 0.2 * rng.standard_normal(64), 0.05
+    one = sw.step(sw.SGNField(dx=dx, g=G, h=h, q=q), cfl=0.45, limiter=limiter)
+    scaled = sw.SGNField(dx=dx * 2.0 ** k, g=G, h=h * 2.0 ** k, q=q * 2.0 ** (1.5 * k))
+    got = sw.step(scaled, cfl=0.45, limiter=limiter)
+    assert np.array_equal(_bits(got.h), _bits(one.h * 2.0 ** k))
+    assert np.array_equal(_bits(got.q), _bits(one.q * 2.0 ** (1.5 * k)))
+    assert got.t == one.t * 2.0 ** (k // 2)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [-200, 200])
+def test_a_run_is_exact_under_power_of_two_depth_scaling(k):
+    def run(k):
+        s, t = 2.0 ** k, 2.0 ** (k // 2)
+        cfg = base_config(roots=sw.RootTriple(s, 1.5 * s, 2.0 * s), amplitude=1e-3,
+                          cells_per_wavelength=32)
+        return sw.run_experiment(cfg, 0.2 * t, output_times=[0.1 * t])
+
+    one, got = run(0), run(k)
+    assert got.n_steps == one.n_steps
+    assert (got.h_min, got.h_max) == (one.h_min * 2.0 ** k, one.h_max * 2.0 ** k)
+    (t1, last1, _), (t, last, _) = one.checkpoints[-1], got.checkpoints[-1]
+    assert t == t1 * 2.0 ** (k // 2)
+    assert np.array_equal(_bits(last.q), _bits(last1.q * 2.0 ** (1.5 * k)))
 
 
 def test_one_step_anchors_and_factors_once(monkeypatch):
@@ -697,13 +737,14 @@ def _ref_dispersive_step(h, q, dx, dt, g):
     d = np.roll(diag, -shift)
     off = np.roll(-w_plus, -shift)
     d0, corner = d[0], off[-1]
+    r = corner / d0
     d[0] += d0
-    d[-1] += corner * corner / d0
+    d[-1] += corner * r
     d, e, _ = dpttrf(d, off[:-1])
     w = np.zeros_like(d)
     w[[0, -1]] = -d0, corner
     z, _ = dpttrs(d, e, w)
-    v_last = -corner / d0
+    v_last = -r
     zs = z / (1.0 + z[0] + v_last * z[-1])
     g_hxx = g * ((np.roll(h, -1) - 2.0 * h + np.roll(h, 1)) / (dx * dx))
 

@@ -11,6 +11,7 @@ Oracles:
   * finite differences of the profile for the oscillation ODE.
 """
 
+import dataclasses
 import math
 import re
 
@@ -110,6 +111,8 @@ def test_constants_from_roots():
             sw.build_wave(BASE, g, -1)
     with pytest.raises(InvalidRootsError):
         sw.constants_from_roots(BASE, G, 0)
+    # only what the roots and g derive: g and sign_m are the state's
+    assert [f.name for f in dataclasses.fields(c)] == ["m", "i", "epsilon", "I1", "I2", "I3"]
 
 
 def test_oscillation_rhs_roots_and_midpoint():
