@@ -63,16 +63,22 @@ def _float(x, name: str):
     list that holds a Python int past the int64 and uint64 range becomes
     an object array in numpy; when all its entries are real numbers they
     go through the scalar rule one by one, so a number gets the same value
-    in a list as alone.  Anything else, an object array included, is a
-    ValueError naming `name`.  Under NumPy 2's scalar promotion (NEP 50) a
-    float32 scalar would keep Python-float arithmetic in float32, and an
-    int64 array would wrap, so each entry converts its numbers here, once.
+    in a list as alone.  Anything else, an object array or a ragged list
+    included, is a ValueError naming `name`.  Under NumPy 2's scalar
+    promotion (NEP 50) a float32 scalar would keep Python-float arithmetic
+    in float32, and an int64 array would wrap, so each entry converts its
+    numbers here, once.
     """
     if type(x) is float:    # single_state set-up: 9.8 % slower without it (2-vCPU x86_64, 10/10 pairs)
         return x
     if isinstance(x, int):    # any size; from 2**1024 - 2**970 on, float(x) would round past the range
         return float(x) if abs(x) < 2 ** 1024 - 2 ** 970 else (np.inf if x > 0 else -np.inf)
-    v = np.asarray(x)
+    try:
+        v = np.asarray(x)
+    except ValueError as exc:    # numpy's "inhomogeneous shape" names no parameter
+        raise ValueError(
+            f"{name} must hold real numbers in an array of one shape, got a ragged {name}"
+        ) from exc
     if v.dtype.kind == "O" and not isinstance(x, np.ndarray) and all(isinstance(e, _REAL) for e in v.flat):
         return np.array([_float(e, name) for e in v.flat]).reshape(v.shape)
     if v.dtype.kind not in "biuf":

@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .csvio import format_column, write_csv
-from .elliptic import _number, _scalar, _whole
+from .elliptic import _float, _number, _scalar, _whole
 from .errors import DegeneratePencilError
 from .waves import (
     ModulationState,
@@ -265,7 +265,7 @@ def resultant_quartic(charpoly):
     charpoly: coefficients c0..c4, ascending powers, c4 != 0; shape (5,)
     gives a float, shape (..., 5) an array of resultants.
     """
-    c = np.asarray(charpoly, dtype=float)
+    c = np.asarray(_float(charpoly, "charpoly"))
     if c.shape[-1:] != (5,) or (c[..., 4:] == 0.0).any():
         raise DegeneratePencilError("resultant_quartic needs a degree-4 polynomial")
     c = c / c[..., 4:]

@@ -315,13 +315,18 @@ def averaged_hinv(roots: RootTriple) -> float:
     return Pi / (roots.h2 * K)
 
 
+def _one_triple(roots: RootTriple) -> None:
+    """Raise InvalidRootsError, naming the roots' shape, unless they are one triple."""
+    shape = np.broadcast(roots.h0, roots.h1, roots.h2).shape
+    if shape:
+        raise InvalidRootsError(f"a wave needs one triple, got roots of shape {shape}")
+
+
 def build_wave(
     roots: RootTriple, g: float, sign_m: int, D: float | None = None
 ) -> ModulationState:
     """The wave of one root triple; D defaults to -m/h_bar (zero mean velocity)."""
-    shape = np.broadcast(roots.h0, roots.h1, roots.h2).shape
-    if shape:
-        raise InvalidRootsError(f"a wave needs one triple, got roots of shape {shape}")
+    _one_triple(roots)
     return ModulationState(D, roots.h0, roots.h1, roots.h2, g, sign_m, roots)
 
 
@@ -385,7 +390,9 @@ def average(f: Callable, roots: RootTriple) -> float:
     doubling the nodes cannot make it converge.
 
     f must accept a numpy array of depths; it may return a constant.
+    The roots are one triple: a batch is InvalidRootsError.
     """
+    _one_triple(roots)
     h0, h1, h2 = roots.h0, roots.h1, roots.h2
     prev = None
     n = 64

@@ -242,6 +242,8 @@ RULE_ENTRIES = {
     "ellip_Pi.k": (lambda k: sgnwaves.ellip_Pi(0.3, k), 0.5, "scalar array"),
     "ellip_derivatives.n": (lambda n: sgnwaves.ellip_derivatives(n, 0.5), 0.5, "scalar"),
     "ellip_derivatives.k": (lambda k: sgnwaves.ellip_derivatives(0.3, k), 0.5, "scalar"),
+    # a charpoly is five coefficients: each entry of the typed pair, repeated
+    "resultant_quartic.charpoly": (lambda c: sgnwaves.resultant_quartic(np.resize(c, 5)), 1.0, "array"),
 }
 
 RULE_TYPES = {
@@ -351,3 +353,19 @@ def test_a_list_with_a_number_that_is_not_real_names_itself(times):
     config = sgnwaves.WaveTrainConfig(**_TRAIN)
     with pytest.raises(ValueError, match="output_times must hold real numbers, got output_times of dtype object"):
         sgnwaves.run_experiment(config, 1.0, output_times=times)
+
+
+# a ragged list fails in numpy with an "inhomogeneous shape" that names no parameter
+RAGGED = {
+    "output_times": lambda: _ran(t_end=1e-3, output_times=[1e-4, [2e-4]]),
+    "h0": lambda: sgnwaves.RootTriple([1.0, [1.0]], 1.5, 2.0),
+    "h": lambda: sgnwaves.SGNField(dx=0.1, g=10.0, h=[1.0, [1.0, 2.0]], q=[0.0, 0.0]),
+    "k": lambda: sgnwaves.ellip_K([0.1, [0.2]]),
+}
+
+
+@pytest.mark.parametrize("name", RAGGED)
+def test_a_ragged_list_names_its_parameter(name):
+    with pytest.raises(ValueError, match=f"^{name} must hold real numbers in an array of one shape, "
+                                         f"got a ragged {name}$"):
+        RAGGED[name]()

@@ -1,7 +1,8 @@
 """End-to-end tests of the command-line interface.
 
 Every test drives main(argv) directly and inspects exit codes, stdout
-lines, and the files left behind.  Numeric cells in the emitted CSVs use
+lines, and the files left behind; the last one runs `python -m
+sgnwaves.cli` in a child process, for the exit code the shell sees.  Numeric cells in the emitted CSVs use
 repr(), so a parse -> re-serialize pass must reproduce them byte for
 byte; that round trip is asserted here for each artifact kind.
 """
@@ -9,6 +10,9 @@ byte; that round trip is asserted here for each artifact kind.
 import dataclasses
 import inspect
 import math
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,11 +34,15 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def stdout_value(out: str, prefix: str) -> float:
+def stdout_text(out: str, prefix: str) -> str:
     for line in out.splitlines():
         if line.startswith(prefix):
-            return float(line[len(prefix):].split()[0])
+            return line[len(prefix):].split()[0]
     raise AssertionError(f"no line starting with {prefix!r} in:\n{out}")
+
+
+def stdout_value(out: str, prefix: str) -> float:
+    return float(stdout_text(out, prefix))
 
 
 # --- wave -----------------------------------------------------------------
@@ -165,10 +173,12 @@ def test_scan_small_window(capsys, tmp_path):
     signs = {line.split(",")[7].startswith("-") for line in lines[1:]}
     assert len(signs) == 1
     assert reemit_csv(out) == text
-    for tag in ("resultant_sign", "sign_pattern"):
-        script = out.parent / f"{out.stem}_{tag}.gnuplot"
-        assert script.is_file()
-        assert out.name in script.read_text()
+    header = lines[0].split(",")
+    for tag, column in (("resultant_sign", "resultant"), ("sign_pattern", "n_positive")):
+        script = (out.parent / f"{out.stem}_{tag}.gnuplot").read_text()
+        assert out.name in script
+        # gnuplot counts columns from 1
+        assert re.findall(r"column\((\d+)\)", script) == [str(header.index(column) + 1)]
 
 
 def test_scan_rejects_empty_window(capsys, tmp_path):
@@ -268,6 +278,19 @@ def test_simulate_flag_overrides(capsys, tmp_path):
     manifest = (out_dir / "manifest.txt").read_text()
     assert "t_final = 0.25" in manifest
     assert "checkpoint_times = 0.1;0.25" in manifest
+
+
+def test_wave_eigen_and_simulate_report_one_wave_alike(capsys, tmp_path):
+    # one wave type serves every command: each prints its L and D to the last digit
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_with("t_end = 0.01"))
+    _, wave, _ = run(capsys, ["wave", *BASE_ARGS, "--out", str(tmp_path / "wave.csv")])
+    _, eigen, _ = run(capsys, ["eigen", *BASE_ARGS])
+    assert run(capsys, ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])[0] == 0
+    manifest = (tmp_path / "run" / "manifest.txt").read_text()
+    D = stdout_text(wave, "phase speed D = ")
+    assert D == stdout_text(eigen, "D = ") == stdout_text(manifest, "phase_speed = ")
+    assert stdout_text(wave, "wavelength L = ") == stdout_text(manifest, "wavelength = ")
 
 
 def test_simulate_unset_keys_take_the_library_defaults(capsys, tmp_path):
@@ -491,3 +514,10 @@ def test_cli_requires_subcommand(capsys):
 def test_cli_unknown_subcommand(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_the_module_entry_point_exits_with_the_code_of_main(tmp_path):
+    # the child finds sgnwaves through the environment it inherits, as this process did
+    for argv, code in ((["eigen", *BASE_ARGS], 0), (["wave", *BASE_ARGS, "--out", str(tmp_path)], 2)):
+        done = subprocess.run([sys.executable, "-m", "sgnwaves.cli", *argv], capture_output=True, text=True)
+        assert done.returncode == code, done.stderr

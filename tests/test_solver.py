@@ -1115,17 +1115,19 @@ def test_run_experiment_accepts_array_output_times():
 
 
 def test_run_experiment_is_deterministic(tmp_path):
-    outs = []
-    for tag in ("a", "b"):
-        out = tmp_path / tag
-        sw.run_experiment(base_config(amplitude=1e-3), t_end=0.8,
-                          output_times=[0.8], out_dir=out)
-        outs.append(out)
-    # every file a run writes, its manifest included, depends only on the config
-    files = [{p.name: p.read_bytes() for p in out.iterdir()} for out in outs]
-    assert sorted(files[0]) == ["diagnostics.csv", "field_0000.csv", "manifest.txt",
-                                "portrait_0000.csv"]
-    assert files[0] == files[1]
+    for limiter in LIMITERS:
+        outs = []
+        for tag in ("a", "b"):
+            out = tmp_path / f"{limiter}_{tag}"
+            sw.run_experiment(base_config(amplitude=1e-3), t_end=0.8,
+                              output_times=[0.8], out_dir=out, limiter=limiter)
+            outs.append(out)
+        # every file a run writes, its manifest included, depends only on the config
+        files = [{p.name: p.read_bytes() for p in out.iterdir()} for out in outs]
+        assert sorted(files[0]) == ["diagnostics.csv", "field_0000.csv", "manifest.txt",
+                                    "portrait_0000.csv"]
+        assert files[0] == files[1]
+        assert f"\nlimiter = {limiter}\n" in files[0]["manifest.txt"].decode()
 
 
 def _failing_stage(monkeypatch, on_call, fail):

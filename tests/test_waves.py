@@ -216,6 +216,8 @@ def test_a_wave_needs_one_root_triple():
         sw.build_wave(batch, G, -1)
     with pytest.raises(InvalidRootsError, match=re.escape("a wave needs one triple, got roots of shape (2,)")):
         sw.WaveTrainConfig(roots=batch)
+    with pytest.raises(InvalidRootsError, match=re.escape("a wave needs one triple, got roots of shape (2,)")):
+        sw.average(lambda h: h, batch)    # numpy's "could not be broadcast together" before
 
 
 def test_root_arrays_that_do_not_broadcast_fail_at_construction():
