@@ -22,7 +22,6 @@ from .errors import (
     DomainError,
     EllipticSolveError,
     PositivityError,
-    QuadratureError,
     SgnError,
     StepBudgetError,
 )
@@ -163,7 +162,8 @@ def _write_plot_scripts(out_csv: pathlib.Path) -> list[pathlib.Path]:
 
 
 def cmd_scan(args) -> int:
-    window = _float_list(args.window, 4, "--window needs smin,smax,taumin,taumax")
+    with _set_by("--window"):
+        window = _float_list(args.window, 4, "needs smin,smax,taumin,taumax")
     out = pathlib.Path(args.out)
     if out.is_dir() or not os.access(out if out.exists() else out.parent, os.W_OK):
         raise OSError(f"cannot write the scan to {out}")  # before the scan runs, creating nothing
@@ -212,8 +212,13 @@ def _read_config(path: pathlib.Path) -> dict:
     """Each key's value text and where it was set: {key: (text, "file:line: key 'k'")}."""
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        ln = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DomainError(f"{path}:{ln}: {exc}") from None
     cfg, line_of = {}, {}
-    for ln, raw in enumerate(path.read_text().splitlines(), start=1):
+    for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -312,7 +317,7 @@ def main(argv=None) -> int:
     except (PositivityError, EllipticSolveError, StepBudgetError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (DegeneratePencilError, QuadratureError) as exc:
+    except DegeneratePencilError as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except (DomainError, SgnError, OSError, ValueError) as exc:

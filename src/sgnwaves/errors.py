@@ -17,10 +17,6 @@ class SingularConfigurationError(DomainError):
     """Closed-form derivative requested at a removable singularity (n ~ k^2)."""
 
 
-class QuadratureError(SgnError, ArithmeticError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 class DegeneratePencilError(SgnError, ArithmeticError):
     """det(B - lam*A) degenerates below degree four; eigenvalues undefined."""
 

@@ -583,7 +583,6 @@ def phase_portrait(field: SGNField) -> np.ndarray:
 @dataclass(frozen=True)
 class RunResult:
     config: WaveTrainConfig
-    wave: ModulationState
     checkpoints: list            # (time, SGNField, portrait ndarray)
     diag_series: list            # (time, mass, momentum, energy)
     h_min: float                 # depth envelope: the initial state, the state
@@ -742,7 +741,7 @@ def run_experiment(
                       map(format_column, np.array(diag_series).T))
             _write_manifest(out / "manifest.txt", config, field, run, times)
     return RunResult(
-        config=config, wave=config.wave, checkpoints=checkpoints,
+        config=config, checkpoints=checkpoints,
         diag_series=diag_series, h_min=run.h_min, h_max=run.h_max, n_steps=run.n_steps,
     )
 

@@ -30,13 +30,12 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import Callable
+from functools import cached_property
 
 import numpy as np
 
 from .elliptic import _all, _float, _number, _require, _scalar, ellip_K, ellip_E, ellip_Pi
-from .errors import InvalidRootsError, QuadratureError
+from .errors import InvalidRootsError
 
 __all__ = [
     "RootTriple",
@@ -51,7 +50,6 @@ __all__ = [
     "profile",
     "velocity_from_depth",
     "wavelength",
-    "average",
     "averaged_h",
     "averaged_hinv",
 ]
@@ -59,8 +57,6 @@ __all__ = [
 # Triples closer to the soliton (h1->h0) or zero-amplitude (h1->h2) limit
 # than this are rejected: the periodic construction degenerates there.
 DEGENERACY_TOL = 1e-10
-# average() stops doubling its nodes once the average settles to this relative tolerance.
-AVERAGE_RTOL = 1e-12
 
 
 def _sqrt(x):
@@ -315,18 +311,13 @@ def averaged_hinv(roots: RootTriple) -> float:
     return Pi / (roots.h2 * K)
 
 
-def _one_triple(roots: RootTriple) -> None:
-    """Raise InvalidRootsError, naming the roots' shape, unless they are one triple."""
-    shape = np.broadcast(roots.h0, roots.h1, roots.h2).shape
-    if shape:
-        raise InvalidRootsError(f"a wave needs one triple, got roots of shape {shape}")
-
-
 def build_wave(
     roots: RootTriple, g: float, sign_m: int, D: float | None = None
 ) -> ModulationState:
     """The wave of one root triple; D defaults to -m/h_bar (zero mean velocity)."""
-    _one_triple(roots)
+    shape = np.broadcast(roots.h0, roots.h1, roots.h2).shape
+    if shape:
+        raise InvalidRootsError(f"a wave needs one triple, got roots of shape {shape}")
     return ModulationState(D, roots.h0, roots.h1, roots.h2, g, sign_m, roots)
 
 
@@ -340,80 +331,3 @@ def profile(wave: ModulationState, xi):
 def velocity_from_depth(h, constants: WaveConstants, D: float):
     """u = m/h + D from the mass constraint h(u - D) = m."""
     return constants.m / _float(h, "h") + _float(D, "D")
-
-
-def _legendre(n: int, x: np.ndarray):
-    """P_n(x) and P_n'(x) by the three-term recurrence, elementwise."""
-    p_prev, p = np.ones_like(x), x
-    for j in range(2, n + 1):
-        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-    return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
-
-
-def _gauss_legendre(n: int):
-    """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1], n even.
-
-    Five Newton steps on P_n, from Tricomi's estimate, take the n/2 nodes
-    in (-1, 0) to rounding; the others are their mirror images.  This is
-    O(n^2), where the companion eigensolve of numpy's leggauss is O(n^3),
-    and its end weights are closer to the exact ones.
-    """
-    k = np.arange(1, n // 2 + 1)
-    x = -(1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
-    for _ in range(5):
-        p, dp = _legendre(n, x)
-        x = x - p / dp
-    _, dp = _legendre(n, x)
-    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
-    return np.concatenate((x, -x[::-1])), np.concatenate((w, w[::-1]))
-
-
-@lru_cache(maxsize=16)
-def _gauss_nodes(n: int):
-    # nodes/weights for [0, pi/2]
-    x, w = _gauss_legendre(n)
-    return 0.25 * np.pi * (x + 1.0), 0.25 * np.pi * w
-
-
-def average(f: Callable, roots: RootTriple) -> float:
-    """Period average of f(h): (integral f/sqrt(P3)) / (integral 1/sqrt(P3)).
-
-    P3(h) = (h-h0)(h-h1)(h2-h) has inverse-square-root singularities at
-    both endpoints of [h1, h2].  The substitution h = h1 + (h2-h1) sin^2(phi)
-    absorbs them: both integrals become smooth integrals over [0, pi/2]
-    with weight 1/sqrt(h(phi) - h0), evaluated by Gauss-Legendre quadrature
-    doubled from 64 nodes until the average changes by less than
-    AVERAGE_RTOL relative to the mean magnitude of f (not of the average
-    itself, which can be exactly zero by cancellation, e.g. the momentum
-    of a wave in its zero-mean frame).  A non-finite f(h) at any node
-    raises QuadratureError at once, naming the smallest such depth:
-    doubling the nodes cannot make it converge.
-
-    f must accept a numpy array of depths; it may return a constant.
-    The roots are one triple: a batch is InvalidRootsError.
-    """
-    _one_triple(roots)
-    h0, h1, h2 = roots.h0, roots.h1, roots.h2
-    prev = None
-    n = 64
-    while n <= 4096:
-        phi, w = _gauss_nodes(n)
-        h = h1 + (h2 - h1) * np.sin(phi) ** 2
-        weight = w / np.sqrt(h - h0)
-        fv = np.broadcast_to(np.asarray(f(h), dtype=float), h.shape)
-        bad = ~np.isfinite(fv)
-        if bad.any():
-            raise QuadratureError(
-                f"period average: f(h) is not finite at depth h = {float(h[bad.argmax()])!r} "
-                f"({n}-node rule)"
-            )
-        wsum = float(np.sum(weight))
-        val = float(np.dot(fv, weight) / wsum)
-        scale = float(np.dot(np.abs(fv), weight) / wsum)
-        if prev is not None and abs(val - prev) <= AVERAGE_RTOL * max(1e-300, scale):
-            return val
-        prev = val
-        n *= 2
-    raise QuadratureError(
-        f"period average did not converge to rtol={AVERAGE_RTOL} within 4096 nodes"
-    )

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import sgnwaves as sw
+from conftest import period_integral
 
 mpmath.mp.dps = 30
 
@@ -123,35 +124,17 @@ def _subgrid():
     return np.linspace(1.01, 100.0, 20), np.linspace(0.01, 100.0, 20)
 
 
-def _quad_wavelength(roots: sw.RootTriple, rtol=1e-12) -> float:
-    # L = 4 sqrt(I3/3) * integral over [0, pi/2] of dphi / sqrt(h(phi)-h0)
-    # after h = h1 + (h2-h1) sin^2(phi); Gauss nodes doubled to tolerance
-    h0, h1, h2 = roots.h0, roots.h1, roots.h2
-    I3 = h0 * h1 * h2
-    prev = None
-    n = 64
-    while n <= 8192:
-        x, w = np.polynomial.legendre.leggauss(n)
-        phi = 0.25 * np.pi * (x + 1.0)
-        h = h1 + (h2 - h1) * np.sin(phi) ** 2
-        val = 4.0 * np.sqrt(I3 / 3.0) * 0.25 * np.pi * float(np.sum(w / np.sqrt(h - h0)))
-        if prev is not None and abs(val - prev) <= rtol * abs(val):
-            return val
-        prev = val
-        n *= 2
-    return prev
-
-
 def test_average_oracle_equivalence():
     s_vals, tau_vals = _subgrid()
     worst = 0.0
     for s in s_vals:
         for tau in tau_vals:
             roots = sw.RootTriple(1.0, s, s + tau)
+            period = period_integral(np.ones_like, roots)
             for closed, quad in (
-                (sw.averaged_h(roots), sw.average(lambda h: h, roots)),
-                (sw.averaged_hinv(roots), sw.average(lambda h: 1.0 / h, roots)),
-                (sw.wavelength(roots), _quad_wavelength(roots)),
+                (sw.averaged_h(roots), period_integral(lambda h: h, roots) / period),
+                (sw.averaged_hinv(roots), period_integral(lambda h: 1.0 / h, roots) / period),
+                (sw.wavelength(roots), 4.0 * np.sqrt(roots.h0 * roots.h1 * roots.h2 / 3.0) * period),
             ):
                 worst = max(worst, abs(closed - quad) / abs(closed))
     ok = worst <= 1e-9
@@ -248,12 +231,14 @@ def test_averaged_flux_identities(scan50):
             return 0.5 * u(h) ** 2 + 0.5 * G * h + (m * m) * F3 / (6.0 * h * h)
 
         pairs = (
-            (sw.average(lambda h: h * u(h), roots), flux[1]),
-            (sw.average(lambda h: h * u(h) ** 2 + p(h), roots), flux[2]),
-            (sw.average(lambda h: h * e(h), roots), dens[3]),
-            (sw.average(lambda h: h * u(h) * e(h) + p(h) * u(h), roots), flux[3]),
+            (lambda h: h * u(h), flux[1]),
+            (lambda h: h * u(h) ** 2 + p(h), flux[2]),
+            (lambda h: h * e(h), dens[3]),
+            (lambda h: h * u(h) * e(h) + p(h) * u(h), flux[3]),
         )
-        for quad, closed in pairs:
+        period = period_integral(np.ones_like, roots)
+        for f, closed in pairs:
+            quad = period_integral(f, roots) / period
             worst = max(worst, abs(quad - closed) / max(1.0, abs(closed)))
     # effective pressure must be positive at every scanned point
     min_peff = float("inf")

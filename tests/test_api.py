@@ -180,7 +180,7 @@ def _ran(t_end=0.01, output_times=None, **kw):
     res = sgnwaves.run_experiment(sgnwaves.WaveTrainConfig(**{**_TRAIN, **kw}), t_end=t_end,
                                   output_times=output_times)
     t, field, _ = res.checkpoints[0]
-    return t, field.h, field.q, res.n_steps, res.wave.D
+    return t, field.h, field.q, res.n_steps, res.config.wave.D
 
 
 def _at_rest(roots):

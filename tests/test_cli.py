@@ -191,7 +191,12 @@ def test_scan_rejects_empty_window(capsys, tmp_path):
 def test_scan_rejects_a_window_of_three_numbers(capsys, tmp_path):
     code, _, err = run(capsys, ["scan", "--window", "1,2,3", "--out", str(tmp_path / "s.csv")])
     assert code == 2
-    assert "--window needs smin,smax,taumin,taumax, got '1,2,3'" in err
+    assert err == "invalid input: --window: needs smin,smax,taumin,taumax, got '1,2,3'\n"
+    assert not (tmp_path / "s.csv").exists()
+    # a number that does not parse names the flag too, as --roots does
+    code, _, err = run(capsys, ["scan", "--window", "1,2,x,4", "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert err == "invalid input: --window: could not convert string to float: 'x'\n"
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -340,6 +345,19 @@ def test_simulate_rejects_a_line_without_equals(capsys, tmp_path):
     code, _, err = run(capsys, ["simulate", "--config", str(cfg)])
     assert code == 2
     assert f"{cfg}:2: expected 'key = value', got 'roots 1,1.5,2'" in err
+
+
+def test_simulate_reads_its_config_as_utf8(capsys, tmp_path):
+    # a Latin-1 comment is named by file and line, whatever the locale's encoding
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes((CONFIG + "# café\nbogus = 3\n").encode("latin-1"))
+    code, _, err = run(capsys, ["simulate", "--config", str(cfg)])
+    assert code == 2
+    assert err.startswith(f"invalid input: {cfg}:11: 'utf-8' codec can't decode byte 0xe9 in position ")
+    cfg.write_bytes((CONFIG + "# café\nbogus = 3\n").encode("utf-8"))
+    code, _, err = run(capsys, ["simulate", "--config", str(cfg)])
+    assert code == 2
+    assert f"{cfg}:12: unknown key 'bogus'" in err
 
 
 @pytest.mark.parametrize("line, flags, named", [

@@ -663,7 +663,7 @@ def test_a_train_builds_its_wave_once(monkeypatch, tmp_path):
     res = sw.run_experiment(cfg, 1e-3, out_dir=tmp_path)
     sw.init_wavetrain(cfg)
     assert calls == {"build_wave": 1, "constants_from_roots": 1}
-    assert res.wave is cfg.wave
+    assert res.config.wave is cfg.wave
     # a replaced config derives one wave of its own
     wider = dataclasses.replace(cfg, n_waves=2)
     assert calls == {"build_wave": 2, "constants_from_roots": 2}

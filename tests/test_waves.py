@@ -7,7 +7,8 @@ Oracles:
     (note its parameter convention is m = k^2);
   * mpmath quadrature of 2 * integral dh / sqrt(F3(h)) for the wavelength
     (tanh-sinh handles the inverse-square-root endpoints);
-  * the adaptive Gauss average() against the closed-form means;
+  * conftest's Gauss-Legendre period_integral, whose nodes are checked
+    against mpmath below, for the closed-form means and the wavelength;
   * finite differences of the profile for the oscillation ODE.
 """
 
@@ -23,7 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgnwaves as sw
-from sgnwaves.errors import DomainError, InvalidRootsError, QuadratureError
+from conftest import _gauss_legendre, period_integral
+from sgnwaves.errors import DomainError, InvalidRootsError
 
 mpmath.mp.dps = 30
 
@@ -216,8 +218,6 @@ def test_a_wave_needs_one_root_triple():
         sw.build_wave(batch, G, -1)
     with pytest.raises(InvalidRootsError, match=re.escape("a wave needs one triple, got roots of shape (2,)")):
         sw.WaveTrainConfig(roots=batch)
-    with pytest.raises(InvalidRootsError, match=re.escape("a wave needs one triple, got roots of shape (2,)")):
-        sw.average(lambda h: h, batch)    # numpy's "could not be broadcast together" before
 
 
 def test_root_arrays_that_do_not_broadcast_fail_at_construction():
@@ -298,30 +298,24 @@ def test_closed_form_averages_frozen_values():
 
 def test_average_matches_closed_forms():
     for roots in (BASE, sw.RootTriple(1.0, 1.1, 4.0), sw.RootTriple(2.0, 3.5, 3.9)):
-        assert sw.average(lambda h: h, roots) == pytest.approx(
+        period = period_integral(np.ones_like, roots)
+        assert period_integral(lambda h: h, roots) / period == pytest.approx(
             sw.averaged_h(roots), rel=1e-9
         )
-        assert sw.average(lambda h: 1.0 / h, roots) == pytest.approx(
+        assert period_integral(lambda h: 1.0 / h, roots) / period == pytest.approx(
             sw.averaged_hinv(roots), rel=1e-9
         )
-        assert sw.average(lambda h: np.ones_like(h), roots) == pytest.approx(
-            1.0, rel=1e-14
+        assert 4.0 * math.sqrt(roots.h0 * roots.h1 * roots.h2 / 3.0) * period == pytest.approx(
+            sw.wavelength(roots), rel=1e-9
         )
-
-
-@pytest.mark.parametrize("roots", [(1.0, 1.5, 2.0), (1e-7, 1.001e-7, 1.0)])
-def test_average_of_a_constant_is_the_constant(roots):
-    # f may ignore its depths and return one number
-    average = sw.average(lambda h: 2.5, sw.RootTriple(*roots))
-    assert average == pytest.approx(2.5, rel=1e-15, abs=0.0)
 
 
 def test_mean_momentum_vanishes_in_rest_frame():
     wave = sw.build_wave(BASE, G, -1)
     c = wave.constants
-    flux = sw.average(
+    flux = period_integral(
         lambda h: h * sw.velocity_from_depth(h, c, wave.D), BASE
-    )
+    ) / period_integral(np.ones_like, BASE)
     assert abs(flux) <= 1e-12
 
 
@@ -331,20 +325,22 @@ def test_averaged_oscillation_identities():
     for roots in (BASE, sw.RootTriple(1.0, 1.1, 4.0)):
         c = sw.constants_from_roots(roots, G, -1)
         F3 = lambda h: sw.oscillation_rhs(h, c)
-        lhs1 = sw.average(lambda h: F3(h) / h, roots)
+        period = period_integral(np.ones_like, roots)
+        mean = lambda f: period_integral(f, roots) / period
+        lhs1 = mean(lambda h: F3(h) / h)
         rhs1 = (
             -6.0 * c.i / c.m**2
-            + 3.0 * sw.average(lambda h: 1.0 / h, roots)
-            + 6.0 * c.epsilon * sw.average(lambda h: h, roots)
-            - (3.0 * G / c.m**2) * sw.average(lambda h: h * h, roots)
+            + 3.0 * mean(lambda h: 1.0 / h)
+            + 6.0 * c.epsilon * mean(lambda h: h)
+            - (3.0 * G / c.m**2) * mean(lambda h: h * h)
         )
         assert lhs1 == pytest.approx(rhs1, abs=1e-8)
-        lhs2 = sw.average(lambda h: F3(h) / h**2, roots)
+        lhs2 = mean(lambda h: F3(h) / h**2)
         rhs2 = (
             6.0 * c.epsilon
-            + 3.0 * sw.average(lambda h: 1.0 / h**2, roots)
-            - (6.0 * c.i / c.m**2) * sw.average(lambda h: 1.0 / h, roots)
-            - (3.0 * G / c.m**2) * sw.average(lambda h: h, roots)
+            + 3.0 * mean(lambda h: 1.0 / h**2)
+            - (6.0 * c.i / c.m**2) * mean(lambda h: 1.0 / h)
+            - (3.0 * G / c.m**2) * mean(lambda h: h)
         )
         assert lhs2 == pytest.approx(rhs2, abs=1e-8)
 
@@ -360,32 +356,7 @@ def test_average_bounds_property(roots):
     assert hb * hi > 1.0
 
 
-def test_average_reports_nonconvergence():
-    # an integrand oscillating far below the finest node spacing can never
-    # satisfy the tolerance, which must surface as an error, not a hang
-    with pytest.raises(QuadratureError):
-        sw.average(lambda h: np.sin(1e8 * h), BASE)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_average_stops_at_a_nonfinite_integrand(monkeypatch, bad):
-    # no number of nodes makes a NaN or infinite integrand converge, so the
-    # first rule (64 nodes) must raise, naming the smallest bad depth
-    nodes, sizes = sw.waves._gauss_nodes, []
-
-    def counted(n):
-        sizes.append(n)
-        return nodes(n)
-
-    monkeypatch.setattr(sw.waves, "_gauss_nodes", counted)
-    with pytest.raises(QuadratureError, match=r"not finite at depth h = 1\.9[0-9]* \(64-node rule\)"):
-        sw.average(lambda h: np.where(h > 1.9, bad, h), BASE)
-    with pytest.raises(QuadratureError, match=r"not finite at depth h = 1\.50[0-9]* "):
-        sw.average(lambda h: bad, BASE)
-    assert sizes == [64, 64]
-
-
-# Worst relative weight error of numpy's leggauss, which _gauss_legendre
+# Worst relative weight error of numpy's leggauss, which conftest's _gauss_legendre
 # replaced, on the nodes and against the oracle of the test below
 # (numpy 2.4; leggauss takes about 5 s at n = 4096, so it is not rerun).
 LEGGAUSS_WEIGHT_ERROR = {
@@ -398,7 +369,7 @@ LEGGAUSS_WEIGHT_ERROR = {
 def test_gauss_legendre_matches_mpmath(n):
     # oracle: one 30-digit Newton step on mpmath's P_n from each float node,
     # then w = 2 (1 - x^2) / (n P_{n-1}(x))^2; sampled at both ends and the middle
-    x, w = sw.waves._gauss_legendre(n)
+    x, w = _gauss_legendre(n)
     assert x.shape == w.shape == (n,)
     assert np.all(np.diff(x) > 0.0) and x[0] > -1.0 and x[-1] < 1.0
     assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
