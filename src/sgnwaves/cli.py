@@ -213,7 +213,7 @@ def _read_config(path: pathlib.Path) -> dict:
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         ln = exc.object.count(b"\n", 0, exc.start) + 1
         raise DomainError(f"{path}:{ln}: {exc}") from None
@@ -241,13 +241,19 @@ def cmd_simulate(args) -> int:
             text[key] = (getattr(args, key), flag)
     if "roots" not in text or "t_end" not in text:
         raise DomainError("config must define at least 'roots' and 't_end'")
-    # roots come first, as the train is built from them, and t_end second,
-    # as each checkpoint is checked against it; the other keys follow in file
-    # order, so a value that WaveTrainConfig or a run rule rejects is named
-    # like one that does not parse
+    # roots and g come first, as the train is built from them, and t_end
+    # next, as each checkpoint is checked against it; the other keys follow
+    # in file order, so a value that WaveTrainConfig or a run rule rejects is
+    # named like one that does not parse
     value, origin = text.pop("roots")
     with _set_by(origin):
-        config = WaveTrainConfig(roots=_parse_roots(value))
+        wave = {"roots": _parse_roots(value)}
+    if "g" in text:
+        value, origin = text.pop("g")
+        with _set_by(origin):
+            wave["g"] = float(value)
+    with _set_by(origin):    # g's line names a joint overflow, when the file sets g
+        config = WaveTrainConfig(**wave)
     train, kw = {f.name for f in dataclasses.fields(WaveTrainConfig)}, {}
     for key, (value, origin) in {"t_end": text.pop("t_end"), **text}.items():
         with _set_by(origin):

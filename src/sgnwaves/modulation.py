@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .csvio import format_column, write_csv
-from .elliptic import _float, _number, _scalar, _whole
+from .elliptic import _number, _scalar, _whole
 from .errors import DegeneratePencilError
 from .waves import (
     ModulationState,
@@ -64,7 +64,6 @@ __all__ = [
     "differential_coefficients",
     "assemble_AB",
     "characteristic_eigenvalues",
-    "resultant_quartic",
     "scan_region",
     "write_scan_csv",
 ]
@@ -252,33 +251,6 @@ def assemble_AB(state: ModulationState) -> QuasilinearSystem:
     return QuasilinearSystem(A=A, B=B)
 
 
-def resultant_quartic(charpoly):
-    """Res(p, p') of a quartic via the 7x7 Sylvester determinant.
-
-    The polynomial is normalized to monic first so magnitudes stay
-    comparable across parameter scans; zero iff p has a multiple root.
-    Near a multiple root the determinant loses digits: at the scan corner
-    (s, tau) = (1.001, 0.001) with g = 9.81 it is 9.7e-5 off in relative
-    terms.  For a characteristic polynomial, EigenClassification.resultant,
-    the product of the squared root gaps, is the better value there.
-
-    charpoly: coefficients c0..c4, ascending powers, c4 != 0; shape (5,)
-    gives a float, shape (..., 5) an array of resultants.
-    """
-    c = np.asarray(_float(charpoly, "charpoly"))
-    if c.shape[-1:] != (5,) or (c[..., 4:] == 0.0).any():
-        raise DegeneratePencilError("resultant_quartic needs a degree-4 polynomial")
-    c = c / c[..., 4:]
-    p = c[..., ::-1]                          # monic, descending: 1, c3, c2, c1, c0
-    dp = (c[..., 1:] * np.arange(1.0, 5.0))[..., ::-1]  # 4, 3 c3, 2 c2, c1
-    S = np.zeros(c.shape[:-1] + (7, 7))
-    for i in range(3):
-        S[..., i, i:i + 5] = p
-    for i in range(4):
-        S[..., 3 + i, i:i + 4] = dp
-    return _scalar(np.linalg.det(S))
-
-
 # index pairs (i < j) of the four roots, for the distinctness gaps
 _PAIRS = np.triu_indices(4, 1)
 _SUBDIAGONAL = np.eye(4, k=-1)
@@ -296,10 +268,10 @@ def characteristic_eigenvalues(sys: QuasilinearSystem) -> EigenClassification:
     Roots are the eigenvalues of the quartic's companion matrix, laid out
     as numpy.roots lays it out; this is robust where closed-form quartic
     solvers lose digits.  The resultant Res(p, p'), a sign check, is
-    prod_{i<j} (lam_i - lam_j)^2 over these roots (p monic, n = 4);
-    resultant_quartic takes it from coefficients.  Raises DegeneratePencilError where
-    _degenerate_pencil holds, saying whether the pencil overflowed or its
-    c4 is negligible; scan_region masks those states out first.
+    prod_{i<j} (lam_i - lam_j)^2 over these roots (p monic, n = 4).  Raises
+    DegeneratePencilError where _degenerate_pencil holds, saying whether the
+    pencil overflowed or its c4 is negligible; scan_region masks those states
+    out first.
     """
     c = sys.charpoly
     if _degenerate_pencil(c).any():

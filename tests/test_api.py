@@ -65,10 +65,6 @@ def _conserved(which, i):
 # float's (libm pow) round apart on an x86_64 host with AVX-512
 _SPEEDS = np.array([-7.865, -3.835, 0.5, 1.311, 2.126, 3.835])
 
-# ascending coefficients c0..c4; (x - 1)(x - 2)(x - 3)(x - 4) first
-_QUARTICS = np.array([[24.0, -50.0, 35.0, -10.0, 1.0], [0.5, -1.25, -2.0, 0.75, 3.0],
-                      [1.0, 0.0, 0.0, 0.0, 2.0]])
-
 SCALAR_CASES = {
     # name: (function of one argument, a scalar input, an array input, type of a scalar result)
     "ellip_K": (sgnwaves.ellip_K, 0.5, np.array([0.1, 0.5, 0.9]), float),
@@ -83,7 +79,6 @@ SCALAR_CASES = {
                         np.array([1.5, 1.75, 2.0]), float),
     "wavelength": (lambda h1: sgnwaves.wavelength(sgnwaves.RootTriple(1.0, h1, 2.5)), 1.5,
                    np.array([1.25, 1.5, 2.0]), float),
-    "resultant_quartic": (sgnwaves.resultant_quartic, _QUARTICS[1].tolist(), _QUARTICS, float),
     **{f"differential_coefficients.{f}[{i}]": (_gradient(f, i), 1.5, np.array([1.25, 1.5, 2.0]), float)
        for f in ("Phi", "Psi", "Lambda") for i in range(3)},
     **{f"eigen.{f}": (_eigen(f), 1.5, np.array([1.25, 1.5, 2.0]), t)
@@ -100,12 +95,9 @@ def test_scalar_in_scalar_out_array_in_array_out(name):
     one, batch = func(x), func(xs)
     assert type(one) is kind
     assert isinstance(batch, np.ndarray)
-    # resultant_quartic reduces the last axis: its scalar input is one row
-    lead = np.shape(xs)[:np.ndim(xs) - np.ndim(x)]
-    assert batch.shape == lead
-    flat_in = np.asarray(xs).reshape((-1,) + np.shape(x))
-    for i, xi in enumerate(flat_in):
-        xi = xi.tolist()   # back to Python scalars (or a list of them)
+    assert batch.shape == np.shape(xs)
+    for i, xi in enumerate(np.ravel(xs)):
+        xi = xi.tolist()   # back to a Python scalar
         assert np.asarray(func(xi), dtype=batch.dtype).tobytes() == batch.reshape(-1)[i].tobytes()
 
 
@@ -242,8 +234,6 @@ RULE_ENTRIES = {
     "ellip_Pi.k": (lambda k: sgnwaves.ellip_Pi(0.3, k), 0.5, "scalar array"),
     "ellip_derivatives.n": (lambda n: sgnwaves.ellip_derivatives(n, 0.5), 0.5, "scalar"),
     "ellip_derivatives.k": (lambda k: sgnwaves.ellip_derivatives(0.3, k), 0.5, "scalar"),
-    # a charpoly is five coefficients: each entry of the typed pair, repeated
-    "resultant_quartic.charpoly": (lambda c: sgnwaves.resultant_quartic(np.resize(c, 5)), 1.0, "array"),
 }
 
 RULE_TYPES = {

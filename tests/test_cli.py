@@ -7,6 +7,7 @@ repr(), so a parse -> re-serialize pass must reproduce them byte for
 byte; that round trip is asserted here for each artifact kind.
 """
 
+import codecs
 import dataclasses
 import inspect
 import math
@@ -347,14 +348,16 @@ def test_simulate_rejects_a_line_without_equals(capsys, tmp_path):
     assert f"{cfg}:2: expected 'key = value', got 'roots 1,1.5,2'" in err
 
 
-def test_simulate_reads_its_config_as_utf8(capsys, tmp_path):
-    # a Latin-1 comment is named by file and line, whatever the locale's encoding
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "byte-order-mark"])
+def test_simulate_reads_its_config_as_utf8(capsys, tmp_path, bom):
+    # a Latin-1 comment is named by file and line, whatever the locale's
+    # encoding; a leading byte-order mark is not part of the first line
     cfg = tmp_path / "bad.cfg"
-    cfg.write_bytes((CONFIG + "# café\nbogus = 3\n").encode("latin-1"))
+    cfg.write_bytes(bom + (CONFIG + "# café\nbogus = 3\n").encode("latin-1"))
     code, _, err = run(capsys, ["simulate", "--config", str(cfg)])
     assert code == 2
     assert err.startswith(f"invalid input: {cfg}:11: 'utf-8' codec can't decode byte 0xe9 in position ")
-    cfg.write_bytes((CONFIG + "# café\nbogus = 3\n").encode("utf-8"))
+    cfg.write_bytes(bom + (CONFIG + "# café\nbogus = 3\n").encode("utf-8"))
     code, _, err = run(capsys, ["simulate", "--config", str(cfg)])
     assert code == 2
     assert f"{cfg}:12: unknown key 'bogus'" in err
@@ -398,6 +401,24 @@ def test_simulate_names_where_a_bad_value_was_set(capsys, tmp_path, line, flags,
     assert err.startswith("invalid input: " + named.format(cfg=cfg))
     assert err.count("\n") == 1 and stdout == ""
     assert not out_dir.exists()
+
+
+def test_simulate_checks_the_roots_against_the_files_g(capsys, tmp_path):
+    # the train is built from roots and g together: roots whose g I3 overflows
+    # at the default g = 9.81 run at the file's smaller g, and an overflow is
+    # named by g's line, wherever the file sets g
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("roots = 2e102,3e102,4e102\ng = 0.001\nn_waves = 2\n"
+                   "cells_per_wavelength = 16\nt_end = 1e49\n")
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, ["simulate", "--config", str(cfg), "--out-dir", str(out_dir)])
+    assert code == 0, err
+    assert "g = 0.001" in (out_dir / "manifest.txt").read_text().splitlines()
+    cfg.write_text("g = 9.81\nroots = 2e102,3e102,4e102\nt_end = 1e49\n")
+    code, _, err = run(capsys, ["simulate", "--config", str(cfg)])
+    assert code == 2
+    assert err.startswith(f"invalid input: {cfg}:1: key 'g': g*h0*h1*h2 or g*I2 overflows the "
+                          "float range, got g=9.81")
 
 
 def test_simulate_checks_checkpoints_against_a_later_t_end(capsys, tmp_path):

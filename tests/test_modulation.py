@@ -6,11 +6,9 @@ Oracles:
     conservative densities/fluxes pins each coefficient independently);
   * direct determinant evaluation det(B - lam A) at spot values of lam
     for the pencil polynomial;
-  * the product formula Res(p, p') = prod p'(r_i) over the roots, and
-    hand-factored quartics, for the resultant;
   * the 60-digit mpmath discriminant of the same float64 charpoly, by
     the closed-form quartic formula, for the resultant taken from the
-    roots; and the Sylvester resultant_quartic for its sign;
+    roots, its value and its sign;
   * 60-digit mpmath eigenvalues of A^-1 B, from the same float64 A and B,
     for the charpoly and root layer at points of the 50x50 scan grid;
   * exact symmetries (Galilean shift, depth scaling, sign flip) that the
@@ -512,51 +510,21 @@ def test_the_pencil_polynomial_is_derived_from_A_and_B_on_first_read(monkeypatch
 
 # --- resultant -----------------------------------------------------------------
 
-def test_resultant_of_factored_quartics():
-    # p = (x-1)(x-2)(x-3)(x-4): prod of p'(r_i) = (-6)(2)(-2)(6) = 144
-    p = np.array([24.0, -50.0, 35.0, -10.0, 1.0])
-    assert sw.resultant_quartic(p) == pytest.approx(144.0, rel=1e-10)
-    # repeated root collapses the resultant to zero
-    # (x-1)^2 (x-2)(x-3) = x^4 - 7x^3 + 17x^2 - 17x + 6
-    pd = np.array([6.0, -17.0, 17.0, -7.0, 1.0])
-    assert abs(sw.resultant_quartic(pd)) <= 1e-9
-    # x^4 - 1, roots (1, -1, i, -i): prod 4 r^3 = 256 (prod r)^3 = -256
-    assert sw.resultant_quartic(np.array([-1.0, 0.0, 0.0, 0.0, 1.0])) == pytest.approx(
-        -256.0, rel=1e-12
-    )
-    with pytest.raises(DegeneratePencilError):
-        sw.resultant_quartic(np.array([1.0, 2.0, 3.0, 4.0, 0.0]))
-
-
-def test_resultant_matches_product_formula():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        c = rng.standard_normal(5)
-        c[4] = c[4] if abs(c[4]) > 0.3 else 1.0
-        monic = c / c[4]
-        roots = np.roots(monic[::-1])
-        dp = np.polyder(monic[::-1])
-        product = np.prod(np.polyval(dp, roots))
-        assert sw.resultant_quartic(c) == pytest.approx(
-            float(product.real), rel=1e-8, abs=1e-8
-        )
-
-
-def test_resultant_from_roots_has_the_sign_of_the_sylvester_resultant():
+def test_resultant_from_roots_has_the_sign_of_the_60_digit_discriminant():
     # characteristic_eigenvalues takes the resultant from its roots; the
-    # Sylvester determinant of the same charpoly must agree in sign at every
+    # 60-digit discriminant of the same charpoly must agree in sign at every
     # point, the corner (1.001, 0.001) included, and in value off the
-    # tau = SCAN_MARGIN row, where both stay far from a double root
+    # tau = SCAN_MARGIN row, where the roots stay far from a double root
     res = sw.scan_region(1.0, 20.0, 0.0, 20.0, 12, g=G)
     assert res.s_values[0] == pytest.approx(1.001) and res.tau_values[0] == pytest.approx(0.001)
     s, tau = (a.ravel() for a in np.meshgrid(res.s_values, res.tau_values, indexing="ij"))
     system = sw.assemble_AB(sw.state_at_rest(sw.RootTriple(np.ones_like(s), s, s + tau), G))
-    sylvester = sw.resultant_quartic(system.charpoly)
+    ref = np.array([_discriminant_60(c) for c in system.charpoly])
     got = res.classification.resultant
-    assert np.array_equal(np.sign(got), np.sign(sylvester))
+    assert np.array_equal(np.sign(got), np.sign(ref))
     off = tau != SCAN_MARGIN
     assert off.sum() == 132
-    assert np.max(np.abs(got[off] - sylvester[off]) / np.abs(sylvester[off])) <= 1e-9
+    assert np.max(np.abs(got[off] - ref[off]) / np.abs(ref[off])) <= 1e-9
 
 
 def test_resultant_of_complex_roots_is_negative():
@@ -567,7 +535,7 @@ def test_resultant_of_complex_roots_is_negative():
     cls = sw.characteristic_eigenvalues(system)
     assert not cls.all_real and np.max(np.abs(cls.roots.imag)) > 1e-4
     assert type(cls.resultant) is float and cls.resultant < 0.0
-    assert sw.resultant_quartic(system.charpoly) < 0.0
+    assert _discriminant_60(system.charpoly) < 0.0
 
 
 # --- parameter-plane scan -------------------------------------------------------
