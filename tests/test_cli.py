@@ -348,11 +348,8 @@ def test_simulate_rejects_a_line_without_equals(capsys, tmp_path):
     assert f"{cfg}:2: expected 'key = value', got 'roots 1,1.5,2'" in err
 
 
-@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "byte-order-mark"])
-def test_simulate_reads_its_config_as_utf8(capsys, tmp_path, bom):
-    # a Latin-1 comment is named by file and line, whatever the locale's
-    # encoding; a leading byte-order mark is not part of the first line
-    cfg = tmp_path / "bad.cfg"
+def check_config_is_read_as_utf8(capsys, cfg, bom):
+    # a Latin-1 comment is named by file and line, whatever the locale's encoding
     cfg.write_bytes(bom + (CONFIG + "# café\nbogus = 3\n").encode("latin-1"))
     code, _, err = run(capsys, ["simulate", "--config", str(cfg)])
     assert code == 2
@@ -361,6 +358,15 @@ def test_simulate_reads_its_config_as_utf8(capsys, tmp_path, bom):
     code, _, err = run(capsys, ["simulate", "--config", str(cfg)])
     assert code == 2
     assert f"{cfg}:12: unknown key 'bogus'" in err
+
+
+def test_simulate_reads_its_config_as_utf8(capsys, tmp_path):
+    check_config_is_read_as_utf8(capsys, tmp_path / "bad.cfg", b"")
+
+
+def test_simulate_reads_a_config_with_a_byte_order_mark(capsys, tmp_path):
+    # a leading byte-order mark is not part of the first line
+    check_config_is_read_as_utf8(capsys, tmp_path / "bad.cfg", codecs.BOM_UTF8)
 
 
 @pytest.mark.parametrize("line, flags, named", [
