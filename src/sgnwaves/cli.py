@@ -190,9 +190,9 @@ def cmd_scan(args) -> int:
 
 # --- simulate ----------------------------------------------------------------
 
-# Each simulate config key and the parser of its value.  A key the config
-# leaves out takes the default of WaveTrainConfig (for its fields) or of
-# run_experiment (for the rest; checkpoints are its output_times).
+# Each simulate config key and the parser of its value, in the order simulate
+# checks them: WaveTrainConfig's fields, then run_experiment's (checkpoints are
+# its output_times).  A key the config leaves out takes that default.
 SIMULATE_KEYS = {
     "roots": _parse_roots, "g": float, "sign_m": int,
     "n_waves": int, "amplitude": float, "cells_per_wavelength": int,
@@ -241,28 +241,21 @@ def cmd_simulate(args) -> int:
             text[key] = (getattr(args, key), flag)
     if "roots" not in text or "t_end" not in text:
         raise DomainError("config must define at least 'roots' and 't_end'")
-    # roots and g come first, as the train is built from them, and t_end
-    # next, as each checkpoint is checked against it; the other keys follow
-    # in file order, so a value that WaveTrainConfig or a run rule rejects is
-    # named like one that does not parse
-    value, origin = text.pop("roots")
-    with _set_by(origin):
-        wave = {"roots": _parse_roots(value)}
-    if "g" in text:
-        value, origin = text.pop("g")
-        with _set_by(origin):
-            wave["g"] = float(value)
-    with _set_by(origin):    # g's line names a joint overflow, when the file sets g
-        config = WaveTrainConfig(**wave)
-    train, kw = {f.name for f in dataclasses.fields(WaveTrainConfig)}, {}
-    for key, (value, origin) in {"t_end": text.pop("t_end"), **text}.items():
+    # each key is checked, in the table's order, with the keys before it, so a
+    # value that WaveTrainConfig or a run rule rejects is named like one that
+    # does not parse; roots wait for the file's g, whose line names a joint overflow
+    train, kw = {}, {}
+    for key in (k for k in SIMULATE_KEYS if k in text):
+        value, origin = text[key]
         with _set_by(origin):
             value = SIMULATE_KEYS[key](value)
-            if key in train:
-                config = dataclasses.replace(config, **{key: value})
-            else:
+            if key in _RUN_RULES:
                 kw[key] = value
                 _RUN_RULES[key](kw)
+            else:
+                train[key] = value
+                if key != "roots" or "g" not in text:
+                    config = WaveTrainConfig(**train)
     if "checkpoints" in kw:
         kw["output_times"] = kw.pop("checkpoints")
     result = run_experiment(config, out_dir=args.out_dir, **kw)

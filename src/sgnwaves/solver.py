@@ -60,7 +60,7 @@ when it starts: each stage keeps a tiled state tiled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
@@ -556,6 +556,7 @@ def _hdot(h, q, dx):
     return -h * _central_diff(q / h, dx)
 
 
+@np.errstate(over="ignore")    # an energy past the float range is inf, unwarned
 def diagnostics(field: SGNField) -> tuple[float, float, float]:
     """Domain integrals of mass h, momentum hu, and energy he,
 
@@ -753,11 +754,8 @@ def _write_manifest(path, config, field0, run: _Run, times) -> None:
     rows = [
         ("code_version", __version__),
         ("roots", f"{r.h0!r},{r.h1!r},{r.h2!r}"),
-        ("g", repr(config.g)),
-        ("sign_m", str(config.sign_m)),
-        ("n_waves", str(config.n_waves)),
-        ("amplitude", repr(config.amplitude)),
-        ("cells_per_wavelength", str(config.cells_per_wavelength)),
+        # the train's other inputs; str of a float is its repr
+        *((f.name, str(getattr(config, f.name))) for f in fields(config)[1:]),
         ("n_cells", str(field0.n_cells)),
         ("dx", repr(field0.dx)),
         ("wavelength", repr(wave.L)),

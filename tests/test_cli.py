@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from conftest import reemit_csv
-from sgnwaves import WaveTrainConfig, run_experiment
-from sgnwaves.cli import main
+from sgnwaves import RootTriple, WaveTrainConfig, run_experiment
+from sgnwaves.cli import SIMULATE_KEYS, main
 
 BASE_ARGS = ["--roots", "1,1.5,2", "--g", "10"]
 # RootTriple's message for a triple outside the range rule, up to the triple it names
@@ -437,6 +437,49 @@ def test_simulate_checks_checkpoints_against_a_later_t_end(capsys, tmp_path):
     assert err.startswith(f"invalid input: {cfg}:2: key 'checkpoints': checkpoint time 0.6 is "
                           "outside (0, t_end = 0.5]")
     assert not out_dir.exists()
+
+
+def test_simulate_checks_the_keys_in_the_order_of_its_table(capsys, tmp_path):
+    # of two bad keys, the one that comes first in SIMULATE_KEYS is named, not the first in the file
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("cfl = 0\nroots = 1,1.5,2\nt_end = 0.5\nn_waves = 0\n")
+    code, _, err = run(capsys, ["simulate", "--config", str(cfg)])
+    assert code == 2
+    assert err == f"invalid input: {cfg}:4: key 'n_waves': n_waves must be >= 1, got 0\n"
+
+
+def test_the_key_table_is_the_trains_fields_then_the_runs():
+    train = [f.name for f in dataclasses.fields(WaveTrainConfig)]
+    assert list(SIMULATE_KEYS) == [*train, "t_end", "checkpoints", "cfl", "limiter"]
+
+
+@pytest.mark.parametrize("train", [
+    {},
+    {"g": 9.5, "sign_m": 1, "n_waves": 2, "amplitude": 0.1 + 0.2, "cells_per_wavelength": 17},
+    {"g": 1 / 3, "amplitude": 1e-300},
+], ids=["defaults", "every-field", "repeating-digits"])
+def test_a_manifests_train_rows_rebuild_its_config(tmp_path, train):
+    config = WaveTrainConfig(roots=RootTriple(1.0, 1.5, 2.0 + 2.0 ** -50), **train)
+    run_experiment(config, 1e-4, out_dir=tmp_path)
+    rows = (tmp_path / "manifest.txt").read_text().splitlines()
+    fields = {f.name for f in dataclasses.fields(WaveTrainConfig)}
+    rebuilt = {key: SIMULATE_KEYS[key](value)
+               for key, _, value in (row.partition(" = ") for row in rows) if key in fields}
+    assert WaveTrainConfig(**rebuilt) == config
+
+
+@pytest.mark.filterwarnings("error")    # no numpy overflow warning on the way to inf
+def test_simulate_writes_an_energy_past_the_float_range_as_inf(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("roots = 2e102,3e102,4e102\ng = 1\nn_waves = 2\n"
+                   "cells_per_wavelength = 16\nt_end = 1e49\n")
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, ["simulate", "--config", str(cfg), "--out-dir", str(out_dir)])
+    assert code == 0, err
+    rows = [row.split(",") for row in (out_dir / "diagnostics.csv").read_text().splitlines()[1:]]
+    assert rows and all(energy == "inf" for *_, energy in rows)
+    assert all(math.isfinite(float(mass)) and math.isfinite(float(momentum))
+               for _, mass, momentum, _ in rows)
 
 
 def test_simulate_exits_4_when_dt_collapses(capsys, tmp_path, monkeypatch):
