@@ -33,9 +33,7 @@ from .modulation import (
 )
 from .solver import (
     WaveTrainConfig,
-    _check_cfl,
-    _check_limiter,
-    _checkpoint_times,
+    _run_arguments,
     run_experiment,
 )
 from .waves import (
@@ -199,13 +197,6 @@ SIMULATE_KEYS = {
     "t_end": float, "checkpoints": lambda text: _float_list(text.replace(";", ",")),
     "cfl": float, "limiter": str,
 }
-# The solver's rule for each run key, given the run values read so far.
-_RUN_RULES = {
-    "t_end": lambda kw: _checkpoint_times(kw["t_end"], None),
-    "checkpoints": lambda kw: _checkpoint_times(kw["t_end"], kw["checkpoints"]),
-    "cfl": lambda kw: _check_cfl(kw["cfl"]),
-    "limiter": lambda kw: _check_limiter(kw["limiter"]),
-}
 
 
 def _read_config(path: pathlib.Path) -> dict:
@@ -242,22 +233,21 @@ def cmd_simulate(args) -> int:
     if "roots" not in text or "t_end" not in text:
         raise DomainError("config must define at least 'roots' and 't_end'")
     # each key is checked, in the table's order, with the keys before it, so a
-    # value that WaveTrainConfig or a run rule rejects is named like one that
+    # value that WaveTrainConfig or _run_arguments rejects is named like one that
     # does not parse; roots wait for the file's g, whose line names a joint overflow
     train, kw = {}, {}
+    train_keys = {f.name for f in dataclasses.fields(WaveTrainConfig)}
     for key in (k for k in SIMULATE_KEYS if k in text):
         value, origin = text[key]
         with _set_by(origin):
             value = SIMULATE_KEYS[key](value)
-            if key in _RUN_RULES:
-                kw[key] = value
-                _RUN_RULES[key](kw)
-            else:
+            if key in train_keys:
                 train[key] = value
                 if key != "roots" or "g" not in text:
                     config = WaveTrainConfig(**train)
-    if "checkpoints" in kw:
-        kw["output_times"] = kw.pop("checkpoints")
+            else:    # a run_experiment argument, under its parameter name
+                kw["output_times" if key == "checkpoints" else key] = value
+                _run_arguments(**kw)
     result = run_experiment(config, out_dir=args.out_dir, **kw)
     print(f"simulated {result.n_steps} steps to t = {_fmt(result.checkpoints[-1][0])}")
     print(f"depth envelope: [{_fmt(result.h_min)}, {_fmt(result.h_max)}]")

@@ -258,6 +258,7 @@ def _momentum_flux(W, g) -> None:
     m += t
 
 
+@np.errstate(over="ignore", invalid="ignore")    # _Run.observe names an overflow
 def _hydro_step(U, dx, dt, g, limiter):
     """One MUSCL-Hancock shallow-water update of size dt of the state U = (h, q)."""
     # cells -1 .. n: the ghost cells' faces give the HLL flux at face -1/2
@@ -504,11 +505,15 @@ def _cfl_dt(h, q, dx, g, cfl, dt_max):
     speed += np.sqrt(c, out=c)    # np.abs(q / h) + np.sqrt(g * h)
     dt = cfl * dx / float(speed[speed.argmax()])
     if not dt > 0.0:    # NaN or 0: name a non-finite cell before a substep spreads it
-        bad = ~(np.isfinite(h) & np.isfinite(q))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise EllipticSolveError(f"non-finite state at cell {i}: h = {h[i]}, q = {q[i]}")
+        _check_finite_state(h, q)
     return min(dt, dt_max)
+
+
+def _check_finite_state(h, q) -> None:
+    bad = ~(np.isfinite(h) & np.isfinite(q))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise EllipticSolveError(f"non-finite state at cell {i}: h = {h[i]}, q = {q[i]}")
 
 
 def _stage(U, run, dt_prev, dt_max):
@@ -520,28 +525,25 @@ def _stage(U, run, dt_prev, dt_max):
     dx, g = run.dx, run.g
     dt = _cfl_dt(U[0], U[1], dx, g, run.cfl, dt_max)
     U = _hydro_step(U, dx, 0.5 * (dt_prev + dt), g, run.limiter)
-    run.observe(U[0])
+    run.observe(U)
     U[1] = _dispersive_step(U[0], U[1], dx, dt, g)
     return U, dt
 
 
-def _check_cfl(cfl) -> float:
+def _check_scheme(cfl, limiter) -> float:
+    """Check a step's CFL number, then its limiter; return the CFL number."""
     cfl = _number(cfl, "cfl")
     if not 0.0 < cfl <= 0.9:
         raise ValueError(f"cfl must be in (0, 0.9], got {cfl}")
-    return cfl
-
-
-def _check_limiter(limiter) -> None:
     if limiter not in LIMITERS:
         raise ValueError(f"unknown limiter {limiter!r}; choose from {LIMITERS}")
+    return cfl
 
 
 def step(field: SGNField, cfl: float, limiter: str = "mc", dt_max: float | None = None) -> SGNField:
     """One step of size cfl * dx / max(|u| + sqrt(g h)), at most dt_max: a chain of one stage
     on U = (field.h, field.q), stacked anew, whose result's rows are the new h and q."""
-    cfl = _check_cfl(cfl)
-    _check_limiter(limiter)
+    cfl = _check_scheme(cfl, limiter)
     dt_max = math.inf if dt_max is None else _number(dt_max, "dt_max")
     if not dt_max > 0.0:    # NaN fails the comparison too
         raise ValueError(f"dt_max must be positive, got {dt_max}")
@@ -613,14 +615,17 @@ class _Run:
     h_min: float = math.inf
     h_max: float = -math.inf
 
-    def observe(self, h) -> None:
-        """Check that every depth of h is positive, then widen the envelope to h."""
-        h_min = float(h[h.argmin()])
+    def observe(self, U) -> None:
+        """Check that U = (h, q) is finite with every depth positive, then widen the envelope to h."""
+        h, q = U
+        h_min, h_max = float(h[h.argmin()]), float(h[h.argmax()])
         if not h_min > 0.0:    # a NaN fails too
             i = int(np.argmin(h > 0.0))    # first cell that is not positive
             raise PositivityError(f"depth lost positivity at cell {i} (h = {float(h[i])!r})")
+        if not (h_max < math.inf and _all_finite(q)):    # a hydrostatic substep overflowed
+            _check_finite_state(h, q)
         self.h_min = min(self.h_min, h_min)
-        self.h_max = max(self.h_max, float(h[h.argmax()]))
+        self.h_max = max(self.h_max, h_max)
 
     def advance(self, U, t_target, max_steps=math.inf):
         """Step U = (h, q) from self.t < t_target as one Strang chain; return a new U.
@@ -655,7 +660,7 @@ class _Run:
                 if self.n_steps == max_steps:
                     break
             U = _hydro_step(U, self.dx, 0.5 * dt, self.g, self.limiter)
-            self.observe(U[0])
+            self.observe(U)
         except (PositivityError, EllipticSolveError) as exc:
             step_no, self.t = under_way
             self.n_steps = step_no - 1
@@ -663,8 +668,10 @@ class _Run:
         return np.tile(U, (1, n // m))
 
 
-def _checkpoint_times(t_end, output_times) -> list[float]:
-    """The distinct output_times, each in (0, t_end], ascending, with t_end last."""
+def _run_arguments(t_end, output_times=None, cfl=0.45, limiter="mc"):
+    """Check a run's arguments in simulate's key order; return (times, cfl), where times
+    are the distinct output_times, each in (0, t_end], ascending, with t_end last."""
+    t_end = _number(t_end, "t_end")
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     times = _float(() if output_times is None else output_times, "output_times")
@@ -676,7 +683,7 @@ def _checkpoint_times(t_end, output_times) -> list[float]:
             raise ValueError(f"checkpoint time {t!r} is outside (0, t_end = {t_end!r}]")
     if not times or times[-1] < t_end:
         times.append(t_end)
-    return times
+    return times, _check_scheme(cfl, limiter)
 
 
 def run_experiment(
@@ -704,9 +711,7 @@ def run_experiment(
     survives failures.  Solver errors name the step and the time it started
     from; a CFL step shorter than 1e-12 * t_end raises StepBudgetError.
     """
-    cfl, t_end = _check_cfl(cfl), _number(t_end, "t_end")
-    _check_limiter(limiter)
-    times = _checkpoint_times(t_end, output_times)
+    times, cfl = _run_arguments(t_end, output_times, cfl, limiter)
     field = init_wavetrain(config)
 
     out = None
@@ -719,8 +724,8 @@ def run_experiment(
 
     U = np.array((field.h, field.q))
     dx, g = field.dx, field.g
-    run = _Run(dx, g, cfl, limiter, dt_floor=1e-12 * t_end)
-    run.observe(U[0])
+    run = _Run(dx, g, cfl, limiter, dt_floor=1e-12 * times[-1])    # times[-1] is t_end
+    run.observe(U)
     checkpoints = []
     diag_series = [(0.0, *diagnostics(field))]
     try:

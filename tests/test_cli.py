@@ -369,7 +369,9 @@ def test_simulate_reads_a_config_with_a_byte_order_mark(capsys, tmp_path):
     check_config_is_read_as_utf8(capsys, tmp_path / "bad.cfg", codecs.BOM_UTF8)
 
 
-@pytest.mark.parametrize("line, flags, named", [
+# each row: a line that replaces the CONFIG line of its key, the flags given,
+# and the start of simulate's message
+BAD_VALUES = [
     ("g = 10 # gravity", [], "{cfg}:10: key 'g': could not convert string to float: '10 # gravity'"),
     ("checkpoints = 0.05,,0.07", [], "{cfg}:11: key 'checkpoints': could not convert string to float: ''"),
     ("n_waves = 2.5", [], "{cfg}:10: key 'n_waves': invalid literal for int() with base 10: '2.5'"),
@@ -392,11 +394,17 @@ def test_simulate_reads_a_config_with_a_byte_order_mark(capsys, tmp_path):
      "{cfg}:11: key 'checkpoints': checkpoint time 0.6 is outside (0, t_end = 0.5]"),
     ("g = 10", ["--t-end", "1/2"], "--t-end: could not convert string to float: '1/2'"),
     ("g = 10", ["--checkpoints", "0.1;0.2,"], "--checkpoints: could not convert string to float: ''"),
-], ids=["comment-after-value", "empty-checkpoint", "fractional-int", "unordered-roots",
-        "two-roots", "no-waves", "amplitude-out-of-range", "too-few-cells", "zero-g",
-        "overflowing-g", "roots-product-underflows", "roots-epsilon-overflows", "roots-alpha-overflows",
-        "sign-m-out-of-range", "zero-cfl", "unknown-limiter", "nan-t-end",
-        "checkpoint-after-t-end", "t-end-flag", "checkpoints-flag"])
+]
+BAD_VALUE_IDS = [
+    "comment-after-value", "empty-checkpoint", "fractional-int", "unordered-roots",
+    "two-roots", "no-waves", "amplitude-out-of-range", "too-few-cells", "zero-g",
+    "overflowing-g", "roots-product-underflows", "roots-epsilon-overflows", "roots-alpha-overflows",
+    "sign-m-out-of-range", "zero-cfl", "unknown-limiter", "nan-t-end",
+    "checkpoint-after-t-end", "t-end-flag", "checkpoints-flag",
+]
+
+
+@pytest.mark.parametrize("line, flags, named", BAD_VALUES, ids=BAD_VALUE_IDS)
 def test_simulate_names_where_a_bad_value_was_set(capsys, tmp_path, line, flags, named):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(config_with(line))
@@ -407,6 +415,21 @@ def test_simulate_names_where_a_bad_value_was_set(capsys, tmp_path, line, flags,
     assert err.startswith("invalid input: " + named.format(cfg=cfg))
     assert err.count("\n") == 1 and stdout == ""
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("row", ["nan-t-end", "checkpoint-after-t-end", "zero-cfl", "unknown-limiter"])
+def test_run_experiment_rejects_a_run_value_as_simulate_does(row):
+    # the rows of BAD_VALUES whose value parses and run_experiment rejects: the
+    # library call on the same file's values raises simulate's message, after
+    # its "file:line: key 'k': " prefix
+    line, _, named = BAD_VALUES[BAD_VALUE_IDS.index(row)]
+    text = dict(ln.split(" = ") for ln in config_with(line).splitlines()[1:])    # after the comment
+    kw = {key: SIMULATE_KEYS[key](value) for key, value in text.items()}
+    train = {f.name: kw.pop(f.name) for f in dataclasses.fields(WaveTrainConfig)}
+    kw["output_times"] = kw.pop("checkpoints", None)
+    with pytest.raises(ValueError) as exc:
+        run_experiment(WaveTrainConfig(**train), **kw)
+    assert str(exc.value).startswith(named.partition("': ")[2])
 
 
 def test_simulate_checks_the_roots_against_the_files_g(capsys, tmp_path):
@@ -446,6 +469,18 @@ def test_simulate_checks_the_keys_in_the_order_of_its_table(capsys, tmp_path):
     code, _, err = run(capsys, ["simulate", "--config", str(cfg)])
     assert code == 2
     assert err == f"invalid input: {cfg}:4: key 'n_waves': n_waves must be >= 1, got 0\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_names_a_hydrostatic_overflow(capsys, tmp_path):
+    # the HLL flux of the first hydrostatic stage overflows at this g: the
+    # stage names the non-finite state, not the pressure solve after it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("roots = 1,1.5,2\ng = 1e300\nn_waves = 1\n"
+                   "cells_per_wavelength = 16\nt_end = 1e-140\n")
+    code, _, err = run(capsys, ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert code == 4
+    assert err.startswith("solver failure: step 1 from t = 0.0: non-finite state at cell 0: ")
 
 
 def test_the_key_table_is_the_trains_fields_then_the_runs():

@@ -1322,6 +1322,12 @@ def test_checkpoints_within_one_cfl_step_land_on_their_own_instants(u, v):
     _assert_recorded_at(sw.run_experiment(cfg, t_end=b, output_times=[a, b]), [a, b])
 
 
+def test_run_experiment_checks_its_arguments_in_simulates_key_order():
+    # t_end comes before cfl in simulate's key table, so it is named first
+    with pytest.raises(ValueError, match="^t_end must be positive and finite, got nan$"):
+        sw.run_experiment(base_config(), float("nan"), cfl=0.0)
+
+
 def test_run_experiment_validation(tmp_path):
     with pytest.raises(ValueError):
         sw.run_experiment(base_config(), t_end=0.0)
