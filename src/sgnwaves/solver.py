@@ -60,6 +60,7 @@ when it starts: each stage keeps a tiled state tiled.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -586,7 +587,7 @@ def phase_portrait(field: SGNField) -> np.ndarray:
 @dataclass(frozen=True)
 class RunResult:
     config: WaveTrainConfig
-    checkpoints: list            # (time, SGNField, portrait ndarray)
+    checkpoints: list            # (time, SGNField)
     diag_series: list            # (time, mass, momentum, energy)
     h_min: float                 # depth envelope: the initial state, the state
     h_max: float                 # after every stage of every chain, and each checkpoint
@@ -708,8 +709,11 @@ def run_experiment(
     state after every stage and each checkpoint.  If out_dir is given, each
     checkpoint writes a field CSV (x,h,u) and a portrait CSV (h,h_hdot), and
     the run writes a diagnostics series plus a manifest; partial output
-    survives failures.  Solver errors name the step and the time it started
-    from; a CFL step shorter than 1e-12 * t_end raises StepBudgetError.
+    survives failures.  It first deletes the checkpoint CSVs an earlier run
+    left in out_dir (field_ or portrait_, four or more digits, .csv), so the
+    directory holds this run's files only.  Solver errors name the step and
+    the time it started from; a CFL step shorter than 1e-12 * t_end raises
+    StepBudgetError.
     """
     times, cfl = _run_arguments(t_end, output_times, cfl, limiter)
     field = init_wavetrain(config)
@@ -720,6 +724,9 @@ def run_experiment(
 
         out = pathlib.Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        for old in out.iterdir():    # an earlier run's checkpoints, which this run may not overwrite
+            if re.fullmatch(r"(field|portrait)_[0-9]{4,}\.csv", old.name):
+                old.unlink()
         x_words = format_column(field.x)     # every checkpoint has the same cells
 
     U = np.array((field.h, field.q))
@@ -732,15 +739,14 @@ def run_experiment(
         for idx, t_target in enumerate(times):
             U = run.advance(U, t_target)
             snap = SGNField(dx=dx, g=g, h=U[0], q=U[1], t=run.t)
-            portrait = phase_portrait(snap)
-            checkpoints.append((run.t, snap, portrait))
+            checkpoints.append((run.t, snap))
             diag_series.append((run.t, *diagnostics(snap)))
             if out is not None:
                 h_words = format_column(snap.h)  # the portrait's h column is snap.h
                 write_csv(out / f"field_{idx:04d}.csv", "x,h,u",
                           (x_words, h_words, format_column(snap.u)))
                 write_csv(out / f"portrait_{idx:04d}.csv", "h,h_hdot",
-                          (h_words, format_column(portrait[:, 1])))
+                          (h_words, format_column(phase_portrait(snap)[:, 1])))
     finally:
         if out is not None:
             write_csv(out / "diagnostics.csv", "t,mass,momentum,energy",

