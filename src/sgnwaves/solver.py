@@ -25,7 +25,9 @@ the depth envelope, so D is only built on positive h.  The two substeps are:
   * hydrostatic: MUSCL-Hancock finite volumes with an HLL flux and a
     configurable slope limiter (default monotonized-central, which keeps
     the scheme at second order on smooth data), on U, so that each slope,
-    face-state and flux expression runs once for both fields;
+    face-state and flux expression runs once for both fields.  The HLL
+    flux is a weighted sum whose weights lie in [0, 1], so it leaves the
+    float range only where the flux of a state does;
   * dispersive: the non-hydrostatic pressure part satisfies the linear
     elliptic problem
 
@@ -36,6 +38,8 @@ the depth envelope, so D is only built on positive h.  The two substeps are:
     h.  Each step builds, anchors and factors it once (L D L^T by LAPACK
     pttrf); both stages of Heun's method for the conservative update
     q_t = -p_x reuse the factors with one pttrs back-substitution each.
+    The right-hand side is formed in the anchor's rotated frame, and one
+    concatenation rotates p back and pads it for its central difference.
 
 Cyclic neighbours and rotations are slice concatenations: ghost cells
 at each end of an array, the two pieces of a rotation, or both at once.  Both substeps
@@ -45,6 +49,8 @@ an anchor cell chosen by cyclic lexicographic comparison, so the choice
 itself rotates with the data even when several cells tie exactly in
 floating point.  Exact ties are resolved by candidate elimination with
 doubling (Booth's lemma): at most ceil(log2 n) rounds of O(n) work each.
+A hydrostatic stage also commutes bitwise with reflection, x -> -x and
+q -> -q; the pressure solve's anchor does not.
 
 An exactly periodic state (still water, or tiled copies of one wave) has
 no unique anchor, since every copy ties.  So the step looks for the
@@ -192,13 +198,17 @@ def init_wavetrain(config: WaveTrainConfig) -> SGNField:
 # --- periodic neighbours -------------------------------------------------
 #
 # A step is a fixed sequence of whole-array NumPy passes, most of them
-# writing into an array the step already owns.  Each pass is an exact
-# rewrite of the plain formula quoted beside it, so the result keeps every
-# bit, signed zeros included: the same operations in the same order, except
-# that a + or * may swap its two operands, a - b may be a + (-b), and a
-# negation may move into the sign of a divisor.  h ** 3 stays a pow.  An
-# extreme is read as v[v.argmax()]: the same value as v.max(), and a NaN
-# is found too, without the fixed cost of a reduction.
+# writing into an array the step already owns; at 2000 cells a pass costs
+# about as much in call overhead as in arithmetic, so the step saves by
+# making fewer.  Whatever the passes, a step keeps these rules: every sum
+# is dimensionally homogeneous, so the step commutes bitwise with grid
+# rotations and with power-of-two depth scaling; mass and momentum change
+# only by flux differences; a hydrostatic stage treats its two neighbours
+# alike, so it commutes bitwise with reflection; and signed zeros count.
+# The formulas are stated once more with np.roll in the tests, in the same
+# order of operations, and the two agree bit for bit.  An extreme is read
+# as v[v.argmax()]: the same value as v.max(), and a NaN is found too,
+# without the fixed cost of a reduction.
 
 def _cyclic_pad(v: np.ndarray, width: int = 1, shift: int = 0) -> np.ndarray:
     """v rotated left by `shift` cells, with `width` periodic ghost cells at each end.
@@ -211,9 +221,9 @@ def _cyclic_pad(v: np.ndarray, width: int = 1, shift: int = 0) -> np.ndarray:
     return np.concatenate(pieces, axis=-1)
 
 
-def _central_diff(v, dx, shift=0):
-    """Cyclic (v[i+1] - v[i-1]) / (2 dx) of v rotated left by `shift` cells."""
-    vp = _cyclic_pad(v, 1, shift)
+def _central_diff(v, dx):
+    """Cyclic (v[i+1] - v[i-1]) / (2 dx)."""
+    vp = _cyclic_pad(v)
     d = vp[2:] - vp[:-2]
     d /= 2.0 * dx
     return d
@@ -222,44 +232,45 @@ def _central_diff(v, dx, shift=0):
 # --- hydrostatic substep -------------------------------------------------
 
 def _slopes(vp: np.ndarray, limiter: str) -> np.ndarray:
-    """Limited slopes of the cells vp[..., 1:-1] of a padded array.
+    """Half the limited slopes of the cells vp[..., 1:-1] of a padded array.
 
-    One family (van Leer 1977; Sweby 1984): the central slope
-    c = 0.5 * (dl + dr), unclipped for "central", else
-    sign(c) * min(|c|, theta * min(|dl|, |dr|)) with theta = 1 for "minmod"
-    and 2 for "mc", and 0 where dl * dr <= 0.  Where dl * dr > 0, c is not
-    zero, so copysign gives the same value as sign(c) * ...; and for minmod
-    the clip is the one of dl, dr of smaller magnitude, bit for bit, since
-    fl(|dl| + |dr|) / 2 >= min(|dl|, |dr|) and c has the sign of both.
+    One family (van Leer 1977; Sweby 1984) in clip form, with dl and dr the
+    differences to the left and right neighbours: "central" returns
+    c = (dl + dr)/4; "mc" clips c to [min(0, max(dl, dr)), max(0, min(dl, dr))],
+    which is sign(c) * min(|c|, min(|dl|, |dr|)) where dl and dr share a sign
+    and 0 where they do not; "minmod" returns half the sum of those two
+    bounds, half of the difference of smaller magnitude or 0.  No pass
+    forms dl * dr, so no product that underflows to 0 flattens a slope.
     """
     d = vp[..., 1:] - vp[..., :-1]    # dl is d, dr is d one cell on
     dl, dr = d[..., :-1], d[..., 1:]
-    s = dl + dr
-    s *= 0.5
-    if limiter == "central":
-        return s
-    ad = np.abs(d)
-    lim = np.minimum(ad[..., :-1], ad[..., 1:])
-    if limiter == "mc":    # the entry points reject any name but the three
-        lim *= 2.0
-    m = np.abs(s)
-    np.minimum(m, lim, out=m)
-    s = np.copysign(m, s, out=m)
-    np.putmask(s, dl * dr <= 0.0, 0.0)    # 0 at an extremum or a flat stretch
-    return s
+    if limiter != "minmod":    # the entry points reject any name but the three
+        c = dl + dr
+        c *= 0.25
+        if limiter == "central":
+            return c
+    lo = np.maximum(dl, dr)
+    np.minimum(lo, 0.0, out=lo)
+    hi = np.minimum(dl, dr)
+    np.maximum(hi, 0.0, out=hi)
+    if limiter == "mc":
+        np.maximum(c, lo, out=c)
+        return np.minimum(c, hi, out=c)    # c clipped to [lo, hi]
+    lo += hi
+    lo *= 0.5
+    return lo
 
 
-def _momentum_flux(W, g) -> None:
-    """W[2] = q^2/h + g h^2/2 of W[0] = h and W[1] = q."""
+def _momentum_flux(W, g):
+    """W[2] = q u + (g h/2) h, the momentum flux, of W[0] = h and W[1] = q; returns u = q/h."""
     h, q, m = W
-    np.multiply(q, q, out=m)
-    m /= h
-    t = 0.5 * g * h
-    t *= h
-    m += t
+    u = q / h
+    np.multiply(0.5 * g, h, out=m)
+    m *= h
+    m += q * u
+    return u
 
 
-@np.errstate(over="ignore", invalid="ignore")    # _Run.observe names an overflow
 def _hydro_step(U, dx, dt, g, limiter):
     """One MUSCL-Hancock shallow-water update of size dt of the state U = (h, q)."""
     # cells -1 .. n: the ghost cells' faces give the HLL flux at face -1/2
@@ -267,9 +278,8 @@ def _hydro_step(U, dx, dt, g, limiter):
     n = U.shape[1]
     Up = _cyclic_pad(U, 2)
     half = _slopes(Up, limiter)
-    half *= 0.5
     # W[k, 0] at the right face of each cell and W[k, 1] at its left face,
-    # for k = h, q, q^2/h + g h^2/2: W[1:] is the flux of the state W[:2],
+    # for k = h, q, q u + g h^2/2: W[1:] is the flux of the state W[:2],
     # and each field's pair of faces is one contiguous block
     W = np.empty((3, 2, n + 2))
     np.add(Up[:, 1:-1], half, out=W[:2, 0])
@@ -279,17 +289,17 @@ def _hydro_step(U, dx, dt, g, limiter):
     dU = W[1:, 0] - W[1:, 1]
     dU *= 0.5 * dt / dx
     W[:2] -= dU[:, None]
-    if (W[0] <= 0.0).any():
+    depths = W[0].ravel()
+    if depths[depths.argmin()] <= 0.0:    # a NaN face is not finite; observe names it
         # the smaller face depth of each cell; a NaN in one face does not hide the other
         h_face = np.fmin(W[0, 0, 1:-1], W[0, 1, 1:-1])
         i = int(np.argmax(h_face <= 0.0))
         raise PositivityError(
             f"reconstructed face depth lost positivity at cell {i} (h = {float(h_face[i])!r})"
         )
-    _momentum_flux(W, g)
+    u = _momentum_flux(W, g)
     # HLL flux at faces -1/2 .. n-1/2, between cell i (its right face, Wl)
     # and cell i+1 (its left face, Wr)
-    u = W[1] / W[0]
     c = g * W[0]
     np.sqrt(c, out=c)
     s = u - c
@@ -299,14 +309,19 @@ def _hydro_step(U, dx, dt, g, limiter):
     sr = np.maximum(u[0, :-1], u[1, 1:])    # max(ul + cl, ur + cr)
     np.maximum(sr, 0.0, out=sr)
     Wl, Wr = W[:, 0, :-1], W[:, 1, 1:]
-    # F = (sr * F(Ul) - sl * F(Ur) + sl * sr * (Ur - Ul)) / (sr - sl)
-    F = sr * Wl[1:]
+    # F = wr F(Ul) + wl F(Ur) + k (Ur - Ul), with wr = sr/(sr - sl),
+    # wl = -sl/(sr - sl) and k = sl sr/(sr - sl): both weights lie in [0, 1]
+    # and |k| <= min(-sl, sr), so F leaves the float range only where F(U) does
+    den = sr - sl
+    k = sl * sr
+    k /= den
+    F = np.divide(sr, den, out=sr) * Wl[1:]    # wr F(Ul)
+    np.divide(sl, den, out=sl)    # -wl
     t = sl * Wr[1:]
     F -= t
     np.subtract(Wr[:2], Wl[:2], out=t)
-    np.multiply(sl * sr, t, out=t)
+    t *= k
     F += t
-    F /= sr - sl
     # U - dt/dx * (F[i+1/2] - F[i-1/2])
     t = F[:, 1:] - F[:, :-1]
     t *= dt / dx
@@ -392,18 +407,17 @@ def _pressure_operator(h, dx, g):
     the operator is, and corner^2 alone would leave the float range first.
     """
     n = h.size
-    inv_dx2 = 1.0 / (dx * dx)
     hp = _cyclic_pad(h)
     # rows: the diagonal, the off-diagonal -w[i] coupling i and i+1 (w[i] is
     # 1/h at face i+1/2, over dx^2) and g h_xx; one rotation moves all three
     M = np.empty((3, n))
     diag, off, g_hxx = M
     np.add(h, hp[2:], out=off)
-    np.divide(-2.0, off, out=off)    # -(2.0 / (h + hp[2:])), exactly
-    off *= inv_dx2
-    np.power(h, 3, out=diag)    # h ** 3
+    np.divide(-2.0 / (dx * dx), off, out=off)    # -w[i] = (-2/dx^2) / (h + hp[2:])
+    np.multiply(h, h, out=diag)
+    diag *= h
     np.divide(3.0, diag, out=diag)
-    diag -= off    # 3 / h**3 + w[i] + w[i-1], each added as a subtracted -w
+    diag -= off    # 3/(h h h) + w[i] + w[i-1], each added as a subtracted -w
     diag[1:] -= off[:-1]
     diag[0] -= off[-1]
     if not _all_finite(diag):
@@ -412,11 +426,9 @@ def _pressure_operator(h, dx, g):
             f"dispersive operator has a non-finite diagonal entry at cell {i} "
             f"(h = {float(h[i])!r})"
         )
-    np.multiply(2.0, h, out=g_hxx)    # g * ((hp[2:] - 2.0 * h + hp[:-2]) / (dx * dx))
-    np.subtract(hp[2:], g_hxx, out=g_hxx)
-    g_hxx += hp[:-2]
-    g_hxx /= dx * dx
-    g_hxx *= g
+    dh = hp[1:] - hp[:-1]    # h[i] - h[i-1], i = 0 .. n
+    np.subtract(dh[1:], dh[:-1], out=g_hxx)
+    g_hxx *= g / (dx * dx)    # ((hp[2:] - h) - (h - hp[:-2])) * (g / (dx * dx))
     # rotate the anchor cell to index 0 so the Sherman-Morrison break point
     # is a deterministic function of the data, not of the array origin
     shift = _anchor_cell(diag)
@@ -438,36 +450,46 @@ def _pressure_operator(h, dx, g):
 
 
 def _nonhydro_pressure(op, h, q, dx):
-    """Solve -(p'/h)' + 3 p/h^3 = 2 u_x^2 + g h_xx with a _pressure_operator of h."""
+    """Solve -(p'/h)' + 3 p/h^3 = 2 u_x^2 + g h_xx with a _pressure_operator of h.
+
+    Returns p with one periodic ghost cell at each end.  The solve runs in
+    the operator's rotated frame, where 2 u_x^2 is (u[i+1] - u[i-1])^2 / (2 dx^2);
+    the one concatenation that rotates p back also pads it.
+    """
     shift, d, e, v_last, zs, g_hxx = op
-    ux = _central_diff(q / h, dx, shift)    # in the operator's rotated frame
-    rhs = 2.0 * ux
-    rhs *= ux
-    rhs += g_hxx    # 2.0 * ux * ux + g_hxx
+    n = h.size
+    up = _cyclic_pad(q / h, 1, shift)
+    rhs = up[2:] - up[:-2]
+    rhs *= rhs
+    rhs *= 0.5 / (dx * dx)
+    rhs += g_hxx    # (u[i+1] - u[i-1])^2 * (0.5 / (dx * dx)) + g_hxx
     y, _ = dpttrs(d, e, rhs)
     p = (y[0] + v_last * y[-1]) * zs
     np.subtract(y, p, out=p)
-    p = _cyclic_pad(p, 0, p.size - shift)
     if not _all_finite(p):
-        i = int(np.argmin(np.isfinite(p)))    # first non-finite cell
-        raise EllipticSolveError(f"dispersive pressure solve returned a non-finite value at cell {i}")
-    return p
+        i = int(np.argmin(np.isfinite(p)))    # first non-finite cell of the rotated frame
+        raise EllipticSolveError(
+            f"dispersive pressure solve returned a non-finite value at cell {(i + shift) % n}"
+        )
+    return _cyclic_pad(p, 1, (n - shift) % n)
 
 
 def _dispersive_step(h, q, dx, dt, g):
-    """Heun update of q_t = -(p_nh)_x at frozen h; conservative central flux."""
+    """Heun update of q_t = -(p_nh)_x at frozen h; conservative central flux.
+
+    With dp = p[i+1] - p[i-1], the stages are q1 = q - dt/(2 dx) dp(q) and
+    q + 0.5 dt (k1 + k2) = q - dt/(4 dx) (dp(q) + dp(q1)).
+    """
     op = _pressure_operator(h, dx, g)
-
-    def accel(qq):
-        # -p_x: a difference over -dx is the negated difference, exactly
-        return _central_diff(_nonhydro_pressure(op, h, qq, dx), -dx)
-
-    k1 = accel(q)
-    q1 = dt * k1
-    k2 = accel(np.add(q, q1, out=q1))    # q + dt * k1
-    np.add(k1, k2, out=k2)
-    np.multiply(0.5 * dt, k2, out=k2)
-    return np.add(q, k2, out=k2)    # q + 0.5 * dt * (k1 + k2)
+    p = _nonhydro_pressure(op, h, q, dx)
+    dp1 = p[2:] - p[:-2]
+    q1 = (dt / (2.0 * dx)) * dp1
+    np.subtract(q, q1, out=q1)
+    p = _nonhydro_pressure(op, h, q1, dx)
+    dp = np.subtract(p[2:], p[:-2], out=q1)
+    dp += dp1
+    dp *= dt / (4.0 * dx)
+    return np.subtract(q, dp, out=dp)
 
 
 # --- full step and diagnostics -------------------------------------------
@@ -620,10 +642,10 @@ class _Run:
         """Check that U = (h, q) is finite with every depth positive, then widen the envelope to h."""
         h, q = U
         h_min, h_max = float(h[h.argmin()]), float(h[h.argmax()])
-        if not h_min > 0.0:    # a NaN fails too
+        if h_min <= 0.0:    # a NaN depth is not finite, named below
             i = int(np.argmin(h > 0.0))    # first cell that is not positive
             raise PositivityError(f"depth lost positivity at cell {i} (h = {float(h[i])!r})")
-        if not (h_max < math.inf and _all_finite(q)):    # a hydrostatic substep overflowed
+        if not (h_max < math.inf and _all_finite(q)):    # an overflow, or a NaN depth
             _check_finite_state(h, q)
         self.h_min = min(self.h_min, h_min)
         self.h_max = max(self.h_max, h_max)
@@ -645,23 +667,25 @@ class _Run:
         n, m = U.shape[1], _block_length(U)
         U, dt = U[:, :m], 0.0
         try:
-            while self.t < t_target:
-                under_way = (self.n_steps + 1, self.t)
-                rest = t_target - self.t
-                U, dt = _stage(U, self, dt, rest)
-                # a step clipped onto a checkpoint may be short; a CFL step may not
-                if dt < self.dt_floor and dt < rest:
-                    raise StepBudgetError(
-                        f"step {self.n_steps + 1} from t = {self.t0 + self.t!r} took dt = {dt!r}, "
-                        f"below 1e-12 * t_end = {self.dt_floor!r}: the run would not reach t_end"
-                    )
-                # a clipped step lands on t_target, which t + rest may round off
-                self.t = self.t + dt if dt < rest else t_target
-                self.n_steps += 1
-                if self.n_steps == max_steps:
-                    break
-            U = _hydro_step(U, self.dx, 0.5 * dt, self.g, self.limiter)
-            self.observe(U)
+            # an overflow in a hydrostatic stage is named by observe, not warned
+            with np.errstate(over="ignore", invalid="ignore"):
+                while self.t < t_target:
+                    under_way = (self.n_steps + 1, self.t)
+                    rest = t_target - self.t
+                    U, dt = _stage(U, self, dt, rest)
+                    # a step clipped onto a checkpoint may be short; a CFL step may not
+                    if dt < self.dt_floor and dt < rest:
+                        raise StepBudgetError(
+                            f"step {self.n_steps + 1} from t = {self.t0 + self.t!r} took dt = {dt!r}, "
+                            f"below 1e-12 * t_end = {self.dt_floor!r}: the run would not reach t_end"
+                        )
+                    # a clipped step lands on t_target, which t + rest may round off
+                    self.t = self.t + dt if dt < rest else t_target
+                    self.n_steps += 1
+                    if self.n_steps == max_steps:
+                        break
+                U = _hydro_step(U, self.dx, 0.5 * dt, self.g, self.limiter)
+                self.observe(U)
         except (PositivityError, EllipticSolveError) as exc:
             step_no, self.t = under_way
             self.n_steps = step_no - 1

@@ -490,16 +490,30 @@ def test_simulate_checks_the_keys_in_the_order_of_its_table(capsys, tmp_path):
     assert err == f"invalid input: {cfg}:4: key 'n_waves': n_waves must be >= 1, got 0\n"
 
 
-# no numpy overflow warning from the HLL flux on the way to the error
+# no numpy overflow warning from the hydrostatic stage on the way to the error
 def test_simulate_names_a_hydrostatic_overflow(capsys, tmp_path):
-    # the HLL flux of the first hydrostatic stage overflows at this g: the
-    # stage names the non-finite state, not the pressure solve after it
+    # g h^2/2 itself leaves the float range at this g, although g I3 and g I2
+    # do not: the first hydrostatic stage turns h into NaN, which is named as
+    # a non-finite state, not as lost positivity or a failed pressure solve
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("roots = 1,1.5,2\ng = 1e300\nn_waves = 1\n"
-                   "cells_per_wavelength = 16\nt_end = 1e-140\n")
+    cfg.write_text("roots = 1,2,100\ng = 1e305\nn_waves = 1\n"
+                   "cells_per_wavelength = 16\nt_end = 1e-170\n")
     code, _, err = run(capsys, ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
     assert code == 4
-    assert err.startswith("solver failure: step 1 from t = 0.0: non-finite state at cell 0: ")
+    assert err.startswith("solver failure: step 1 from t = 0.0: non-finite state at cell 0: h = nan, ")
+
+
+def test_simulate_runs_where_only_the_flux_weights_would_overflow(capsys, tmp_path):
+    # the HLL flux is a weighted sum with weights in [0, 1], so it leaves the
+    # float range only where the flux of a state does; at g = 1e300 products
+    # such as s_r F(U_l), about g^1.5 h^2.5, would
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("roots = 1,1.5,2\ng = 1e300\nn_waves = 1\n"
+                   "cells_per_wavelength = 16\nt_end = 1e-160\n")
+    out = tmp_path / "out"
+    code, _, err = run(capsys, ["simulate", "--config", str(cfg), "--out-dir", str(out)])
+    assert (code, err) == (0, "")
+    assert "n_steps = 1\n" in (out / "manifest.txt").read_text()
 
 
 def test_the_key_table_is_the_trains_fields_then_the_runs():

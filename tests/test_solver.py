@@ -2,9 +2,10 @@
 
 The checks are structural rather than numeric where possible: exact
 fixed points, conservation to rounding, bitwise equivariance under grid
-rotation, reflection symmetry, Galilean invariance at the scheme's
-order, and the linear dispersion relation measured from the phase
-drift of a small sinusoid.  Accuracy against
+rotation and of a hydrostatic stage under reflection, reflection
+symmetry, Galilean invariance at the scheme's order, the linear
+dispersion relation measured from the phase drift of a small sinusoid,
+and the damping and phase error of a linear mode per limiter.  Accuracy against
 the exact traveling wave is covered by the convergence tests.
 """
 
@@ -559,6 +560,24 @@ def test_nonfinite_depth_is_an_elliptic_solve_error():
         _one_stage(h, np.zeros(64), 0.05, G, 0.45, "mc")
 
 
+def test_a_nan_depth_after_a_hydrostatic_stage_is_a_nonfinite_state(monkeypatch):
+    # the opening hydrostatic stage leaves NaN depths, as one whose g h^2/2
+    # leaves the float range does: the check after it names the first as a
+    # non-finite state, not as lost positivity
+    hydro = solver._hydro_step
+
+    def nan_hydro(*args):
+        U = hydro(*args)
+        U[0, [9, 40]] = np.nan
+        return U
+
+    monkeypatch.setattr(solver, "_hydro_step", nan_hydro)
+    h = 1.0 + 0.01 * np.random.default_rng(3).random(64)    # aperiodic: all 64 cells step
+    field = sw.SGNField(dx=0.05, g=G, h=h, q=np.zeros(64))
+    with pytest.raises(EllipticSolveError, match=r"^step 1 from t = 0\.0: non-finite state at cell 9: h = nan, q = "):
+        sw.step(field, cfl=0.45)
+
+
 @pytest.mark.parametrize("field, value", [("h", np.inf), ("q", np.nan), ("q", -np.inf)])
 def test_nonfinite_state_names_its_first_cell(field, value):
     # NaN makes dt NaN and inf makes it 0; either way no substep may run
@@ -619,7 +638,9 @@ def test_pressure_solve_matches_dense_cyclic_matrix(n):
         hxx = (np.roll(h, -1) - 2.0 * h + np.roll(h, 1)) / dx ** 2
         expected = np.linalg.solve(A, 2.0 * ux ** 2 + G * hxx)
         p = _nonhydro_pressure(_pressure_operator(h, dx, G), h, q, dx)
-        assert np.max(np.abs(p - expected)) <= 1e-12 * np.max(np.abs(expected))
+        # one periodic ghost cell at each end
+        assert (p[0], p[-1]) == (p[-2], p[1])
+        assert np.max(np.abs(p[1:-1] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 # The scheme is dimensionally homogeneous: h -> 2^k h, dx -> 2^k dx and
@@ -659,14 +680,15 @@ def test_a_run_is_exact_under_power_of_two_depth_scaling(k):
 
 
 def test_one_step_anchors_and_factors_once(monkeypatch):
-    calls = {"_anchor_cell": 0, "dpttrf": 0}
+    # and solves three times: the Sherman-Morrison column and two Heun stages
+    calls = {"_anchor_cell": 0, "dpttrf": 0, "dpttrs": 0}
     for name in calls:
         def counted(*args, _fn=getattr(solver, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(solver, name, counted)
     sw.step(sw.init_wavetrain(base_config(amplitude=1e-3)), cfl=0.45)
-    assert calls == {"_anchor_cell": 1, "dpttrf": 1}
+    assert calls == {"_anchor_cell": 1, "dpttrf": 1, "dpttrs": 3}
 
 
 def test_a_train_builds_its_wave_once(monkeypatch, tmp_path):
@@ -691,11 +713,12 @@ def test_a_train_builds_its_wave_once(monkeypatch, tmp_path):
     assert wider.wave == cfg.wave == sw.state_at_rest(BASE, G, -1)
 
 
-# --- the np.roll formulation the solver replaced ---------------------------------
+# --- the np.roll formulation of the solver's formulas ----------------------------
 #
-# A compact copy of the solver before it moved to the stacked (h, q) state and
-# slice concatenations.  The arithmetic is unchanged, so the results must match
-# bit for bit.
+# A compact restatement of the scheme with np.roll and separate h and q
+# arrays, in the solver's order of operations, so the results must match bit
+# for bit: the bit contract of the stacked (h, q) state, the slice
+# concatenations and the rotated frame of the pressure solve.
 
 def _ref_anchor_cell(key):
     n = key.size
@@ -708,29 +731,25 @@ def _ref_anchor_cell(key):
     return int(cand[0])
 
 
-def _ref_minmod(a, b):
-    return np.where(a * b <= 0.0, 0.0, np.where(np.abs(a) < np.abs(b), a, b))
-
-
 def _ref_slopes(v, limiter):
+    """Half the limited slope of each cell, in clip form."""
     dl = v - np.roll(v, 1)
     dr = np.roll(v, -1) - v
-    if limiter == "central":
-        return 0.5 * (dl + dr)
+    lo = np.minimum(np.maximum(dl, dr), 0.0)
+    hi = np.maximum(np.minimum(dl, dr), 0.0)
     if limiter == "minmod":
-        return _ref_minmod(dl, dr)
-    c = 0.5 * (dl + dr)
-    lim = 2.0 * np.minimum(np.abs(dl), np.abs(dr))
-    return np.where(dl * dr <= 0.0, 0.0, np.sign(c) * np.minimum(np.abs(c), lim))
+        return (lo + hi) * 0.5
+    c = (dl + dr) * 0.25
+    return c if limiter == "central" else np.minimum(np.maximum(c, lo), hi)
 
 
 def _ref_flux(h, q, g):
-    return q, q * q / h + 0.5 * g * h * h
+    return q, q * (q / h) + 0.5 * g * h * h
 
 
 def _ref_hydro_step(h, q, dx, dt, g, limiter):
     sh, sq = _ref_slopes(h, limiter), _ref_slopes(q, limiter)
-    hR, qR, hL, qL = h + 0.5 * sh, q + 0.5 * sq, h - 0.5 * sh, q - 0.5 * sq
+    hR, qR, hL, qL = h + sh, q + sq, h - sh, q - sq
     fRh, fRq = _ref_flux(hR, qR, g)
     fLh, fLq = _ref_flux(hL, qL, g)
     lam = 0.5 * dt / dx
@@ -745,14 +764,15 @@ def _ref_hydro_step(h, q, dx, dt, g, limiter):
     flh, flq = _ref_flux(hl, ql, g)
     frh, frq = _ref_flux(hr, qr, g)
     den = sr - sl
-    Fh = (sr * flh - sl * frh + sl * sr * (hr - hl)) / den
-    Fq = (sr * flq - sl * frq + sl * sr * (qr - ql)) / den
+    wr, wl, k = sr / den, -sl / den, sl * sr / den
+    Fh = wr * flh + wl * frh + k * (hr - hl)
+    Fq = wr * flq + wl * frq + k * (qr - ql)
     return h - dt / dx * (Fh - np.roll(Fh, 1)), q - dt / dx * (Fq - np.roll(Fq, 1))
 
 
 def _ref_dispersive_step(h, q, dx, dt, g):
-    w_plus = 2.0 / (h + np.roll(h, -1)) * (1.0 / (dx * dx))
-    diag = 3.0 / h ** 3 + w_plus + np.roll(w_plus, 1)
+    w_plus = 2.0 / (dx * dx) / (h + np.roll(h, -1))
+    diag = 3.0 / (h * h * h) + w_plus + np.roll(w_plus, 1)
     shift = _ref_anchor_cell(diag)
     d = np.roll(diag, -shift)
     off = np.roll(-w_plus, -shift)
@@ -766,18 +786,19 @@ def _ref_dispersive_step(h, q, dx, dt, g):
     z, _ = dpttrs(d, e, w)
     v_last = -r
     zs = z / (1.0 + z[0] + v_last * z[-1])
-    g_hxx = g * ((np.roll(h, -1) - 2.0 * h + np.roll(h, 1)) / (dx * dx))
+    g_hxx = ((np.roll(h, -1) - h) - (h - np.roll(h, 1))) * (g / (dx * dx))
 
-    def accel(qq):
+    def dp(qq):
+        # p[i+1] - p[i-1] of the pressure of qq
         u = qq / h
-        ux = (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * dx)
-        y, _ = dpttrs(d, e, np.roll(2.0 * ux * ux + g_hxx, -shift))
+        du = np.roll(u, -1) - np.roll(u, 1)
+        y, _ = dpttrs(d, e, np.roll(du * du * (0.5 / (dx * dx)) + g_hxx, -shift))
         p = np.roll(y - (y[0] + v_last * y[-1]) * zs, shift)
-        return -(np.roll(p, -1) - np.roll(p, 1)) / (2.0 * dx)
+        return np.roll(p, -1) - np.roll(p, 1)
 
-    k1 = accel(q)
-    k2 = accel(q + dt * k1)
-    return q + 0.5 * dt * (k1 + k2)
+    dp1 = dp(q)
+    q1 = q - dt / (2.0 * dx) * dp1
+    return q - dt / (4.0 * dx) * (dp1 + dp(q1))
 
 
 def _ref_step(h, q, dx, g, cfl, limiter):
@@ -852,6 +873,20 @@ def test_step_matches_roll_reference_bitwise(state, limiter):
         assert np.array_equal(_bits(q), _bits(ref_q))
 
 
+@pytest.mark.parametrize("limiter", LIMITERS)
+@pytest.mark.parametrize("state", STATES.values(), ids=STATES.keys())
+def test_a_hydrostatic_stage_commutes_with_reflection_bitwise(state, limiter):
+    # x -> -x, u -> -u swaps the two HLL weights and keeps k, and the slopes
+    # and wave speeds are symmetric in the two neighbours, so the stage is
+    # reflection-equivariant bit for bit, signed zeros included
+    h, q, dx = state()
+    dt = solver._cfl_dt(h, q, dx, G, 0.45, math.inf)
+    U = _hydro_step(np.array((h, q)), dx, dt, G, limiter)
+    R = _hydro_step(np.array((h[::-1], -q[::-1])), dx, dt, G, limiter)
+    assert np.array_equal(_bits(U[0]), _bits(R[0, ::-1]))
+    assert np.array_equal(_bits(U[1]), _bits(-R[1, ::-1]))
+
+
 def _slope_inputs(rng, n):
     """Periodic rows whose neighbour differences are finite but extreme."""
     palette = [0.0, -0.0, 5e-324, -5e-324, 2.5e-322, 1e-310, -3e-200, 1e-200,
@@ -883,6 +918,30 @@ def test_slopes_match_the_roll_reference_bitwise(limiter):
                 rows = solver._slopes(solver._cyclic_pad(np.array((v, -v)), 1), limiter)
             for row, ref in zip(rows, refs):    # as the stacked (h, q) state is limited
                 assert np.array_equal(_bits(row), _bits(ref)), name
+
+
+def _textbook_slopes(v, limiter):
+    """The limited slopes in sign-and-mask form (van Leer 1977; Sweby 1984)."""
+    dl = v - np.roll(v, 1)
+    dr = np.roll(v, -1) - v
+    c = 0.5 * (dl + dr)
+    if limiter == "central":
+        return c
+    if limiter == "minmod":
+        return np.where(dl * dr <= 0.0, 0.0, np.where(np.abs(dl) < np.abs(dr), dl, dr))
+    lim = 2.0 * np.minimum(np.abs(dl), np.abs(dr))
+    return np.where(dl * dr <= 0.0, 0.0, np.sign(c) * np.minimum(np.abs(c), lim))
+
+
+@pytest.mark.parametrize("limiter", LIMITERS)
+def test_clip_form_slopes_are_half_the_textbook_slopes(limiter):
+    # the clip form is an exact rewrite wherever no product dl * dr
+    # underflows and no halving rounds: equal values, up to the sign of a zero
+    rng = np.random.default_rng(36)
+    for v in (rng.standard_normal(512), np.cumsum(rng.choice([-1.0, 0.0, 1.0, 2.0], 512)),
+              rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], 512)):
+        row = solver._slopes(solver._cyclic_pad(v), limiter)
+        assert np.array_equal(row, 0.5 * _textbook_slopes(v, limiter))
 
 
 def _tie_heavy_keys(rng, n):
@@ -985,6 +1044,56 @@ def test_linear_dispersion_relation(kappa_H):
     dphi = np.angle(np.exp(1j * (ph1 - ph0)))
     c_num = -dphi / (kappa * T)
     assert abs(c_num / c_exact - 1.0) <= 1e-2
+
+
+def _linear_mode_after_one_period(n, kappa_H, limiter):
+    """Amplitude loss and phase error, in cycles, of a 1e-6 linear mode over one period.
+
+    Still water H = 1, g = 9.81, n cells per wavelength, the exact linear SGN
+    velocity, stepped one period of c^2 = g H / (1 + (kappa H)^2 / 3) at cfl
+    0.45.  The phase error is the angle of the mode-1 Fourier coefficient
+    after the period over its start; a negative one is a wave that ran ahead.
+    """
+    g, H = 9.81, 1.0
+    lam = 2.0 * np.pi * H / kappa_H
+    dx = lam / n
+    x = (np.arange(n) + 0.5) * dx
+    c = np.sqrt(g * H / (1.0 + kappa_H ** 2 / 3.0))
+    h = H + 1e-6 * H * np.cos(2.0 * np.pi * x / lam)
+    field = sw.SGNField(dx=dx, g=g, h=h, q=h * (c * (h - H) / H))
+    period = lam / c
+    while field.t < period:
+        field = sw.step(field, cfl=0.45, limiter=limiter, dt_max=period - field.t)
+    a0, a1 = np.fft.rfft(h - H)[1], np.fft.rfft(field.h - H)[1]
+    return 1.0 - abs(a1) / abs(a0), np.angle(a1 / a0) / (2.0 * np.pi)
+
+
+# (limiter, kappa H): amplitude loss per period and phase error in cycles at
+# 64 cells per wavelength, as measured; the README table lists all of them
+LINEAR_ERRORS_AT_64_CELLS = {
+    ("mc", 0.5): (5.889e-4, -4.769e-4),
+    ("mc", 2.0): (8.680e-4, -1.895e-3),
+    ("minmod", 0.5): (8.534e-3, -4.452e-4),
+    ("minmod", 2.0): (1.227e-2, -1.887e-3),
+    ("central", 0.5): (4.943e-4, -4.529e-4),
+    ("central", 2.0): (7.259e-4, -1.925e-3),
+}
+DAMPING_ORDER = {"mc": 2.5, "minmod": 1.8, "central": 2.5}
+
+
+@pytest.mark.parametrize("limiter", LIMITERS)
+def test_linear_damping_and_phase_error_per_limiter(limiter):
+    # what the scheme resolves: mc and central damp a linear mode at third
+    # order, minmod at second; the phase error is second order for all three
+    for kappa_H in (0.5, 2.0):
+        errors = np.array([_linear_mode_after_one_period(n, kappa_H, limiter) for n in (32, 64, 128)])
+        damping, phase = errors.T
+        assert (damping > 0.0).all() and (phase < 0.0).all(), errors
+        orders = np.log2(errors[:-1] / errors[1:])
+        assert orders[:, 0].min() >= DAMPING_ORDER[limiter], (kappa_H, orders)
+        assert orders[:, 1].min() >= 1.8, (kappa_H, orders)
+        measured = np.array(LINEAR_ERRORS_AT_64_CELLS[limiter, kappa_H])
+        assert (errors[1] / measured <= 2.0).all(), (kappa_H, errors[1])
 
 
 def test_unperturbed_train_is_steady_over_one_period():
