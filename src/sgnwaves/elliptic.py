@@ -1,4 +1,4 @@
-"""Complete elliptic integrals and their closed-form derivatives.
+"""Complete elliptic integrals K, E and Pi, and the package's numeric rule.
 
 Evaluation goes through the Carlson symmetric forms R_F, R_G, R_J
 (scipy.special), which converge for every modulus in [0, 1) at full
@@ -25,12 +25,9 @@ import operator
 import numpy as np
 from scipy.special import elliprf, elliprg, elliprj
 
-from .errors import DomainError, SingularConfigurationError
+from .errors import DomainError
 
-__all__ = ["ellip_K", "ellip_E", "ellip_Pi", "ellip_derivatives"]
-
-# Relative half-width of the band around n = k^2 that ellip_derivatives rejects.
-SINGULAR_TOL = 1e-12
+__all__ = ["ellip_K", "ellip_E", "ellip_Pi"]
 
 
 def _require(ok, rule: str, name: str, value) -> None:
@@ -162,43 +159,3 @@ def ellip_Pi(n, k):
     ksq = k * k
     return _scalar(elliprf(0.0, 1.0 - ksq, 1.0) + (n / 3.0) * elliprj(0.0, 1.0 - ksq, 1.0, 1.0 - n))
 
-
-def ellip_derivatives(n: float, k: float) -> tuple[float, float, float, float]:
-    """Closed-form derivatives (dK/dk, dE/dk, dPi/dn, dPi/dk).
-
-        dK/dk   = E / (k (1-k^2)) - K / k
-        dE/dk   = (E - K) / k
-        dPi/dn  = -E / (2(1-n)(k^2-n)) - K / (2n(1-n))
-                  + (k^2 - n^2) Pi / (2n(k^2-n)(1-n))
-        dPi/dk  = k E / ((k^2-n)(1-k^2)) - k Pi / (k^2-n)
-
-    The Pi derivatives divide by (k^2 - n); configurations with
-    |n - k^2| <= SINGULAR_TOL * max(n, k^2) are rejected.  Callers that
-    need that regime must fall back to numerical differentiation of
-    ellip_Pi.
-
-    Parameters
-    ----------
-    n : characteristic, one number, 0 < n < 1
-    k : modulus, one number, 0 < k < 1 (open interval: the formulas divide by k and 1-k^2)
-    """
-    n, k = _number(n, "n"), _number(k, "k")
-    _require(0.0 < k < 1.0, "ellip_derivatives requires 0 < k < 1", "k", k)
-    _require(0.0 < n < 1.0, "ellip_derivatives requires 0 < n < 1", "n", n)
-    ksq = k * k
-    if abs(n - ksq) <= SINGULAR_TOL * max(n, ksq):
-        raise SingularConfigurationError(
-            f"Pi derivatives are singular at n = k^2 (n={n}, k^2={ksq})"
-        )
-    K = ellip_K(k)
-    E = ellip_E(k)
-    Pi = ellip_Pi(n, k)
-    dK = E / (k * (1.0 - ksq)) - K / k
-    dE = (E - K) / k
-    dPi_dn = (
-        -E / (2.0 * (1.0 - n) * (ksq - n))
-        - K / (2.0 * n * (1.0 - n))
-        + (ksq - n * n) * Pi / (2.0 * n * (ksq - n) * (1.0 - n))
-    )
-    dPi_dk = k * E / ((ksq - n) * (1.0 - ksq)) - k * Pi / (ksq - n)
-    return dK, dE, dPi_dn, dPi_dk

@@ -13,10 +13,6 @@ class InvalidRootsError(DomainError):
     """Root triple violates 0 < h0 < h1 < h2 or is degenerate."""
 
 
-class SingularConfigurationError(DomainError):
-    """Closed-form derivative requested at a removable singularity (n ~ k^2)."""
-
-
 class DegeneratePencilError(SgnError, ArithmeticError):
     """det(B - lam*A) degenerates below degree four; eigenvalues undefined."""
 

@@ -184,8 +184,8 @@ def differential_coefficients(roots: RootTriple) -> DifferentialCoefficients:
 
 
 # Column subsets for det(B - lam A): picking S columns from -A and the rest
-# from B contributes det * lam^|S|.  A running sum down column d of _TABLE
-# adds +0.0 (index 16), then the subsets of size d in itertools.product order.
+# from B contributes det * lam^|S|.  The sum down column d of _TABLE starts
+# at +0.0 (index 16), then adds the subsets of size d in itertools.product order.
 _SUBSETS = list(itertools.product((False, True), repeat=4))
 _TABLE = np.array(list(itertools.zip_longest(
     *([16] + [k for k, s in enumerate(_SUBSETS) if sum(s) == d] for d in range(5)), fillvalue=16)))
@@ -199,7 +199,7 @@ def _pencil_charpoly(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     entries = np.concatenate((B, -A), axis=-2).reshape(A.shape[:-2] + (32,))
     dets = np.linalg.det(entries.take(_GATHER, axis=-1))
     grid = np.concatenate((dets, np.zeros(dets.shape[:-1] + (1,))), axis=-1).take(_TABLE, axis=-1)
-    return np.add.accumulate(grid, axis=-2)[..., -1, :]
+    return np.add.reduce(grid, axis=-2)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -258,7 +258,9 @@ def oscillation_rhs(h, constants: WaveConstants):
 def jacobi_cn(u, k: float):
     """Jacobi elliptic cn(u; k) by the AGM / descending Landen transformation.
 
-    u is elementwise; the modulus k is one number.
+    u is elementwise; the modulus k is one number.  A u that is not
+    finite, or so large that the phase 2^N a_N u overflows, is a
+    DomainError naming it.
 
     The AGM scale factors a_i, c_i depend only on k; the amplitude phi is
     recovered by the standard backward recurrence
@@ -284,6 +286,7 @@ def jacobi_cn(u, k: float):
         if abs(c) <= 2.5e-16 * a:
             break
     phi = (2.0 ** len(ratios)) * a * u
+    _require(np.isfinite(phi), "jacobi_cn requires a finite u whose phase 2^N a_N u is finite", "u", u)
     for r in reversed(ratios):
         s = np.clip(r * np.sin(phi), -1.0, 1.0)
         phi = 0.5 * (phi + np.arcsin(s))
@@ -322,12 +325,16 @@ def build_wave(
 
 
 def profile(wave: ModulationState, xi):
-    """Depth h(xi) = h1 + (h2-h1) cn^2(alpha xi; k); crest at xi = 0."""
+    """Depth h(xi) = h1 + (h2-h1) cn^2(alpha xi; k); crest at xi = 0; xi must be finite."""
     r = wave.roots
-    cn = jacobi_cn(_float(xi, "xi") * wave.alpha, wave.k)
+    xi = _float(xi, "xi")
+    _require(np.isfinite(xi), "profile requires a finite xi", "xi", xi)
+    cn = jacobi_cn(xi * wave.alpha, wave.k)
     return _scalar(r.h1 + (r.h2 - r.h1) * np.square(cn))
 
 
 def velocity_from_depth(h, constants: WaveConstants, D: float):
-    """u = m/h + D from the mass constraint h(u - D) = m."""
-    return constants.m / _float(h, "h") + _float(D, "D")
+    """u = m/h + D from the mass constraint h(u - D) = m; every depth h is finite and positive."""
+    h, D = _float(h, "h"), _float(D, "D")
+    _require((0.0 < h) & (h < np.inf), "velocity_from_depth requires a finite depth h > 0", "h", h)
+    return constants.m / h + D

@@ -5,6 +5,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from sgnwaves import ellip_E, ellip_K, ellip_Pi
+
 # period_integral stops doubling its nodes once the integral settles to this
 # relative tolerance.
 PERIOD_RTOL = 1e-12
@@ -98,3 +100,31 @@ def period_integral(f, roots) -> float:
         prev = val
         n *= 2
     raise AssertionError(f"period integral did not converge to rtol={PERIOD_RTOL} within 4096 nodes")
+
+
+def kernel_derivatives(n: float, k: float):
+    """(dK/dk, dE/dk, dPi/dn, dPi/dk) at (n, k), from ellip_K, ellip_E and ellip_Pi there.
+
+        dK/dk   = E / (k (1-k^2)) - K / k
+        dE/dk   = (E - K) / k
+        dPi/dn  = -E / (2(1-n)(k^2-n)) - K / (2n(1-n))
+                  + (k^2 - n^2) Pi / (2n(k^2-n)(1-n))
+        dPi/dk  = k E / ((k^2-n)(1-k^2)) - k Pi / (k^2-n)
+
+    (Byrd & Friedman 1971, Handbook of Elliptic Integrals).  Held against
+    central differences of the same kernels, these identities tie the
+    values of K, E and Pi to their slopes.  The formulas need 0 < n < 1 and
+    0 < k < 1, and the Pi derivatives divide by k^2 - n, so a caller keeps
+    n away from k^2.
+    """
+    K, E, Pi = ellip_K(k), ellip_E(k), ellip_Pi(n, k)
+    ksq = k * k
+    dK = E / (k * (1.0 - ksq)) - K / k
+    dE = (E - K) / k
+    dPi_dn = (
+        -E / (2.0 * (1.0 - n) * (ksq - n))
+        - K / (2.0 * n * (1.0 - n))
+        + (ksq - n * n) * Pi / (2.0 * n * (ksq - n) * (1.0 - n))
+    )
+    dPi_dk = k * E / ((ksq - n) * (1.0 - ksq)) - k * Pi / (ksq - n)
+    return dK, dE, dPi_dn, dPi_dk

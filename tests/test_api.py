@@ -232,8 +232,6 @@ RULE_ENTRIES = {
     "ellip_E.k": (sgnwaves.ellip_E, 1.0, "scalar array"),
     "ellip_Pi.n": (lambda n: sgnwaves.ellip_Pi(n, 0.6), 0.0, "scalar array"),
     "ellip_Pi.k": (lambda k: sgnwaves.ellip_Pi(0.3, k), 0.5, "scalar array"),
-    "ellip_derivatives.n": (lambda n: sgnwaves.ellip_derivatives(n, 0.5), 0.5, "scalar"),
-    "ellip_derivatives.k": (lambda k: sgnwaves.ellip_derivatives(0.3, k), 0.5, "scalar"),
 }
 
 RULE_TYPES = {
@@ -284,10 +282,9 @@ def test_every_entry_names_a_parameter_that_is_not_real(entry, bad):
 # is ambiguous", fail late under another name, or be computed with; a 0-d
 # array is one number.
 ONE_NUMBER = [
-    "constants_from_roots.g", "state_at_rest.g", "ModulationState.g", "jacobi_cn.k",
-    "ellip_derivatives.n", "ellip_derivatives.k", "step.cfl", "step.dt_max",
-    "run_experiment.t_end", "SGNField.dx", "SGNField.g", "SGNField.t", "WaveTrainConfig.g",
-    "WaveTrainConfig.amplitude", "scan_region.s_min", "scan_region.s_max",
+    "constants_from_roots.g", "state_at_rest.g", "ModulationState.g", "jacobi_cn.k", "step.cfl",
+    "step.dt_max", "run_experiment.t_end", "SGNField.dx", "SGNField.g", "SGNField.t",
+    "WaveTrainConfig.g", "WaveTrainConfig.amplitude", "scan_region.s_min", "scan_region.s_max",
     "scan_region.tau_min", "scan_region.tau_max", "scan_region.g",
 ]
 

@@ -192,6 +192,19 @@ def test_jacobi_cn_special_points():
         sw.jacobi_cn(1.0, 1.0)
 
 
+# u = inf used to warn "invalid value encountered in sin", and a nan, alone
+# or in an array, came back as cn = nan; a finite u past about 1e307 warned
+# too, as its phase 2^N a_N u overflowed
+@pytest.mark.parametrize("u, named", [
+    (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+    (np.array([0.5, np.nan, np.inf]), "nan"), (1e308, "1e+308"),
+], ids=["inf", "-inf", "nan", "array", "1e308"])
+def test_jacobi_cn_names_a_u_that_is_not_finite(u, named):
+    with pytest.raises(DomainError, match=re.escape(
+            f"jacobi_cn requires a finite u whose phase 2^N a_N u is finite, got u={named}") + "$"):
+        sw.jacobi_cn(u, 0.8)
+
+
 # --- wave construction -------------------------------------------------------
 
 def test_build_wave_base_values():
@@ -277,6 +290,16 @@ def test_profile_satisfies_oscillation_ode():
         )
 
 
+@pytest.mark.parametrize("xi, named", [
+    (math.inf, "inf"), (math.nan, "nan"), (np.array([0.0, -np.inf]), "-inf"),
+], ids=["inf", "nan", "array"])
+def test_profile_names_a_xi_that_is_not_finite(xi, named):
+    # xi = inf used to fail inside jacobi_cn with numpy's "invalid value"
+    # warning, and xi = nan returned a nan depth
+    with pytest.raises(DomainError, match=re.escape(f"profile requires a finite xi, got xi={named}") + "$"):
+        sw.profile(sw.build_wave(BASE, G, -1), xi)
+
+
 def test_velocity_from_depth():
     wave = sw.build_wave(BASE, G, -1)
     c = wave.constants
@@ -287,6 +310,20 @@ def test_velocity_from_depth():
     h = np.linspace(1.5, 2.0, 11)
     u = sw.velocity_from_depth(h, c, wave.D)
     assert np.max(np.abs(h * (u - wave.D) - c.m)) <= 1e-12
+
+
+# a zero depth used to raise a bare ZeroDivisionError, or, in an array, warn
+# "divide by zero" and give -inf; a negative, nan or infinite depth
+# returned a velocity
+@pytest.mark.parametrize("h, named", [
+    (0.0, "0.0"), (-1.0, "-1.0"), (math.nan, "nan"), (math.inf, "inf"),
+    (np.array([1.5, 0.0]), "0.0"), (np.array([1.5, -np.inf, np.nan]), "-inf"),
+], ids=["zero", "negative", "nan", "inf", "array with zero", "array"])
+def test_velocity_from_depth_names_a_depth_that_is_not_finite_and_positive(h, named):
+    wave = sw.build_wave(BASE, G, -1)
+    with pytest.raises(DomainError, match=re.escape(
+            f"velocity_from_depth requires a finite depth h > 0, got h={named}") + "$"):
+        sw.velocity_from_depth(h, wave.constants, wave.D)
 
 
 # --- period averages ---------------------------------------------------------
