@@ -56,7 +56,6 @@ from .waves import (
 )
 
 __all__ = [
-    "DifferentialCoefficients",
     "QuasilinearSystem",
     "EigenClassification",
     "ScanResult",
@@ -77,15 +76,6 @@ SCAN_CHUNK = 1024     # scan points per kernel call; bounds the (chunk, 16, 4, 4
 # Why a scan point was not classified; ScanResult.reason indexes this tuple.
 SCAN_REASONS = (None, "invalid_roots", "degenerate_pencil")
 _INVALID_ROOTS, _DEGENERATE_PENCIL = 1, 2
-
-
-@dataclass(frozen=True)
-class DifferentialCoefficients:
-    """Partials of (h_bar, hinv_bar, L) with respect to (h0, h1, h2)."""
-
-    Phi: tuple[float, float, float]
-    Psi: tuple[float, float, float]
-    Lambda: tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -145,8 +135,8 @@ def conserved_vector(state: ModulationState):
 _TWO_OVER_SQRT3 = 2.0 / _sqrt(3.0)
 
 
-def differential_coefficients(roots: RootTriple) -> DifferentialCoefficients:
-    """Closed-form gradients Phi^i, Psi^i, Lambda^i of h_bar, hinv_bar, L.
+def differential_coefficients(roots: RootTriple):
+    """Closed-form gradients (Phi, Psi, Lambda) of h_bar, hinv_bar, L: 3-tuples over h0, h1, h2.
 
     Built from the ratios E/K and Pi/K; each matches central finite
     differences of the corresponding closed-form average.  Squares are
@@ -180,7 +170,7 @@ def differential_coefficients(roots: RootTriple) -> DifferentialCoefficients:
         pre * (-s20 * sI3 / (d21 * d10) * E + h0 * h2 * h2 / (d21 * s20 * sI3) * K),
         pre * (sI3 / (d21 * s20) * E - h0 * h1 * h1 / (d21 * s20 * sI3) * K),
     )
-    return DifferentialCoefficients(Phi=Phi, Psi=Psi, Lambda=Lambda)
+    return Phi, Psi, Lambda
 
 
 # Column subsets for det(B - lam A): picking S columns from -A and the rest
@@ -219,7 +209,7 @@ def assemble_AB(state: ModulationState) -> QuasilinearSystem:
     hb = averaged_h(r)
     hi = averaged_hinv(r)
     L = wavelength(r)
-    dc = differential_coefficients(r)
+    Phis, Psis, Lams = differential_coefficients(r)
     # for root index i, the product and sum of the other two roots
     prod_other = (hs[1] * hs[2], hs[0] * hs[2], hs[0] * hs[1])
     sum_other = (hs[1] + hs[2], hs[0] + hs[2], hs[0] + hs[1])
@@ -230,7 +220,7 @@ def assemble_AB(state: ModulationState) -> QuasilinearSystem:
     B[..., 0, 0] = -L
     B[..., 2, 0] = 2.0 * hb * D + 2.0 * m
     B[..., 3, 0] = 1.5 * hb * D * D + 0.5 * g * c.I1 * hb + m * m * hi + 3.0 * m * D
-    columns = zip(hs, dc.Phi, dc.Psi, dc.Lambda, prod_other, sum_other)
+    columns = zip(hs, Phis, Psis, Lams, prod_other, sum_other)
     for j, (h, Phi, Psi, Lam, po, so) in enumerate(columns, start=1):
         A[..., 0, j] = Lam
         A[..., 1, j] = Phi

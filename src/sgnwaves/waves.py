@@ -243,16 +243,19 @@ def state_at_rest(roots: RootTriple, g: float, sign_m: int = -1) -> ModulationSt
     return ModulationState(None, roots.h0, roots.h1, roots.h2, g, sign_m, roots)
 
 
+@np.errstate(over="ignore")
 def oscillation_rhs(h, constants: WaveConstants):
-    """F3(h), the square of dh/dxi along the wave.
+    """F3(h), the square of dh/dxi along the wave; every h is finite.
 
-    Evaluated in the factored form (3/I3)(I3 - I2 h + I1 h^2 - h^3),
-    which equals 3 - (6i/m^2) h + 6 eps h^2 - (3g/m^2) h^3 identically
-    (m^2 = g I3 makes the coefficient pairs equal term by term).
+    Evaluated in Horner form (3/I3)(((I1 - h) h - I2) h + I3), which equals
+    3 - (6i/m^2) h + 6 eps h^2 - (3g/m^2) h^3 identically (m^2 = g I3).
+    Each step meets finite coefficients only, so past the float range F3 is
+    -inf for a large h and +inf for a large -h, unwarned and never NaN.
     """
     c = constants
-    h = _float(h, "h")    # np.power: a float's h ** 3 (libm pow) and an array's may round apart
-    return _scalar((3.0 / c.I3) * (c.I3 - c.I2 * h + c.I1 * h * h - np.power(h, 3)))
+    h = _float(h, "h")
+    _require(np.isfinite(h), "oscillation_rhs requires a finite h", "h", h)
+    return (3.0 / c.I3) * (((c.I1 - h) * h - c.I2) * h + c.I3)
 
 
 def jacobi_cn(u, k: float):
@@ -333,8 +336,12 @@ def profile(wave: ModulationState, xi):
     return _scalar(r.h1 + (r.h2 - r.h1) * np.square(cn))
 
 
+@np.errstate(over="ignore")    # an array's m/h overflows to inf unwarned, as a float's does
 def velocity_from_depth(h, constants: WaveConstants, D: float):
-    """u = m/h + D from the mass constraint h(u - D) = m; every depth h is finite and positive."""
+    """u = m/h + D from the mass constraint h(u - D) = m; D, every h > 0 and its u are finite."""
     h, D = _float(h, "h"), _float(D, "D")
     _require((0.0 < h) & (h < np.inf), "velocity_from_depth requires a finite depth h > 0", "h", h)
-    return constants.m / h + D
+    _require(np.isfinite(D), "velocity_from_depth requires a finite D", "D", D)
+    u = constants.m / h + D
+    _require(np.isfinite(u), "velocity_from_depth requires an h whose velocity m/h + D is finite", "h", h)
+    return u

@@ -154,11 +154,11 @@ def test_jacobian_oracle_equivalence():
         for tau in tau_vals:
             roots = sw.RootTriple(1.0, s, s + tau)
             step = 1e-7 * roots.h2
-            dc = sw.differential_coefficients(roots)
+            Phi, Psi, Lambda = sw.differential_coefficients(roots)
             for closed, f in (
-                (dc.Phi, sw.averaged_h),
-                (dc.Psi, sw.averaged_hinv),
-                (dc.Lambda, sw.wavelength),
+                (Phi, sw.averaged_h),
+                (Psi, sw.averaged_hinv),
+                (Lambda, sw.wavelength),
             ):
                 for j in range(3):
                     v = [roots.h0, roots.h1, roots.h2]

@@ -46,9 +46,9 @@ def _eigen(field):
     return call
 
 
-def _gradient(field, i):
+def _gradient(which, i):
     def call(h1):
-        return getattr(sgnwaves.differential_coefficients(sgnwaves.RootTriple(1.0, h1, 2.5)), field)[i]
+        return sgnwaves.differential_coefficients(sgnwaves.RootTriple(1.0, h1, 2.5))[which][i]
     return call
 
 
@@ -79,8 +79,8 @@ SCALAR_CASES = {
                         np.array([1.5, 1.75, 2.0]), float),
     "wavelength": (lambda h1: sgnwaves.wavelength(sgnwaves.RootTriple(1.0, h1, 2.5)), 1.5,
                    np.array([1.25, 1.5, 2.0]), float),
-    **{f"differential_coefficients.{f}[{i}]": (_gradient(f, i), 1.5, np.array([1.25, 1.5, 2.0]), float)
-       for f in ("Phi", "Psi", "Lambda") for i in range(3)},
+    **{f"differential_coefficients.{f}[{i}]": (_gradient(which, i), 1.5, np.array([1.25, 1.5, 2.0]), float)
+       for which, f in enumerate(("Phi", "Psi", "Lambda")) for i in range(3)},
     **{f"eigen.{f}": (_eigen(f), 1.5, np.array([1.25, 1.5, 2.0]), t)
        for f, t in (("all_real", bool), ("distinct", bool), ("n_positive", int),
                     ("n_negative", int), ("resultant", float))},

@@ -266,11 +266,11 @@ TRIPLES = [
 def test_differential_coefficients_match_finite_differences(triple):
     roots = sw.RootTriple(*triple)
     step = 1e-7 * roots.h2
-    dc = sw.differential_coefficients(roots)
+    Phi, Psi, Lambda = sw.differential_coefficients(roots)
     for closed, f in (
-        (dc.Phi, lambda v: sw.averaged_h(sw.RootTriple(*v))),
-        (dc.Psi, lambda v: sw.averaged_hinv(sw.RootTriple(*v))),
-        (dc.Lambda, lambda v: sw.wavelength(sw.RootTriple(*v))),
+        (Phi, lambda v: sw.averaged_h(sw.RootTriple(*v))),
+        (Psi, lambda v: sw.averaged_hinv(sw.RootTriple(*v))),
+        (Lambda, lambda v: sw.wavelength(sw.RootTriple(*v))),
     ):
         fd = fd_gradient(f, triple, step)
         for a, b in zip(closed, fd):
@@ -284,15 +284,15 @@ def test_gradients_satisfy_scaling_homogeneity(triple):
     # functions themselves; the derivative along the ray alpha * roots
     # gives the same number by an independent finite difference
     roots = sw.RootTriple(*triple)
-    dc = sw.differential_coefficients(roots)
+    Phi, Psi, Lambda = sw.differential_coefficients(roots)
     hs = np.array(triple)
-    assert float(hs @ np.array(dc.Phi)) == pytest.approx(
+    assert float(hs @ np.array(Phi)) == pytest.approx(
         sw.averaged_h(roots), rel=1e-8
     )
-    assert float(hs @ np.array(dc.Psi)) == pytest.approx(
+    assert float(hs @ np.array(Psi)) == pytest.approx(
         -sw.averaged_hinv(roots), rel=1e-8
     )
-    assert float(hs @ np.array(dc.Lambda)) == pytest.approx(
+    assert float(hs @ np.array(Lambda)) == pytest.approx(
         sw.wavelength(roots), rel=1e-8
     )
     eps = 1e-7

@@ -146,6 +146,30 @@ def test_oscillation_rhs_two_forms_agree(roots, x):
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
+# past the float range F3 tends to -inf as h grows and to +inf as -h grows; h
+# from about 1e103 on used to warn "overflow encountered", and from about
+# 6.3e153 on the expanded form gave inf - inf = nan
+@pytest.mark.parametrize("h, F3", [
+    (1e103, -math.inf), (1e154, -math.inf), (1e300, -math.inf), (-1e200, math.inf),
+], ids=["1e103", "1e154", "1e300", "-1e200"])
+def test_oscillation_rhs_leaves_the_float_range_as_an_infinity(h, F3):
+    c = sw.constants_from_roots(BASE, G, -1)
+    assert sw.oscillation_rhs(h, c) == F3
+    assert sw.oscillation_rhs(np.array([1.75, h]), c).tolist() == [0.046875, F3]
+
+
+# h = inf or nan used to return nan
+@pytest.mark.parametrize("h, named", [
+    (math.inf, "inf"), (math.nan, "nan"), (np.array([1.75, -np.inf]), "-inf"),
+    (np.array([1.75, np.nan]), "nan"),
+], ids=["inf", "nan", "array with -inf", "array with nan"])
+def test_oscillation_rhs_names_an_h_that_is_not_finite(h, named):
+    c = sw.constants_from_roots(BASE, G, -1)
+    with pytest.raises(DomainError, match=re.escape(
+            f"oscillation_rhs requires a finite h, got h={named}") + "$"):
+        sw.oscillation_rhs(h, c)
+
+
 # --- cn kernel ---------------------------------------------------------------
 
 @pytest.mark.parametrize("k", [0.0, 0.1, 0.5, math.sqrt(0.5), 0.8, 0.95])
@@ -324,6 +348,26 @@ def test_velocity_from_depth_names_a_depth_that_is_not_finite_and_positive(h, na
     with pytest.raises(DomainError, match=re.escape(
             f"velocity_from_depth requires a finite depth h > 0, got h={named}") + "$"):
         sw.velocity_from_depth(h, wave.constants, wave.D)
+
+
+# a positive depth so small that m/h leaves the float range used to give
+# u = -inf: silently as a float, and in an array with numpy's "overflow
+# encountered in divide"
+@pytest.mark.parametrize("h", [1e-320, np.array([1.5, 1e-320])], ids=["float", "array"])
+def test_velocity_from_depth_names_a_depth_whose_velocity_overflows(h):
+    wave = sw.build_wave(BASE, G, -1)
+    with pytest.raises(DomainError, match=re.escape(
+            "velocity_from_depth requires an h whose velocity m/h + D is finite, got h=1e-320") + "$"):
+        sw.velocity_from_depth(h, wave.constants, wave.D)
+
+
+# a non-finite phase speed used to return a non-finite velocity
+@pytest.mark.parametrize("D, named", [(math.nan, "nan"), (-math.inf, "-inf")], ids=["nan", "-inf"])
+def test_velocity_from_depth_names_a_phase_speed_that_is_not_finite(D, named):
+    wave = sw.build_wave(BASE, G, -1)
+    with pytest.raises(DomainError, match=re.escape(
+            f"velocity_from_depth requires a finite D, got D={named}") + "$"):
+        sw.velocity_from_depth(np.array([1.5, 2.0]), wave.constants, D)
 
 
 # --- period averages ---------------------------------------------------------
